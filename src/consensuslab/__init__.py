@@ -9,7 +9,6 @@ checks consensus residuals and stability bounds numerically.
 
 from .dynamics import (
     Cascade,
-    cascade_field,
     cascade_rhs,
     compositional_controller,
     conventional_controller,

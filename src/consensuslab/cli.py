@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import emit_scenario, parse_scenario
+from .config import emit_scenario, parse_scenario, scenario_hash
 from .exceptions import ConfigError, ConsensusLabError, DivergenceError
 from .metrics import build_report, row_disagreement
 from .presets import PRESETS, preset
@@ -104,7 +104,8 @@ def write_trajectory_csv(traj, path: Path) -> None:
             fh.write(",".join(_fmt12(v) for v in row) + "\n")
 
 
-def write_report(traj, sc, path: Path) -> None:
+def write_report(traj, sc, path: Path, config_hash: str):
+    """Build the run's ConsensusReport, write it as report.txt and return it."""
     regime_band = 1.0 if any(st.kind == "saturated" for st in sc.stages) else None
     report = build_report(
         traj,
@@ -122,6 +123,7 @@ def write_report(traj, sc, path: Path) -> None:
         f"order = {sc.order}",
         f"dt = {_fmt12(sc.dt)}",
         f"t_end = {_fmt12(sc.t_end)}",
+        f"scenario_hash = {config_hash}",
         f"converged = {'true' if report.converged else 'false'}",
     ]
     for k, res in enumerate(report.order_residuals):
@@ -138,6 +140,7 @@ def write_report(traj, sc, path: Path) -> None:
     if report.divergence_time is not None:
         lines.append(f"divergence_time = {_fmt12(report.divergence_time)}")
     path.write_text("\n".join(lines) + "\n")
+    return report
 
 
 def write_gnuplot(sc, path: Path) -> None:
@@ -155,9 +158,13 @@ def write_gnuplot(sc, path: Path) -> None:
     )
 
 
-def run(sc, out_dir, quiet=False, gnuplot=False) -> int:
-    """Simulate one scenario and write its artifacts. Exit-code semantics:
-    0 completed, 2 diverged (recorded), 1 config error, 3 I/O error."""
+def run(sc, out_dir, quiet=False, gnuplot=False):
+    """Simulate one scenario and write its artifacts.
+
+    Returns (exit code, ConsensusReport or None). Exit-code semantics:
+    0 completed, 2 diverged (recorded), 1 config error, 3 I/O error; the
+    report is None for codes 1 and 3.
+    """
     try:
         code = 0
         try:
@@ -167,24 +174,25 @@ def run(sc, out_dir, quiet=False, gnuplot=False) -> int:
             code = 2
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
-        return 1
+        return 1, None
 
+    config_text = emit_scenario(sc)
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / "trajectory.csv")
-        write_report(traj, sc, out / "report.txt")
-        (out / "config.echo").write_text(emit_scenario(sc) + "\n")
+        report = write_report(traj, sc, out / "report.txt", scenario_hash(config_text))
+        (out / "config.echo").write_text(config_text)
         if gnuplot:
             write_gnuplot(sc, out / "plot.gp")
     except OSError as err:
         print(f"could not write outputs: {err}", file=sys.stderr)
-        return 3
+        return 3, None
 
     if not quiet:
         tag = "diverged" if code == 2 else "completed"
         print(f"{sc.name} [{sc.controller}] {tag}; outputs in {out}")
-    return code
+    return code, report
 
 
 def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
@@ -194,22 +202,19 @@ def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
     rows = []
     worst = 0
     for kind in controllers:
-        sub = with_controller(sc, kind)
-        code = run(sub, out / kind, quiet=quiet, gnuplot=gnuplot)
+        code, report = run(with_controller(sc, kind), out / kind,
+                           quiet=quiet, gnuplot=gnuplot)
         if code in (1, 3):
             return code
         worst = max(worst, code)
-        report = (out / kind / "report.txt").read_text()
-        fields = dict(
-            line.split(" = ", 1) for line in report.strip().splitlines()
-        )
+        residuals = report.order_residuals
         rows.append((
             kind,
-            fields.get("converged", "?"),
-            fields.get("peak_disagreement", "?"),
-            fields.get("order0_residual", "?"),
-            fields.get("order1_residual", "-"),
-            fields.get("divergence_time", "-"),
+            "true" if report.converged else "false",
+            _fmt12(report.peak_disagreement),
+            _fmt12(residuals[0]),
+            _fmt12(residuals[1]) if len(residuals) > 1 else "-",
+            "-" if report.divergence_time is None else _fmt12(report.divergence_time),
         ))
 
     try:
@@ -245,7 +250,8 @@ def main(argv=None) -> int:
             print("empty --compare list", file=sys.stderr)
             return 1
         return compare(sc, kinds, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
-    return run(sc, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
+    code, _ = run(sc, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
+    return code
 
 
 if __name__ == "__main__":

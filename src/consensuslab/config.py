@@ -8,22 +8,11 @@ Unknown sections or keys are rejected with the offending line number, and
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .exceptions import ConfigError
 from .scenario import Scenario, StageSpec, validate_scenario
-
-_PLAIN_SECTIONS = ("cascade", "graph", "init", "disturbance", "integrator", "metrics")
-
-_KEYS = {
-    "cascade": ("name", "seed", "order", "controller"),
-    "graph": ("kind", "n", "edges"),
-    "stage": ("kind", "scale", "omega", "phi", "gains", "ref", "delay"),
-    "init": ("preset", "x0", "xdot0", "xi0", "d_ref"),
-    "disturbance": ("kind", "vector", "sup"),
-    "integrator": ("dt", "t_end", "record_every"),
-    "metrics": ("tolerance", "tail_fraction"),
-}
 
 
 def _to_int(value, line):
@@ -50,6 +39,58 @@ def _to_tuple(value, line):
     return tuple(tuple(v) if isinstance(v, list) else v for v in parsed)
 
 
+def _string(value, line):
+    return value
+
+
+# Section -> {key: (Scenario or StageSpec field, converter)}, in emit order.
+# [stage] stands for every [stage.k]. A key absent from a file takes the
+# dataclass default.
+_SCHEMA = {
+    "cascade": {
+        "name": ("name", _string),
+        "seed": ("seed", _to_int),
+        "order": ("order", _to_int),
+        "controller": ("controller", _string),
+    },
+    "graph": {
+        "kind": ("graph_kind", _string),
+        "n": ("graph_n", _to_int),
+        "edges": ("graph_edges", _to_tuple),
+    },
+    "stage": {
+        "kind": ("kind", _string),
+        "scale": ("scale", _to_float),
+        "omega": ("omega", _to_tuple),
+        "phi": ("phi", _to_tuple),
+        "gains": ("gains", _to_tuple),
+        "ref": ("ref", _string),
+        "delay": ("delay", _string),
+    },
+    "init": {
+        "preset": ("init_preset", _string),
+        "x0": ("x0", _to_tuple),
+        "xdot0": ("xdot0", _to_tuple),
+        "xi0": ("xi0", _to_tuple),
+        "d_ref": ("d_ref", _to_tuple),
+    },
+    "disturbance": {
+        "kind": ("disturbance_kind", _string),
+        "vector": ("disturbance_vector", _to_tuple),
+        "sup": ("disturbance_sup", _to_float),
+    },
+    "integrator": {
+        "dt": ("dt", _to_float),
+        "t_end": ("t_end", _to_float),
+        "record_every": ("record_every", _to_int),
+    },
+    "metrics": {
+        "tolerance": ("tolerance", _to_float),
+        "tail_fraction": ("tail_fraction", _to_float),
+    },
+}
+
+
 def _raw_sections(text: str):
     sections = {}
     current = None
@@ -66,7 +107,7 @@ def _raw_sections(text: str):
                 parts = name.split(".")
                 if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                     raise ConfigError(f"bad stage section [{name}]", lineno)
-            elif name not in _PLAIN_SECTIONS:
+            elif name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             sections[name] = {}
             current = name
@@ -78,7 +119,7 @@ def _raw_sections(text: str):
             raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
         key, value = key.strip(), value.strip()
         base = current.split(".", 1)[0]
-        if key not in _KEYS[base]:
+        if key not in _SCHEMA[base]:
             raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
@@ -86,86 +127,46 @@ def _raw_sections(text: str):
     return sections
 
 
-def _pop(section, key, conv=None, default=None):
-    if key not in section:
-        return default
-    value, line = section.pop(key)
-    return conv(value, line) if conv else value
-
-
-def _string(value, line):
-    return value
+def _convert(base, section):
+    """Dataclass field values of the keys present in one parsed section."""
+    return {
+        field: conv(*section[key])
+        for key, (field, conv) in _SCHEMA[base].items() if key in section
+    }
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario config; ConfigError carries the line."""
     sections = _raw_sections(text)
 
-    cascade = sections.pop("cascade", None)
-    if cascade is None:
+    if "cascade" not in sections:
         raise ConfigError("missing required section [cascade]")
-    order = _pop(cascade, "order", _to_int)
-    controller = _pop(cascade, "controller", _string, "compositional")
-    name = _pop(cascade, "name", _string, "scenario")
-    seed = _pop(cascade, "seed", _to_int, 0)
-    if order is None:
+    # Scenario fields a file may leave out although the dataclass has no default.
+    fields = {"name": "scenario", "seed": 0, "controller": "compositional"}
+    fields.update(_convert("cascade", sections.pop("cascade")))
+    if "order" not in fields:
         raise ConfigError("[cascade] needs an order")
-
-    graph = sections.pop("graph", None)
-    if graph is None:
+    if "graph" not in sections:
         raise ConfigError("missing required section [graph]")
-    graph_kind = _pop(graph, "kind", _string)
-    graph_n = _pop(graph, "n", _to_int)
-    graph_edges = _pop(graph, "edges", _to_tuple)
-    if graph_kind is None or graph_n is None:
+    fields.update(_convert("graph", sections.pop("graph")))
+    if "graph_kind" not in fields or "graph_n" not in fields:
         raise ConfigError("[graph] needs kind and n")
 
+    order = fields["order"]
     stages = []
     for k in range(1, order + 1):
         sect = sections.pop(f"stage.{k}", None)
         if sect is None:
             raise ConfigError(f"missing section [stage.{k}] for order {order}")
-        stages.append(StageSpec(
-            kind=_pop(sect, "kind", _string, ""),
-            scale=_pop(sect, "scale", _to_float, 1.0),
-            omega=_pop(sect, "omega", _to_tuple),
-            phi=_pop(sect, "phi", _to_tuple),
-            gains=_pop(sect, "gains", _to_tuple),
-            ref=_pop(sect, "ref", _string),
-            delay=_pop(sect, "delay", _string),
-        ))
+        # A missing kind is left for validation to reject as unknown.
+        stages.append(StageSpec(**{"kind": "", **_convert("stage", sect)}))
     extra_stage = [s for s in sections if s.startswith("stage.")]
     if extra_stage:
         raise ConfigError(f"stage sections beyond the declared order: {extra_stage}")
 
-    init = sections.pop("init", {})
-    dist = sections.pop("disturbance", {})
-    integ = sections.pop("integrator", {})
-    met = sections.pop("metrics", {})
-
-    sc = Scenario(
-        name=name,
-        seed=seed,
-        order=order,
-        controller=controller,
-        graph_kind=graph_kind,
-        graph_n=graph_n,
-        graph_edges=graph_edges,
-        stages=tuple(stages),
-        init_preset=_pop(init, "preset", _string),
-        x0=_pop(init, "x0", _to_tuple),
-        xdot0=_pop(init, "xdot0", _to_tuple),
-        xi0=_pop(init, "xi0", _to_tuple),
-        d_ref=_pop(init, "d_ref", _to_tuple),
-        disturbance_kind=_pop(dist, "kind", _string, "none"),
-        disturbance_vector=_pop(dist, "vector", _to_tuple),
-        disturbance_sup=_pop(dist, "sup", _to_float),
-        dt=_pop(integ, "dt", _to_float, 1e-3),
-        t_end=_pop(integ, "t_end", _to_float, 60.0),
-        record_every=_pop(integ, "record_every", _to_int, 10),
-        tolerance=_pop(met, "tolerance", _to_float, 1e-6),
-        tail_fraction=_pop(met, "tail_fraction", _to_float, 0.1),
-    )
+    for base, sect in sections.items():
+        fields.update(_convert(base, sect))
+    sc = Scenario(stages=tuple(stages), **fields)
     validate_scenario(sc)
     return sc
 
@@ -184,30 +185,24 @@ def emit_scenario(sc: Scenario) -> str:
     """Canonical config text; parse(emit(sc)) == sc."""
     out = []
 
-    def section(title, pairs):
-        body = [(k, v) for k, v in pairs if v is not None]
+    def section(title, base, obj):
+        body = [(key, getattr(obj, field)) for key, (field, _) in _SCHEMA[base].items()]
+        body = [(k, v) for k, v in body if v is not None]
         if not body:
             return
         out.append(f"[{title}]")
         out.extend(f"{k} = {_fmt(v)}" for k, v in body)
         out.append("")
 
-    section("cascade", [("name", sc.name), ("seed", sc.seed),
-                        ("order", sc.order), ("controller", sc.controller)])
-    section("graph", [("kind", sc.graph_kind), ("n", sc.graph_n),
-                      ("edges", sc.graph_edges)])
-    for k, st in enumerate(sc.stages, start=1):
-        section(f"stage.{k}", [("kind", st.kind), ("scale", st.scale),
-                               ("omega", st.omega), ("phi", st.phi),
-                               ("gains", st.gains), ("ref", st.ref),
-                               ("delay", st.delay)])
-    section("init", [("preset", sc.init_preset), ("x0", sc.x0),
-                     ("xdot0", sc.xdot0), ("xi0", sc.xi0), ("d_ref", sc.d_ref)])
-    section("disturbance", [("kind", sc.disturbance_kind),
-                            ("vector", sc.disturbance_vector),
-                            ("sup", sc.disturbance_sup)])
-    section("integrator", [("dt", sc.dt), ("t_end", sc.t_end),
-                           ("record_every", sc.record_every)])
-    section("metrics", [("tolerance", sc.tolerance),
-                        ("tail_fraction", sc.tail_fraction)])
+    for base in _SCHEMA:
+        if base == "stage":
+            for k, st in enumerate(sc.stages, start=1):
+                section(f"stage.{k}", base, st)
+        else:
+            section(base, base, sc)
     return "\n".join(out)
+
+
+def scenario_hash(text: str) -> str:
+    """Short content hash of a scenario's config text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import OperatorError, ShapeError
-from .operators import ConsensusOperator
-from .sim import SliceView
+from .operators import ConsensusOperator, LinearStatic
+from .sim import SliceView, read_time_lookup
 
 MAX_ORDER = 4
 
@@ -61,68 +61,48 @@ class Cascade:
         return max(taus) if taus else None
 
 
-def cascade_field(cascade: Cascade, u_ref, xi, t, hist=None) -> np.ndarray:
-    """Stacked right-hand side of the cascade at (xi, t).
+def cascade_rhs(cascade: Cascade, u_ref=None):
+    """Vector field ``field(xi, t, hist)`` of the stacked cascade state.
 
     ``u_ref`` is None or a callable t -> N-vector feeding the outer stage.
-    ``hist`` is a history view of the stacked state, required only when the
-    outer stage is delayed.
-    """
-    n_agents = cascade.n
-    order = cascade.order
-    if len(xi) != order * n_agents:
-        raise ShapeError(
-            f"state length {len(xi)} != order*N = {order * n_agents}"
-        )
-    out = np.empty_like(xi, dtype=float)
-    for k, op in enumerate(cascade.stages):
-        sl = slice(k * n_agents, (k + 1) * n_agents)
-        stage_hist = SliceView(hist, sl) if (hist is not None) else None
-        val = -op.evaluate(xi[sl], t, stage_hist)
-        if k + 1 < order:
-            val += xi[(k + 1) * n_agents:(k + 2) * n_agents]
-        elif u_ref is not None:
-            val += u_ref(t)
-        out[sl] = val
-    return out
-
-
-def cascade_rhs(cascade: Cascade, u_ref=None):
-    """Vector-field closure for the integrator.
-
-    Equivalent to ``cascade_field`` but with the per-call setup hoisted out;
-    all-linear cascades collapse to a single precomputed block matrix.
+    ``hist`` is a history view of the stacked state, read only by delayed
+    stages. All-linear cascades collapse to a single precomputed block matrix.
     """
     stages = cascade.stages
     order = cascade.order
     n = cascade.n
+    dim = order * n
     slices = [slice(k * n, (k + 1) * n) for k in range(order)]
 
-    from .operators import LinearStatic
+    def shape_error(xi):
+        return ShapeError(f"state length {len(xi)} != order*N = {dim}")
 
     if all(isinstance(op, LinearStatic) for op in stages):
-        A = np.zeros((order * n, order * n))
+        A = np.zeros((dim, dim))
         for k, op in enumerate(stages):
             A[slices[k], slices[k]] = -op.L
             if k + 1 < order:
                 A[slices[k], slices[k + 1]] = np.eye(n)
-        if u_ref is None:
-            def field(xi, t, hist):
-                return A @ xi
-        else:
-            def field(xi, t, hist):
-                out = A @ xi
+
+        def field(xi, t, hist):
+            if len(xi) != dim:
+                raise shape_error(xi)
+            out = A @ xi
+            if u_ref is not None:
                 out[slices[-1]] += u_ref(t)
-                return out
+            return out
+
         return field
 
     needs_hist = [not op.relative_feedback for op in stages]
 
     def field(xi, t, hist):
-        out = np.empty(order * n)
+        if len(xi) != dim:
+            raise shape_error(xi)
+        out = np.empty(dim)
         for k, op in enumerate(stages):
             sl = slices[k]
-            sh = SliceView(hist, sl) if (hist is not None and needs_hist[k]) else None
+            sh = SliceView(hist, sl.start) if (hist is not None and needs_hist[k]) else None
             val = -op.evaluate(xi[sl], t, sh)
             if k + 1 < order:
                 val += xi[slices[k + 1]]
@@ -218,25 +198,14 @@ def gps_velocity_controller(gains, lpos, v_ref, delays=None):
             return -gains * (xdot - v_ref) - lpos.evaluate(x, t)
         return control
 
-    from .sim import arrival_bank
-
     delay_list = list(delays) if not callable(delays) else [delays] * len(gains)
-    bank = arrival_bank(delay_list)
+    read_times = read_time_lookup(delay_list)
     agent_idx = np.arange(len(gains))
 
     def control(x, xdot, t, xdot_hist=None):
         if xdot_hist is None:
             raise OperatorError("delayed velocity tracking needs a velocity history")
-        if bank is not None:
-            read_times = bank.last_arrivals(t)
-        else:
-            read_times = [t - d(t) for d in delay_list]
-        if hasattr(xdot_hist, "components"):
-            lagged = xdot_hist.components(read_times, agent_idx)
-        else:
-            lagged = np.array(
-                [xdot_hist(s)[i] for i, s in enumerate(read_times)]
-            )
+        lagged = xdot_hist.components(read_times(t), agent_idx)
         return -gains * (lagged - v_ref) - lpos.evaluate(x, t)
 
     return control

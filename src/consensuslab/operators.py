@@ -6,10 +6,11 @@ expose an almost-everywhere time derivative so they can appear at any stage
 of a composition. The two delayed kinds break that invariance and are only
 admissible as the outermost stage.
 
-History access for the delayed kinds goes through a *history view*: any
-callable ``hist(s) -> ndarray`` returning the operator's state vector at a
-past time s. Simulation code supplies interpolating views backed by the
-integrator's committed samples.
+History access for the delayed kinds goes through a *history view*: an
+object whose ``components(ts, idx)`` returns, for each m, component idx[m]
+of the operator's state vector at the past time ts[m]. Simulation code
+supplies interpolating views backed by the integrator's committed samples;
+``sim.FunctionView`` adapts a plain function s -> state vector.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exceptions import (
     NumericError,
     OperatorError,
 )
+from .sim import FunctionView, read_time_lookup
 
 INNER_KINDS = ("linear_static", "linear_time_varying", "saturated")
 DELAYED_KINDS = ("delayed_relative", "delayed_absolute_velocity")
@@ -198,10 +200,7 @@ class DelayedRelative(ConsensusOperator):
             )
         out = self.weights.sum(axis=1) * z
         read_times = [t - self._delay_of[e](t) for e in self.edges]
-        if hasattr(hist, "components"):
-            vals = hist.components(read_times, [j for _, j in self.edges])
-        else:
-            vals = [hist(s)[j] for s, (_, j) in zip(read_times, self.edges)]
+        vals = hist.components(read_times, [j for _, j in self.edges])
         for (i, j), v in zip(self.edges, vals):
             out[i] -= self.weights[i, j] * v
         return out
@@ -235,9 +234,7 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
             self._delays = list(delays)
             if len(self._delays) != self.n:
                 raise OperatorError("need one delay function per agent")
-        from .sim import arrival_bank
-
-        self._bank = arrival_bank(self._delays)
+        self._read_times = read_time_lookup(self._delays)
 
     @property
     def n(self):
@@ -245,11 +242,7 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        if self._bank is not None:
-            read_times = self._bank.last_arrivals(t)
-        else:
-            read_times = [t - d(t) for d in self._delays]
-        ref_vals = np.array([self.ref(s) for s in read_times])
+        ref_vals = np.array([self.ref(s) for s in self._read_times(t)])
         return self.gains * (z - ref_vals)
 
 
@@ -271,8 +264,8 @@ def check_relative_invariance(op: ConsensusOperator, samples: int, seed: int) ->
         t = rng.uniform(0.0, 10.0)
         a = rng.uniform(-10.0, 10.0)
         if op.kind in DELAYED_KINDS:
-            base_hist = lambda s, z=z: z
-            ramp_hist = lambda s, z=z, a=a: z + a * s
+            base_hist = FunctionView(lambda s, z=z: z)
+            ramp_hist = FunctionView(lambda s, z=z, a=a: z + a * s)
             base = op.evaluate(z, t, base_hist)
             shifted = op.evaluate(z + a * t, t, ramp_hist)
         else:
@@ -301,8 +294,8 @@ def estimate_lipschitz(op: ConsensusOperator, samples: int, seed: int) -> float:
         if denom < 1e-12:
             continue
         if op.kind in DELAYED_KINDS:
-            f1 = op.evaluate(z1, t, lambda s, z=z1: z)
-            f2 = op.evaluate(z2, t, lambda s, z=z2: z)
+            f1 = op.evaluate(z1, t, FunctionView(lambda s, z=z1: z))
+            f2 = op.evaluate(z2, t, FunctionView(lambda s, z=z2: z))
         else:
             f1 = op.evaluate(z1, t)
             f2 = op.evaluate(z2, t)

@@ -13,7 +13,6 @@ realizations.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,13 +142,8 @@ def validate_scenario(sc: Scenario) -> None:
         raise ConfigError("constant disturbance needs a vector")
     if sc.disturbance_kind == "random" and not (sc.disturbance_sup or 0) > 0:
         raise ConfigError("random disturbance needs a positive sup bound")
-    if not sc.dt > 0:
-        raise ConfigError(f"dt must be positive, got {sc.dt}")
-    if sc.t_end < sc.dt:
-        raise ConfigError("t_end must be at least one step")
-    nsteps = int(round(sc.t_end / sc.dt))
-    if sc.record_every < 1 or nsteps % sc.record_every != 0:
-        raise ConfigError("record_every must be positive and divide the step count")
+    # The grid rules live in IntegratorConfig; reading nsteps applies the last.
+    sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every).nsteps
     if not sc.tolerance > 0:
         raise ConfigError("tolerance must be positive")
     if not 0 < sc.tail_fraction <= 1:
@@ -270,15 +264,7 @@ def _build_disturbance(sc: Scenario):
     return lambda t: vec
 
 
-def scenario_hash(sc: Scenario) -> str:
-    from .config import emit_scenario
-
-    return hashlib.sha256(emit_scenario(sc).encode()).hexdigest()[:16]
-
-
 def _base_meta(sc: Scenario, graph, d_ref, route):
-    from .config import emit_scenario
-
     return {
         "name": sc.name,
         "seed": sc.seed,
@@ -291,8 +277,6 @@ def _base_meta(sc: Scenario, graph, d_ref, route):
         "t_end": sc.t_end,
         "record_every": sc.record_every,
         "laplacian": graphs.build_laplacian(graph),
-        "config": emit_scenario(sc),
-        "scenario_hash": scenario_hash(sc),
         "divergence_time": None,
     }
 
@@ -313,7 +297,26 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     return _run_plant(sc, graph, cfg)
 
 
-def _attach_cascade_plant(traj, cascade, d_ref, meta):
+def _integrate_annotated(field, x0, cfg, tau_max, meta, plant_of):
+    """Integrate, then attach ``plant_of(traj) = (plant_x, plant_xdot)`` and
+    ``meta``. A divergence is re-raised with its partial trajectory annotated
+    the same way and the blow-up time in meta["divergence_time"]."""
+
+    def annotate(traj):
+        traj.plant_x, traj.plant_xdot = plant_of(traj)
+        traj.meta = meta
+        return traj
+
+    try:
+        traj = sim.integrate(field, x0, cfg, tau_max)
+    except DivergenceError as err:
+        meta["divergence_time"] = err.time
+        annotate(err.trajectory)
+        raise
+    return annotate(traj)
+
+
+def _cascade_plant(traj, cascade, d_ref):
     n = cascade.n
     m = len(traj)
     plant_x = np.empty((m, n))
@@ -323,10 +326,7 @@ def _attach_cascade_plant(traj, cascade, d_ref, meta):
         plant_x[r] = x + d_ref
         if plant_xdot is not None:
             plant_xdot[r] = xdot
-    traj.plant_x = plant_x
-    traj.plant_xdot = plant_xdot
-    traj.meta = meta
-    return traj
+    return plant_x, plant_xdot
 
 
 def _run_cascade(sc, graph, cfg):
@@ -337,13 +337,10 @@ def _run_cascade(sc, graph, cfg):
     u_ref = _build_disturbance(sc)
     field = dynamics.cascade_rhs(cascade, u_ref)
     meta = _base_meta(sc, graph, d_ref, "cascade")
-    try:
-        traj = sim.integrate(field, xi0, cfg, tau_max=cascade.tau_max)
-    except DivergenceError as err:
-        meta["divergence_time"] = err.time
-        partial = _attach_cascade_plant(err.trajectory, cascade, d_ref, meta)
-        raise DivergenceError(err.time, partial) from None
-    return _attach_cascade_plant(traj, cascade, d_ref, meta)
+    return _integrate_annotated(
+        field, xi0, cfg, cascade.tau_max, meta,
+        lambda traj: _cascade_plant(traj, cascade, d_ref),
+    )
 
 
 def _plant_controller(sc: Scenario, graph):
@@ -371,7 +368,7 @@ def _plant_controller(sc: Scenario, graph):
     control = dynamics.gps_velocity_controller(stage2.gains, op1, v_ref, delays)
 
     def wrapped(x, v, t, hist):
-        vel_hist = sim.SliceView(hist, slice(n, 2 * n)) if hist is not None else None
+        vel_hist = sim.SliceView(hist, n) if hist is not None else None
         return control(x, v, t, vel_hist)
 
     return wrapped, tau_max
@@ -391,19 +388,10 @@ def _run_plant(sc, graph, cfg):
         return np.concatenate((v, u))
 
     meta = _base_meta(sc, graph, d_ref, "plant")
-
-    def attach(traj):
-        traj.plant_x = traj.states[:, :n] + d_ref
-        traj.plant_xdot = traj.states[:, n:].copy()
-        traj.meta = meta
-        return traj
-
-    try:
-        traj = sim.integrate(field, np.concatenate((x0, xdot0)), cfg, tau_max)
-    except DivergenceError as err:
-        meta["divergence_time"] = err.time
-        raise DivergenceError(err.time, attach(err.trajectory)) from None
-    return attach(traj)
+    return _integrate_annotated(
+        field, np.concatenate((x0, xdot0)), cfg, tau_max, meta,
+        lambda traj: (traj.states[:, :n] + d_ref, traj.states[:, n:].copy()),
+    )
 
 
 def with_controller(sc: Scenario, controller: str) -> Scenario:

@@ -7,12 +7,17 @@ boundaries and queries interpolate linearly between them. Pre-history
 which only occur when a delay is shorter than one step, interpolate to the
 current RK stage point so that zero delays reproduce the undelayed path.
 
+Every history view handed to an operator or controller answers
+``components(ts, idx)``: entry m is component idx[m] of the state at time
+ts[m]. ``FunctionView`` adapts a plain function s -> state to that protocol.
+
 Everything here is deterministic: identical inputs (including seeds) give
 bit-identical trajectories within one environment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +29,12 @@ BLOWUP_LIMIT = 1e9
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings. ``record_every`` decimates the output grid."""
+    """Fixed-step RK4 settings and the rules of the integration grid.
+
+    The horizon must be a whole number of steps (to a relative 1e-9) and
+    ``record_every`` must divide the step count; the latter is checked when
+    ``nsteps`` is read.
+    """
 
     dt: float
     t_end: float
@@ -33,14 +43,22 @@ class IntegratorConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ConfigError("t_end must be at least one step")
+        if not self.dt <= self.t_end < math.inf:
+            raise ConfigError("t_end must be finite and at least one step")
         if self.record_every < 1 or self.record_every != int(self.record_every):
             raise ConfigError("record_every must be a positive integer")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(
+                f"t_end = {self.t_end} is not a whole number of steps of dt = {self.dt}"
+            )
 
     @property
     def nsteps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        nsteps = int(round(self.t_end / self.dt))
+        if nsteps % self.record_every != 0:
+            raise ConfigError("record_every must divide the step count")
+        return nsteps
 
 
 @dataclass
@@ -145,22 +163,28 @@ class StepView:
 
 
 class SliceView:
-    """Restriction of a stacked-state history view to one stage's block."""
+    """Restriction of a stacked-state history view to the block at ``start``."""
 
-    __slots__ = ("base", "start", "sl")
+    __slots__ = ("base", "start")
 
-    def __init__(self, base, sl):
+    def __init__(self, base, start):
         self.base = base
-        self.start = sl.start or 0
-        self.sl = sl
-
-    def __call__(self, s):
-        return self.base(s)[self.sl]
+        self.start = start
 
     def components(self, ts, idx):
-        if hasattr(self.base, "components"):
-            return self.base.components(ts, np.asarray(idx) + self.start)
-        return np.array([self.base(s)[self.start + i] for s, i in zip(ts, idx)])
+        return self.base.components(ts, np.asarray(idx) + self.start)
+
+
+class FunctionView:
+    """History view over a plain function s -> state vector."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def components(self, ts, idx):
+        return np.array([self.fn(s)[i] for s, i in zip(ts, idx)])
 
 
 def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
@@ -179,8 +203,6 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
         raise ConfigError("initial state must be finite")
     dt = cfg.dt
     nsteps = cfg.nsteps
-    if nsteps % cfg.record_every != 0:
-        raise ConfigError("record_every must divide the step count")
 
     use_hist = tau_max is not None
     buf = HistoryBuffer(dt, nsteps, x) if use_hist else None
@@ -311,11 +333,15 @@ class ArrivalBank:
         return self.A[self.rows, idx]
 
 
-def arrival_bank(delays):
-    """ArrivalBank when every delay is arrival-based, else None."""
+def read_time_lookup(delays):
+    """Callable t -> the read times t - d(t), one per delay in ``delays``.
+
+    When every delay is arrival-based the read time is the last arrival,
+    looked up for all delays at once by an ArrivalBank.
+    """
     if delays and all(hasattr(d, "arrivals") for d in delays):
-        return ArrivalBank(delays)
-    return None
+        return ArrivalBank(delays).last_arrivals
+    return lambda t: [t - d(t) for d in delays]
 
 
 def sample_poisson_delays(mean, seed, t_end) -> PoissonSampledDelay:

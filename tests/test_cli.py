@@ -1,0 +1,100 @@
+"""End-to-end CLI runs: exit codes, artifacts and the preset verdicts.
+
+Horizons are cut to where each verdict is already decided: serial_lti's
+residuals are below 1e-6 by t = 40, and by t = 40 gps_fig3's compositional
+residuals are below 1e-6 while the delayed baseline's exceed 10.
+"""
+
+import numpy as np
+import pytest
+
+from consensuslab.cli import main
+from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
+from consensuslab.presets import preset
+
+# Column widths of comparison.txt.
+COLUMN_WIDTHS = (22, 10, 16, 16, 16, 14)
+
+
+def read_report(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def run_cli(*args):
+    return main([*args, "--quiet"])
+
+
+@pytest.fixture(scope="module")
+def gps_compare(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gps")
+    code = run_cli("--preset", "gps_fig3", "--t-end", "40",
+                   "--compare", "compositional,conventional-delayed", "--out", str(out))
+    return code, out
+
+
+class TestExitCodes:
+    def test_completed_run_writes_hashed_config(self, tmp_path):
+        assert run_cli("--preset", "serial_lti", "--t-end", "40",
+                       "--out", str(tmp_path)) == 0
+        report = read_report(tmp_path / "report.txt")
+        assert report["converged"] == "true"
+        echo = (tmp_path / "config.echo").read_text()
+        assert report["scenario_hash"] == scenario_hash(echo)
+        assert echo == emit_scenario(parse_scenario(echo))
+
+    def test_unknown_preset(self, tmp_path):
+        assert run_cli("--preset", "no_such_preset", "--out", str(tmp_path)) == 1
+
+    def test_horizon_off_the_step_grid(self, tmp_path):
+        text = emit_scenario(preset("serial_lti")).replace(
+            "dt = 0.001", "dt = 0.003").replace("t_end = 60.0", "t_end = 1.0")
+        assert "dt = 0.003" in text and "t_end = 1.0" in text
+        cfg = tmp_path / "off_grid.cfg"
+        cfg.write_text(text)
+        assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "out")) == 1
+
+    def test_divergence_recorded(self, tmp_path):
+        code = run_cli("--preset", "timevarying_fig1", "--controller", "conventional",
+                       "--t-end", "140", "--out", str(tmp_path))
+        assert code == 2
+        report = read_report(tmp_path / "report.txt")
+        assert report["converged"] == "false"
+        assert 100.0 <= float(report["divergence_time"]) <= 140.0
+
+    def test_unwritable_output(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("--preset", "serial_lti", "--t-end", "1",
+                       "--out", str(blocker / "out")) == 3
+
+
+class TestCompare:
+    def test_rows_match_reports(self, gps_compare):
+        code, out = gps_compare
+        assert code == 0
+        _, *rows = (out / "comparison.txt").read_text().splitlines()
+        kinds = ["compositional", "conventional-delayed"]
+        assert len(rows) == len(kinds)
+        for kind, row in zip(kinds, rows):
+            report = read_report(out / kind / "report.txt")
+            cells = (kind, report["converged"], report["peak_disagreement"],
+                     report["order0_residual"], report["order1_residual"],
+                     report.get("divergence_time", "-"))
+            assert row == "".join(c.ljust(w) for c, w in zip(cells, COLUMN_WIDTHS))
+
+
+class TestPresetVerdicts:
+    def test_gps_compositional_converges_delayed_baseline_does_not(self, gps_compare):
+        _, out = gps_compare
+        assert read_report(out / "compositional" / "report.txt")["converged"] == "true"
+        delayed = read_report(out / "conventional-delayed" / "report.txt")
+        assert delayed["converged"] == "false"
+        assert "divergence_time" not in delayed
+
+    def test_appendix_d_drift_matches_closed_form(self, tmp_path):
+        assert run_cli("--preset", "counterexample_appD", "--out", str(tmp_path)) == 0
+        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        t, drift = data[:, 0], data[:, 1] - data[:, 2]
+        assert t[-1] == 5.0
+        # a = 1; the CSV's 12 significant digits bound the error near 5e-12.
+        assert np.abs(drift - (t - 1.0 + np.exp(-t))).max() < 1e-9

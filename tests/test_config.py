@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from consensuslab.config import emit_scenario, parse_scenario
+from consensuslab.config import _SCHEMA, emit_scenario, parse_scenario
 from consensuslab.exceptions import ConfigError
 from consensuslab.presets import PRESETS, preset
 from consensuslab.scenario import Scenario, StageSpec, validate_scenario
@@ -158,6 +158,11 @@ class TestRoundTrip:
         )
         validate_scenario(sc)
         assert parse_scenario(emit_scenario(sc)) == sc
+
+    def test_schema_states_every_field(self):
+        stated = {field for section in _SCHEMA.values() for field, _ in section.values()}
+        fields = set(Scenario.__dataclass_fields__) - {"stages"}
+        assert stated == fields | set(StageSpec.__dataclass_fields__)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,6 @@ import pytest
 
 from consensuslab.dynamics import (
     Cascade,
-    cascade_field,
     cascade_rhs,
     compositional_controller,
     conventional_controller,
@@ -21,6 +20,7 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
+from consensuslab.sim import FunctionView
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))
@@ -34,20 +34,20 @@ def lti_cascade(n_stages, L=L5):
 class TestCascadeField:
     def test_single_stage_is_classical_consensus(self):
         xi = np.array([1.0, 2.0, -1.0, 0.5, 0.0])
-        out = cascade_field(lti_cascade(1), None, xi, 0.0)
+        out = cascade_rhs(lti_cascade(1))(xi, 0.0, None)
         assert np.allclose(out, -L5 @ xi)
 
     def test_zero_stages_give_double_integrator(self):
         zero = LinearStatic(np.zeros((3, 3)))
         casc = Cascade((zero, zero))
         xi = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        out = cascade_field(casc, None, xi, 0.0)
+        out = cascade_rhs(casc)(xi, 0.0, None)
         assert np.array_equal(out, [4.0, 5.0, 6.0, 0.0, 0.0, 0.0])
 
     def test_consensus_is_equilibrium(self):
         casc = lti_cascade(2)
         xi = np.concatenate((np.full(5, 3.3), np.zeros(5)))
-        assert np.abs(cascade_field(casc, None, xi, 0.0)).max() < 1e-12
+        assert np.abs(cascade_rhs(casc)(xi, 0.0, None)).max() < 1e-12
 
     def test_equilibrium_for_all_inner_kinds(self):
         ops = (
@@ -57,30 +57,18 @@ class TestCascadeField:
         )
         casc = Cascade(ops[:3])
         xi = np.concatenate((np.full(5, -2.0), np.zeros(5), np.zeros(5)))
-        assert np.abs(cascade_field(casc, None, xi, 1.7)).max() < 1e-12
+        assert np.abs(cascade_rhs(casc)(xi, 1.7, None)).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cascade_field(lti_cascade(2), None, np.zeros(7), 0.0)
+            cascade_rhs(lti_cascade(2))(np.zeros(7), 0.0, None)
 
     def test_u_ref_feeds_outer_stage(self):
         casc = lti_cascade(2)
         xi = np.zeros(10)
-        out = cascade_field(casc, lambda t: np.full(5, 2.0), xi, 0.0)
+        out = cascade_rhs(casc, lambda t: np.full(5, 2.0))(xi, 0.0, None)
         assert np.array_equal(out[5:], np.full(5, 2.0))
         assert np.array_equal(out[:5], np.zeros(5))
-
-    def test_rhs_closure_matches_field(self):
-        op = Saturated(L5)
-        casc = Cascade((op, LinearStatic(L5)))
-        rhs = cascade_rhs(casc, lambda t: np.full(5, 0.3))
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            xi = rng.normal(size=10)
-            t = rng.uniform(0, 10)
-            a = rhs(xi, t, None)
-            b = cascade_field(casc, lambda t: np.full(5, 0.3), xi, t, None)
-            assert np.abs(a - b).max() < 1e-15
 
 
 class TestCascadeValidation:
@@ -221,6 +209,6 @@ class TestGpsController:
         op = LinearStatic(L2)
         ctrl = gps_velocity_controller(np.ones(2), op, 0.0,
                                        delays=lambda t: 1.0)
-        hist = lambda s: np.array([2.0 * s, -s])
+        hist = FunctionView(lambda s: np.array([2.0 * s, -s]))
         u = ctrl(np.zeros(2), np.zeros(2), 3.0, hist)
         assert np.allclose(u, [-4.0, 2.0])

@@ -16,13 +16,14 @@ from consensuslab.operators import (
     check_relative_invariance,
     estimate_lipschitz,
 )
+from consensuslab.sim import FunctionView
 
 L2 = build_laplacian(path_graph(2))
 L3 = build_laplacian(path_graph(3))
 
 
 def constant_history(z):
-    return lambda s: z
+    return FunctionView(lambda s: z)
 
 
 class TestEvaluate:
@@ -66,7 +67,7 @@ class TestEvaluate:
     def test_delayed_relative_reads_history(self):
         w = path_graph(2).weights
         op = DelayedRelative(w, lambda t: 1.0, tau_max=1.0)
-        hist = lambda s: np.array([s, 0.0])  # leader trajectory z0(s) = s
+        hist = FunctionView(lambda s: np.array([s, 0.0]))  # leader trajectory z0(s) = s
         out = op.evaluate(np.array([3.0, 7.0]), 3.0, hist)
         # component 1: z1(3) - z0(3 - 1) = 7 - 2
         assert np.allclose(out, [0.0, 5.0])

@@ -6,10 +6,99 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.metrics import disagreement_seminorm
+from consensuslab.scenario import INIT_PRESETS, Scenario, StageSpec, validate_scenario
+
+INNER = ("linear_static", "linear_time_varying", "saturated")
+OUTER = INNER + ("delayed_relative", "delayed_absolute_velocity")
+DELAYS = ("constant:0.25", "ramp:2.0", "poisson:1.5")
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=1e-6, max_value=1e3)
+
+
+def vectors(n, elements=finite):
+    return st.tuples(*[elements] * n)
+
+
+def maybe(strategy):
+    return st.none() | strategy
 
 
 @given(c=st.floats(allow_nan=False, allow_infinity=False),
        n=st.integers(min_value=1, max_value=64))
 def test_disagreement_exactly_zero_on_flat_vectors(c, n):
     assert disagreement_seminorm(np.full(n, c)) == 0.0
+
+
+@st.composite
+def stage_specs(draw, n, kind):
+    nonzero = st.floats(min_value=0.1, max_value=5.0) | st.floats(min_value=-5.0, max_value=-0.1)
+    gated = kind == "linear_time_varying"
+    delayed = kind in ("delayed_relative", "delayed_absolute_velocity")
+    absolute = kind == "delayed_absolute_velocity"
+    return StageSpec(
+        kind=kind,
+        scale=draw(positive),
+        omega=draw(vectors(n, nonzero) if gated else maybe(vectors(n, nonzero))),
+        phi=draw(vectors(n) if gated else maybe(vectors(n))),
+        gains=draw(vectors(n, positive) if absolute else maybe(vectors(n, positive))),
+        ref=draw(st.just("constant:10.0") if absolute else maybe(st.just("constant:-1.5"))),
+        delay=draw(st.sampled_from(DELAYS) if delayed else maybe(st.sampled_from(DELAYS))),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios in which every optional config key may appear."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    order = draw(st.integers(min_value=1, max_value=4))
+    kinds = [draw(st.sampled_from(INNER)) for _ in range(order - 1)]
+    kinds.append(draw(st.sampled_from(OUTER)))
+    stages = tuple(draw(stage_specs(n, kind)) for kind in kinds)
+    controllers = ["compositional"]
+    if order == 2 and kinds[1] in INNER:
+        controllers += ["conventional", "naive-serial"]
+    if order == 2 and kinds[1] == "delayed_absolute_velocity":
+        controllers += ["conventional-ideal", "conventional-delayed"]
+    init_preset = draw(maybe(st.sampled_from(INIT_PRESETS)))
+    x0 = draw(maybe(vectors(n)))
+    xi0 = draw(vectors(order * n) if init_preset is None and x0 is None
+               else maybe(vectors(order * n)))
+    disturbance = draw(st.sampled_from(("none", "constant", "random")))
+    graph_kind = draw(st.sampled_from(("path", "edges")))
+    edges = st.lists(st.tuples(st.integers(1, n), st.integers(1, n), positive),
+                     min_size=1, max_size=4).map(tuple)
+    record_every = draw(st.integers(min_value=1, max_value=50))
+    dt = draw(st.floats(min_value=1e-4, max_value=0.5))
+    nsteps = record_every * draw(st.integers(min_value=1, max_value=1000))
+    return Scenario(
+        name=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12)),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+        order=order,
+        controller=draw(st.sampled_from(controllers)),
+        graph_kind=graph_kind,
+        graph_n=n,
+        stages=stages,
+        graph_edges=draw(edges if graph_kind == "edges" else maybe(edges)),
+        init_preset=init_preset,
+        x0=x0,
+        xdot0=draw(maybe(vectors(n))),
+        xi0=xi0,
+        d_ref=draw(maybe(vectors(n))),
+        disturbance_kind=disturbance,
+        disturbance_vector=draw(vectors(n) if disturbance == "constant" else maybe(vectors(n))),
+        disturbance_sup=draw(positive if disturbance == "random" else maybe(positive)),
+        dt=dt,
+        t_end=nsteps * dt,
+        record_every=record_every,
+        tolerance=draw(positive),
+        tail_fraction=draw(st.floats(min_value=1e-3, max_value=1.0)),
+    )
+
+
+@given(sc=scenarios())
+def test_config_round_trip(sc):
+    validate_scenario(sc)
+    assert parse_scenario(emit_scenario(sc)) == sc

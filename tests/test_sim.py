@@ -71,6 +71,13 @@ class TestIntegrator:
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.1, t_end=0.01)
 
+    def test_horizon_must_be_whole_steps(self):
+        # 1.0 / 0.003 = 333.33 steps would silently stop at t = 0.999
+        with pytest.raises(ConfigError):
+            IntegratorConfig(dt=0.003, t_end=1.0)
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: a whole number
+        assert IntegratorConfig(dt=0.1, t_end=0.3).nsteps == 3
+
 
 class TestHistory:
     def test_pre_history_is_initial_condition(self):
