@@ -69,6 +69,11 @@ def _load_scenario(args):
     return sc
 
 
+# Rows per formatted chunk of trajectory.csv: large enough to amortize the
+# per-chunk calls, small enough that the text never holds the whole file.
+_CSV_CHUNK_ROWS = 1024
+
+
 def _fmt12(v) -> str:
     return f"{v:.12g}"
 
@@ -98,10 +103,13 @@ def write_trajectory_csv(traj, path: Path) -> None:
     blocks.append(np.column_stack((disagreement, lap)))
 
     data = np.column_stack([traj.times] + blocks)
+    # "%.12g" on a Python float gives the same text as _fmt12.
+    row_format = ",".join(["%.12g"] * data.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(_fmt12(v) for v in row) + "\n")
+        for start in range(0, len(data), _CSV_CHUNK_ROWS):
+            rows = data[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([row_format % tuple(row) for row in rows]))
 
 
 def write_report(traj, sc, path: Path, config_hash: str):
@@ -222,9 +230,10 @@ def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
         widths = (22, 10, 16, 16, 16, 14)
         titles = ("controller", "converged", "peak_disagree",
                   "order0_resid", "order1_resid", "diverged_at")
-        lines = ["".join(t.ljust(w) for t, w in zip(titles, widths))]
-        for row in rows:
-            lines.append("".join(str(v).ljust(w) for v, w in zip(row, widths)))
+        # A space between cells keeps a value wider than its column apart
+        # from the next one, so every row splits on whitespace.
+        lines = [" ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
+                 for row in (titles, *rows)]
         table = "\n".join(lines) + "\n"
         (out / "comparison.txt").write_text(table)
     except OSError as err:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConsensusLabError
 from .graphs import (
@@ -124,6 +123,10 @@ def fit_iss_constants(L, horizon: float = 20.0, num: int = 400,
     response, shrunk by ``alpha_safety``; M then majorizes the whole curve
     with a small multiplicative margin.
     """
+    # Imported here: scipy.linalg is most of the package's import time, and
+    # no CLI path fits ISS constants.
+    import scipy.linalg
+
     L = np.asarray(L, dtype=float)
     ts = np.linspace(0.0, horizon, num)
     g = np.array(

@@ -6,6 +6,16 @@ expose an almost-everywhere time derivative so they can appear at any stage
 of a composition. The two delayed kinds break that invariance and are only
 admissible as the outermost stage.
 
+Every kind has two entry points. ``evaluate`` is the checked public call:
+it rejects NaN/Inf input with NumericError, then runs ``apply``. ``apply``
+is the same map without the check, for hot paths whose caller guarantees
+finite input (the compiled cascade field and the plant controllers, run
+by ``sim.integrate``, which tests the state after every step). The gated
+and saturated kinds compute ``apply(z, t) = finish(L z, t)``, where
+``finish`` works in place on its argument: the gate product D(t) y or the
+clamp to [-1, 1]. Both maps are odd, so ``finish(-L z) = -finish(L z)``
+exactly and the cascade field applies them to its negated block product.
+
 History access for the delayed kinds goes through a *history view*: an
 object whose ``components(ts, idx)`` returns, for each m, component idx[m]
 of the operator's state vector at the past time ts[m]. Simulation code
@@ -56,6 +66,11 @@ class ConsensusOperator:
         raise NotImplementedError
 
     def evaluate(self, z, t, hist=None) -> np.ndarray:
+        """op(z, t); raises NumericError on NaN/Inf input."""
+        raise NotImplementedError
+
+    def apply(self, z, t, hist=None) -> np.ndarray:
+        """op(z, t) without the input check; for callers with finite input."""
         raise NotImplementedError
 
     def ae_derivative(self, z, zdot, t) -> np.ndarray:
@@ -82,6 +97,9 @@ class LinearStatic(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
+        return self.apply(z, t, hist)
+
+    def apply(self, z, t, hist=None):
         return self.L @ z
 
     def ae_derivative(self, z, zdot, t):
@@ -106,13 +124,21 @@ class LinearTimeVarying(ConsensusOperator):
             raise OperatorError("omega and phi must have one entry per agent")
         if np.any(self.omega == 0):
             raise OperatorError("gate frequencies must be nonzero")
+        self._gate_memo = (None, None)
 
     @property
     def n(self):
         return self.L.shape[0]
 
     def gates(self, t) -> np.ndarray:
-        return np.maximum(np.sin(self.omega * t + self.phi), 0.0)
+        """Gate vector D(t), read-only. The last time point is memoized: an
+        RK4 step asks for each of its three time points once per stage."""
+        t_memo, g = self._gate_memo
+        if t != t_memo:
+            g = np.maximum(np.sin(self.omega * t + self.phi), 0.0)
+            g.flags.writeable = False
+            self._gate_memo = (t, g)
+        return g
 
     def gate_rates(self, t) -> np.ndarray:
         s = np.sin(self.omega * t + self.phi)
@@ -120,7 +146,14 @@ class LinearTimeVarying(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.gates(t) * (self.L @ z)
+        return self.apply(z, t, hist)
+
+    def apply(self, z, t, hist=None):
+        return self.finish(self.L @ z, t)
+
+    def finish(self, y, t):
+        y *= self.gates(t)
+        return y
 
     def ae_derivative(self, z, zdot, t):
         return self.gate_rates(t) * (self.L @ z) + self.gates(t) * (self.L @ zdot)
@@ -145,7 +178,13 @@ class Saturated(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        y = self.L @ z
+        return self.apply(z, t, hist)
+
+    def apply(self, z, t, hist=None):
+        return self.finish(self.L @ z, t)
+
+    def finish(self, y, t):
+        # Two ufuncs with out= cost half of np.clip's Python-level dispatch.
         np.maximum(y, -1.0, out=y)
         np.minimum(y, 1.0, out=y)
         return y
@@ -194,6 +233,9 @@ class DelayedRelative(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
+        return self.apply(z, t, hist)
+
+    def apply(self, z, t, hist=None):
         if hist is None:
             raise InsufficientHistoryError(
                 "delayed_relative needs a history view covering [t - tau_max, t]"
@@ -242,6 +284,9 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
+        return self.apply(z, t, hist)
+
+    def apply(self, z, t, hist=None):
         ref_vals = np.array([self.ref(s) for s in self._read_times(t)])
         return self.gains * (z - ref_vals)
 

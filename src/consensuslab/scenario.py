@@ -78,6 +78,8 @@ def validate_scenario(sc: Scenario) -> None:
         raise ConfigError("graph kind 'edges' needs an edges list")
     if n < 1:
         raise ConfigError("graph needs at least one agent")
+    if sc.seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {sc.seed}")
     if sc.controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {sc.controller!r}")
     if sc.order != len(sc.stages):
@@ -214,6 +216,16 @@ def build_operator(stage: StageSpec, graph, sc: Scenario) -> operators.Consensus
     )
 
 
+def _shared_operators(stages, graph, sc: Scenario) -> tuple:
+    """One operator per stage, identical StageSpecs sharing one operator, so
+    that its gate memo and common subexpressions serve every such stage."""
+    built = {}
+    for stage in stages:
+        if stage not in built:
+            built[stage] = build_operator(stage, graph, sc)
+    return tuple(built[stage] for stage in stages)
+
+
 def _initial_conditions(sc: Scenario, cascade=None):
     """Transformed-coordinate initial conditions (x_tilde, xdot, xi).
 
@@ -330,9 +342,7 @@ def _cascade_plant(traj, cascade, d_ref):
 
 
 def _run_cascade(sc, graph, cfg):
-    cascade = dynamics.Cascade(
-        tuple(build_operator(st, graph, sc) for st in sc.stages)
-    )
+    cascade = dynamics.Cascade(_shared_operators(sc.stages, graph, sc))
     x0, xdot0, xi0, d_ref = _initial_conditions(sc, cascade)
     u_ref = _build_disturbance(sc)
     field = dynamics.cascade_rhs(cascade, u_ref)
@@ -345,13 +355,11 @@ def _run_cascade(sc, graph, cfg):
 
 def _plant_controller(sc: Scenario, graph):
     """(controller callable, tau_max or None) for the plant route."""
-    op1 = build_operator(sc.stages[0], graph, sc)
     n = sc.graph_n
     if sc.controller in ("conventional", "naive-serial"):
-        # Identical stage declarations share one operator (enables reuse of
-        # common subexpressions in the controllers).
-        op2 = op1 if sc.stages[1] == sc.stages[0] else build_operator(
-            sc.stages[1], graph, sc)
+        op1, op2 = _shared_operators(sc.stages, graph, sc)
+    else:
+        op1 = build_operator(sc.stages[0], graph, sc)
     if sc.controller == "conventional":
         return (lambda x, v, t, hist: dynamics.conventional_controller(
             op1, op2, x, v, t)), None

@@ -207,42 +207,47 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     use_hist = tau_max is not None
     buf = HistoryBuffer(dt, nsteps, x) if use_hist else None
 
-    nrec = nsteps // cfg.record_every + 1
-    times = np.arange(nrec) * (dt * cfg.record_every)
+    every = cfg.record_every
+    nrec = nsteps // every + 1
+    times = np.arange(nrec) * (dt * every)
     states = np.empty((nrec, len(x)))
     states[0] = x
     rec = 1
 
     half = 0.5 * dt
-    for k in range(nsteps):
-        t = k * dt
-        if use_hist:
-            k1 = field(x, t, StepView(buf, t, x))
-            z = x + half * k1
-            k2 = field(z, t + half, StepView(buf, t + half, z))
-            z = x + half * k2
-            k3 = field(z, t + half, StepView(buf, t + half, z))
-            z = x + dt * k3
-            k4 = field(z, t + dt, StepView(buf, t + dt, z))
-        else:
-            k1 = field(x, t, None)
-            z = x + half * k1
-            k2 = field(z, t + half, None)
-            z = x + half * k2
-            k3 = field(z, t + half, None)
-            z = x + dt * k3
-            k4 = field(z, t + dt, None)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # A blow-up overflows inside the RK stages before the step-end test
+    # reports it; its overflow warnings would only repeat that report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            t = k * dt
+            if use_hist:
+                k1 = field(x, t, StepView(buf, t, x))
+                z = x + half * k1
+                k2 = field(z, t + half, StepView(buf, t + half, z))
+                z = x + half * k2
+                k3 = field(z, t + half, StepView(buf, t + half, z))
+                z = x + dt * k3
+                k4 = field(z, t + dt, StepView(buf, t + dt, z))
+            else:
+                k1 = field(x, t, None)
+                z = x + half * k1
+                k2 = field(z, t + half, None)
+                z = x + half * k2
+                k3 = field(z, t + half, None)
+                z = x + dt * k3
+                k4 = field(z, t + dt, None)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        if not np.isfinite(x).all() or np.abs(x).max() > BLOWUP_LIMIT:
-            partial = Trajectory(times[:rec].copy(), states[:rec].copy())
-            raise DivergenceError((k + 1) * dt, partial)
+            # False for NaN as well as for +-inf and finite blow-ups.
+            if not np.abs(x).max() <= BLOWUP_LIMIT:
+                partial = Trajectory(times[:rec].copy(), states[:rec].copy())
+                raise DivergenceError((k + 1) * dt, partial)
 
-        if use_hist:
-            buf.commit(x)
-        if (k + 1) % cfg.record_every == 0:
-            states[rec] = x
-            rec += 1
+            if use_hist:
+                buf.commit(x)
+            if (k + 1) % every == 0:
+                states[rec] = x
+                rec += 1
 
     return Trajectory(times, states)
 

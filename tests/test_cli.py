@@ -5,15 +5,18 @@ residuals are below 1e-6 by t = 40, and by t = 40 gps_fig3's compositional
 residuals are below 1e-6 while the delayed baseline's exceed 10.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from consensuslab.cli import main
+from consensuslab.cli import main, write_trajectory_csv
 from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
+from consensuslab.graphs import build_laplacian, path_graph
+from consensuslab.metrics import row_disagreement
 from consensuslab.presets import preset
-
-# Column widths of comparison.txt.
-COLUMN_WIDTHS = (22, 10, 16, 16, 16, 14)
+from consensuslab.sim import Trajectory
 
 
 def read_report(path):
@@ -61,6 +64,32 @@ class TestExitCodes:
         assert report["converged"] == "false"
         assert 100.0 <= float(report["divergence_time"]) <= 140.0
 
+    @pytest.mark.parametrize("controller", ["compositional", "conventional"])
+    def test_blow_up_inside_a_stage_is_a_divergence(self, controller, tmp_path):
+        # At scale 1e200 the first RK stage already overflows to inf.
+        sc = preset("timevarying_fig1")
+        sc = dataclasses.replace(sc, t_end=1.0, stages=tuple(
+            dataclasses.replace(stage, scale=1e200) for stage in sc.stages))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(emit_scenario(sc))
+        assert run_cli("--scenario", str(cfg), "--controller", controller,
+                       "--out", str(tmp_path / "out")) == 2
+        report = read_report(tmp_path / "out" / "report.txt")
+        assert float(report["divergence_time"]) == sc.dt
+
+    def test_negative_seed_flag(self, tmp_path):
+        assert run_cli("--preset", "serial_lti", "--seed", "-1", "--t-end", "1",
+                       "--out", str(tmp_path)) == 1
+
+    def test_negative_seed_in_config(self, tmp_path):
+        text, count = re.subn(r"(?m)^seed = \d+$", "seed = -1",
+                              emit_scenario(preset("serial_lti")))
+        assert count == 1
+        cfg = tmp_path / "negative_seed.cfg"
+        cfg.write_text(text)
+        assert run_cli("--scenario", str(cfg), "--t-end", "1",
+                       "--out", str(tmp_path / "out")) == 1
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -80,7 +109,29 @@ class TestCompare:
             cells = (kind, report["converged"], report["peak_disagreement"],
                      report["order0_residual"], report["order1_residual"],
                      report.get("divergence_time", "-"))
-            assert row == "".join(c.ljust(w) for c, w in zip(cells, COLUMN_WIDTHS))
+            assert row.split() == list(cells)
+
+
+class TestTrajectoryCsv:
+    def test_matches_per_value_format(self, tmp_path):
+        n, rows = 3, 2500  # more rows than one formatting chunk
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((rows, 2 * n)) * 10.0 ** rng.integers(-300, 300, (rows, 2 * n))
+        states[:7, 0] = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1]
+        plant_x = rng.uniform(-1.0, 1.0, (rows, n))
+        L = build_laplacian(path_graph(n))
+        traj = Trajectory(np.arange(rows) * 1e-3, states, plant_x, states[:, n:],
+                          meta={"n_agents": n, "laplacian": L, "d_ref": (0.0,) * n,
+                                "route": "cascade", "order": 2})
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+
+        derived = np.column_stack((row_disagreement(plant_x),
+                                   np.abs(plant_x @ L.T).max(axis=1)))
+        data = np.column_stack((traj.times, plant_x, states[:, n:], states, derived))
+        lines = path.read_text().splitlines()
+        assert len(lines) == rows + 1
+        assert lines[1:] == [",".join(f"{v:.12g}" for v in row) for row in data]
 
 
 class TestPresetVerdicts:

@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import consensuslab
 
 from consensuslab.cli import write_trajectory_csv
 from consensuslab.exceptions import ConsensusLabError
@@ -273,3 +279,13 @@ class TestReport:
         times = np.linspace(0, 1, 3)
         x = np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.5]])
         assert peak_disagreement(make_traj(times, x)) == 1.0
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.linalg is imported by fit_iss_constants only; the CLI never fits.
+    src = str(Path(consensuslab.__file__).resolve().parents[1])
+    code = ("import sys, consensuslab; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

@@ -54,6 +54,18 @@ class TestEvaluate:
         assert gates.min() >= 0.0 and gates.max() <= 1.0
         assert np.abs(np.diff(gates, axis=0)).max() < 2.5 * (ts[1] - ts[0])
 
+    def test_gate_memo_returns_equal_read_only_arrays(self):
+        op = LinearTimeVarying(L3, omega=[1.0, 2.0, -3.0], phi=[0.1, 0.2, 0.3])
+        first = op.gates(0.7)
+        again = op.gates(0.7)
+        assert np.array_equal(first, again)
+        assert not first.flags.writeable and not again.flags.writeable
+        with pytest.raises(ValueError):
+            first *= 2.0
+        later = op.gates(1.1)
+        assert np.array_equal(later, np.maximum(np.sin(op.omega * 1.1 + op.phi), 0.0))
+        assert np.array_equal(op.gates(0.7), first)
+
     def test_delayed_relative_zero_delay_matches_static(self):
         w = path_graph(4).weights
         op = DelayedRelative(w, lambda t: 0.0, tau_max=0.0)
