@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import OperatorError, ShapeError
-from .operators import ConsensusOperator, LinearStatic
-from .sim import SliceView, read_time_lookup
+from .operators import ConsensusOperator, DelayedAbsoluteVelocity, LinearStatic
+from .sim import HeldReads, SliceView
 
 MAX_ORDER = 4
 
@@ -61,8 +61,10 @@ class Cascade:
 
     @property
     def tau_max(self) -> float | None:
-        """Largest delay bound among delayed stages; None when undelayed."""
-        taus = [op.tau_max for op in self.stages if hasattr(op, "tau_max")]
+        """Largest delay bound among stages that read a history; None when
+        no stage does."""
+        taus = [op.tau_max for op in self.stages
+                if getattr(op, "tau_max", None) is not None]
         return max(taus) if taus else None
 
 
@@ -94,9 +96,11 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     holds -L_k on the diagonal block of every inner stage and the identity
     shift xi_{k+1} of every linear-static stage. Gated and saturated stages
     then apply their odd ``finish`` map in place to their block of A xi and
-    add their shift; a delayed outer stage runs its unchecked ``apply``. No
-    operator input is checked here: ``sim.integrate`` tests the state after
-    every step.
+    add their shift; a delayed outer stage runs its unchecked ``apply``. A
+    ``DelayedAbsoluteVelocity`` outer stage with a numeric reference v is
+    affine, -op(z) = -diag(gains) z + gains v: it is folded into A plus a
+    constant shift and reads no history. No operator input is checked here:
+    ``sim.integrate`` tests the state after every step.
     """
     stages = cascade.stages
     order = cascade.order
@@ -121,8 +125,13 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
             finished.append((op.finish, sl))
             if nxt is not None:
                 shifted.append((sl, nxt))
-    A = _block_operator(A)
     delayed = None if stages[-1].relative_feedback else stages[-1]
+    ref_shift = None
+    if isinstance(delayed, DelayedAbsoluteVelocity) and delayed.tau_max is None:
+        A[tail, tail] = -np.diag(delayed.gains)
+        ref_shift = delayed.gains * delayed.ref
+        delayed = None
+    A = _block_operator(A)
 
     def field(xi, t, hist):
         if len(xi) != dim:
@@ -135,6 +144,8 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
         if delayed is not None:
             view = SliceView(hist, tail.start) if hist is not None else None
             out[tail] = -delayed.apply(xi[tail], t, view)
+        if ref_shift is not None:
+            out[tail] += ref_shift
         if u_ref is not None:
             out[tail] += u_ref(t)
         return out
@@ -227,13 +238,12 @@ def gps_velocity_controller(gains, lpos, v_ref, delays=None):
         return control
 
     delay_list = list(delays) if not callable(delays) else [delays] * len(gains)
-    read_times = read_time_lookup(delay_list)
-    agent_idx = np.arange(len(gains))
+    lagged_velocity = HeldReads(delay_list, np.arange(len(gains)))
 
     def control(x, xdot, t, xdot_hist=None):
         if xdot_hist is None:
             raise OperatorError("delayed velocity tracking needs a velocity history")
-        lagged = xdot_hist.components(read_times(t), agent_idx)
+        lagged = lagged_velocity(t, xdot_hist)
         return -gains * (lagged - v_ref) - lpos.apply(x, t)
 
     return control

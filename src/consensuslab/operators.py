@@ -20,7 +20,9 @@ History access for the delayed kinds goes through a *history view*: an
 object whose ``components(ts, idx)`` returns, for each m, component idx[m]
 of the operator's state vector at the past time ts[m]. Simulation code
 supplies interpolating views backed by the integrator's committed samples;
-``sim.FunctionView`` adapts a plain function s -> state vector.
+``sim.FunctionView`` adapts a plain function s -> state vector. The delayed
+kinds read through a ``sim.HeldReads``, which holds arrival-based samples
+between arrivals.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .exceptions import (
     NumericError,
     OperatorError,
 )
-from .sim import FunctionView, read_time_lookup
+from .sim import FunctionView, HeldReads
 
 INNER_KINDS = ("linear_static", "linear_time_varying", "saturated")
 DELAYED_KINDS = ("delayed_relative", "delayed_absolute_velocity")
@@ -217,15 +219,19 @@ class DelayedRelative(ConsensusOperator):
             raise OperatorError("weights must be nonnegative with zero diagonal")
         self.weights = w
         self.tau_max = float(tau_max)
-        edges = [(i, j) for i, j in zip(*np.nonzero(w)) if w[i, j] > 0]
-        self.edges = [(int(i), int(j)) for i, j in edges]
+        heads, tails = np.nonzero(w)
+        self.edges = [(int(i), int(j)) for i, j in zip(heads, tails)]
         if callable(delays):
-            self._delay_of = {e: delays for e in self.edges}
+            delay_list = [delays] * len(self.edges)
         else:
-            self._delay_of = dict(delays)
-            missing = [e for e in self.edges if e not in self._delay_of]
+            missing = [e for e in self.edges if e not in delays]
             if missing:
                 raise OperatorError(f"no delay function for edges {missing}")
+            delay_list = [delays[e] for e in self.edges]
+        self._heads = heads.astype(np.int64)
+        self._edge_weights = w[heads, tails]
+        self._row_sums = w.sum(axis=1)
+        self._reads = HeldReads(delay_list, tails) if self.edges else None
 
     @property
     def n(self):
@@ -240,43 +246,54 @@ class DelayedRelative(ConsensusOperator):
             raise InsufficientHistoryError(
                 "delayed_relative needs a history view covering [t - tau_max, t]"
             )
-        out = self.weights.sum(axis=1) * z
-        read_times = [t - self._delay_of[e](t) for e in self.edges]
-        vals = hist.components(read_times, [j for _, j in self.edges])
-        for (i, j), v in zip(self.edges, vals):
-            out[i] -= self.weights[i, j] * v
+        out = self._row_sums * z
+        if self._reads is not None:
+            # Unbuffered, in edge order: out[i] -= w_ij * z_j(t - tau_ij(t)).
+            np.subtract.at(out, self._heads, self._edge_weights * self._reads(t, hist))
         return out
 
 
 class DelayedAbsoluteVelocity(ConsensusOperator):
     """Per-agent pull toward a delayed broadcast reference signal.
 
-    Component i is d_i * (z_i(t) - ref(t - tau_i(t))). ``ref`` is the
-    reference-signal accessor (e.g. the leader's velocity as a function of
-    time); delays model aperiodic measurement arrivals. Absolute feedback:
-    not translation invariant, outer stage only.
+    Component i is d_i * (z_i(t) - ref(t - tau_i(t))). Delays model
+    aperiodic measurement arrivals. Absolute feedback: not translation
+    invariant, outer stage only.
 
-    ``delays`` is a single callable or a per-agent sequence of callables.
+    ``ref`` is either a number or a callable reference accessor (e.g. the
+    leader's velocity as a function of time). A numeric reference reads the
+    same value at every delayed time, so the operator is d * (z - ref): it
+    ignores ``delays``, needs no history, and its ``tau_max`` is None. The
+    compiled cascade field folds it into its block product. A callable
+    reference is read at each agent's delayed time, held between arrivals
+    by a ``sim.HeldReads``; ``delays`` (a single callable or one per agent)
+    and ``tau_max`` are then required.
     """
 
     kind = "delayed_absolute_velocity"
     relative_feedback = False
 
-    def __init__(self, gains, ref, delays, tau_max):
+    def __init__(self, gains, ref, delays=None, tau_max=None):
         self.gains = np.asarray(gains, dtype=float)
         if self.gains.ndim != 1 or np.any(self.gains <= 0):
             raise OperatorError("gains must be a vector of positive reals")
         if not callable(ref):
-            raise OperatorError("ref must be a callable t -> reference value")
+            try:
+                self.ref = float(ref)
+            except (TypeError, ValueError):
+                raise OperatorError("ref must be a number or a callable") from None
+            self.tau_max = None
+            return
+        if delays is None or tau_max is None:
+            raise OperatorError("a callable ref needs delays and tau_max")
         self.ref = ref
         self.tau_max = float(tau_max)
         if callable(delays):
-            self._delays = [delays] * self.n
-        else:
-            self._delays = list(delays)
-            if len(self._delays) != self.n:
-                raise OperatorError("need one delay function per agent")
-        self._read_times = read_time_lookup(self._delays)
+            delays = [delays] * self.n
+        elif len(delays) != self.n:
+            raise OperatorError("need one delay function per agent")
+        self._ref_view = FunctionView(lambda s: (ref(s),))
+        self._reads = HeldReads(delays, np.zeros(self.n, dtype=np.int64))
 
     @property
     def n(self):
@@ -287,8 +304,9 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
-        ref_vals = np.array([self.ref(s) for s in self._read_times(t)])
-        return self.gains * (z - ref_vals)
+        if self.tau_max is None:
+            return self.gains * (z - self.ref)
+        return self.gains * (z - self._reads(t, self._ref_view))
 
 
 def check_relative_invariance(op: ConsensusOperator, samples: int, seed: int) -> float:

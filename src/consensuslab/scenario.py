@@ -204,16 +204,15 @@ def build_operator(stage: StageSpec, graph, sc: Scenario) -> operators.Consensus
         return operators.LinearTimeVarying(L, stage.omega, stage.phi)
     if stage.kind == "saturated":
         return operators.Saturated(L)
-    tag, value = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"), 0)
     if stage.kind == "delayed_relative":
+        tag, value = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"), 0)
         weights = stage.scale * graph.weights
         delays, tau_max = _build_delays_for_edges(tag, value, sc, weights)
         return operators.DelayedRelative(weights, delays, tau_max)
-    ref_tag, ref_value = _parse_tagged(stage.ref, ("constant",), 0)
-    delays, tau_max = _build_delays_for_agents(tag, value, sc, sc.graph_n)
-    return operators.DelayedAbsoluteVelocity(
-        stage.gains, lambda t, v=ref_value: v, delays, tau_max
-    )
+    # "constant" is the only ref tag: a numeric reference reads the same value
+    # at every delayed time, so no delay stream is sampled for it.
+    _, ref_value = _parse_tagged(stage.ref, ("constant",), 0)
+    return operators.DelayedAbsoluteVelocity(stage.gains, ref_value)
 
 
 def _shared_operators(stages, graph, sc: Scenario) -> tuple:

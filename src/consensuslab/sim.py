@@ -9,7 +9,18 @@ current RK stage point so that zero delays reproduce the undelayed path.
 
 Every history view handed to an operator or controller answers
 ``components(ts, idx)``: entry m is component idx[m] of the state at time
-ts[m]. ``FunctionView`` adapts a plain function s -> state to that protocol.
+ts[m]. A view also reports ``t_last``, the end of its committed samples,
+and ``source``, the history it reads. ``FunctionView`` adapts a plain
+function s -> state to that protocol; its committed end is +inf.
+
+Delayed reads go through one sample-and-hold reader, ``HeldReads``. An
+arrival-based delay reads the state at the agent's last arrival, so the
+read times stay fixed on a window [lo, hi) between arrivals
+(``ArrivalBank.window``). Once every read time lies before the committed
+end, the values read are fixed as well: the reader keeps them and returns
+them until t leaves the window. Reads whose arrival lies inside the current
+step still go through the view, and its provisional segment, at every
+stage. Other delays look up and read afresh on every call.
 
 Everything here is deterministic: identical inputs (including seeds) give
 bit-identical trajectories within one environment.
@@ -81,15 +92,20 @@ class Trajectory:
 
 
 class HistoryBuffer:
-    """Committed state samples on the uniform grid k * dt, starting at t = 0."""
+    """Committed state samples on the uniform grid k * dt, starting at t = 0.
 
-    __slots__ = ("dt", "values", "count")
+    ``source`` is a small token that identifies these samples to readers
+    that hold values read from them, without keeping the samples alive.
+    """
+
+    __slots__ = ("dt", "values", "count", "source")
 
     def __init__(self, dt, nsteps, x0):
         self.dt = dt
         self.values = np.empty((nsteps + 1, len(x0)))
         self.values[0] = x0
         self.count = 1
+        self.source = object()
 
     def commit(self, x):
         self.values[self.count] = x
@@ -131,10 +147,11 @@ class StepView:
     provisional segment.
     """
 
-    __slots__ = ("buf", "t_stage", "z_stage", "t_last")
+    __slots__ = ("buf", "t_stage", "z_stage", "t_last", "source")
 
     def __init__(self, buf, t_stage, z_stage):
         self.buf = buf
+        self.source = buf.source
         self.t_stage = t_stage
         self.z_stage = z_stage
         self.t_last = buf.t_last
@@ -165,26 +182,68 @@ class StepView:
 class SliceView:
     """Restriction of a stacked-state history view to the block at ``start``."""
 
-    __slots__ = ("base", "start")
+    __slots__ = ("base", "start", "t_last", "source")
 
     def __init__(self, base, start):
         self.base = base
         self.start = start
+        self.t_last = base.t_last
+        self.source = (base.source, start)
 
     def components(self, ts, idx):
         return self.base.components(ts, np.asarray(idx) + self.start)
 
 
 class FunctionView:
-    """History view over a plain function s -> state vector."""
+    """History view over a plain function s -> state vector.
 
-    __slots__ = ("fn",)
+    The function is taken as fixed, so every read is committed.
+    """
+
+    __slots__ = ("fn", "source")
+    t_last = math.inf
 
     def __init__(self, fn):
-        self.fn = fn
+        self.fn = self.source = fn
 
     def components(self, ts, idx):
         return np.array([self.fn(s)[i] for s, i in zip(ts, idx)])
+
+
+class HeldReads:
+    """Sample-and-hold reads of history components at delayed read times.
+
+    ``reads(t, view)`` returns component idx[m] of the viewed state at the
+    read time of delays[m] at t. The read times hold on the window [lo, hi)
+    of ``read_window(delays)``, and lo bounds them from above. When lo lies
+    strictly before the view's committed end, the values read are kept and
+    returned as they are, read-only, until t leaves the window or another
+    history is read. They equal a fresh read: interpolation between
+    committed samples never changes. (A read exactly at the committed end
+    clamps there, and a later read may interpolate an ulp past it, so that
+    one is not kept.)
+    """
+
+    __slots__ = ("window", "idx", "times", "lo", "hi", "source", "held")
+
+    def __init__(self, delays, idx):
+        self.window = read_window(delays)
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self.times = None
+        self.lo = self.hi = -math.inf
+        self.source = self.held = None
+
+    def __call__(self, t, view):
+        if not self.lo <= t < self.hi:
+            self.times, self.lo, self.hi = self.window(t)
+            self.held = None
+        elif self.held is not None and view.source == self.source:
+            return self.held
+        vals = view.components(self.times, self.idx)
+        if self.lo < view.t_last:
+            vals.flags.writeable = False
+            self.source, self.held = view.source, vals
+        return vals
 
 
 def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
@@ -332,21 +391,33 @@ class ArrivalBank:
         for i, a in enumerate(arrs):
             self.A[i, 1:1 + len(a)] = a
         self.rows = np.arange(len(arrs))
+        # Every arrival of every agent, sorted, closed by +inf.
+        self.merged = np.sort(np.append(self.A[:, 1:], np.inf))
 
     def last_arrivals(self, t) -> np.ndarray:
         idx = (self.A <= t).sum(axis=1) - 1
         return self.A[self.rows, idx]
 
+    def window(self, t):
+        """(last arrivals at t, lo, hi): the last arrivals are the same at
+        every time in [lo, hi), from the latest of them to the next arrival
+        of any agent (+inf after the last one)."""
+        times = self.last_arrivals(t)
+        hi = self.merged[self.merged.searchsorted(t, "right")]
+        return times, times.max(), hi
 
-def read_time_lookup(delays):
-    """Callable t -> the read times t - d(t), one per delay in ``delays``.
 
-    When every delay is arrival-based the read time is the last arrival,
-    looked up for all delays at once by an ArrivalBank.
+def read_window(delays):
+    """Callable t -> (read times t - d(t) for d in ``delays``, lo, hi).
+
+    The read times are the same at every time in [lo, hi), and lo bounds
+    them from above. When every delay is arrival-based, an ArrivalBank
+    looks them up for all delays at once and the window runs between
+    arrivals. Otherwise the window [t, t) is empty.
     """
     if delays and all(hasattr(d, "arrivals") for d in delays):
-        return ArrivalBank(delays).last_arrivals
-    return lambda t: [t - d(t) for d in delays]
+        return ArrivalBank(delays).window
+    return lambda t: ([t - d(t) for d in delays], t, t)
 
 
 def sample_poisson_delays(mean, seed, t_end) -> PoissonSampledDelay:

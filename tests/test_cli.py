@@ -90,6 +90,17 @@ class TestExitCodes:
         assert run_cli("--scenario", str(cfg), "--t-end", "1",
                        "--out", str(tmp_path / "out")) == 1
 
+    def test_delayed_relative_stage_without_edges(self, tmp_path):
+        sc = dataclasses.replace(
+            preset("counterexample_appD"), graph_kind="path", graph_n=1,
+            graph_edges=None, x0=(0.0,), disturbance_vector=(1.0,), t_end=1.0)
+        cfg = tmp_path / "lone_agent.cfg"
+        cfg.write_text(emit_scenario(sc))
+        assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "out")) == 0
+        data = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+        # The lone agent integrates its unit input: x(t) = t.
+        assert np.allclose(data[:, 1], data[:, 0], rtol=1e-12, atol=1e-12)
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import FunctionView
+from consensuslab.presets import preset
+from consensuslab.scenario import build_graph, build_operator, simulate_scenario
+from consensuslab.sim import FunctionView, IntegratorConfig, integrate, poisson_delay_bank
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))
@@ -71,6 +75,33 @@ class TestCascadeField:
         assert np.array_equal(out[:5], np.zeros(5))
 
 
+class TestNumericReferenceFold:
+    def test_fold_matches_operator(self):
+        gains = np.array([1.0, 0.5, 2.0, 3.0, 0.25])
+        delayed = DelayedAbsoluteVelocity(gains, -1.5)
+        field = cascade_rhs(Cascade((LinearStatic(L5), delayed)), lambda t: np.full(5, t))
+        rng = np.random.default_rng(8)
+        for t in (0.0, 0.7, 12.0):
+            xi = rng.uniform(-5.0, 5.0, 10)
+            want = np.concatenate((-L5 @ xi[:5] + xi[5:],
+                                   -delayed.evaluate(xi[5:], t) + t))
+            assert np.allclose(field(xi, t, None), want, rtol=1e-15, atol=1e-14)
+
+    def test_gps_fig3_equals_history_route(self):
+        # The folded constant reference against the same cascade with a
+        # callable reference, read at each agent's last Poisson arrival on a
+        # run with the history machinery on.
+        sc = dataclasses.replace(preset("gps_fig3"), t_end=20.0)
+        folded = simulate_scenario(sc)
+        outer = DelayedAbsoluteVelocity(
+            sc.stages[1].gains, lambda s: 10.0,
+            poisson_delay_bank(1.0, sc.seed, sc.t_end, sc.graph_n), tau_max=sc.t_end)
+        cascade = Cascade((build_operator(sc.stages[0], build_graph(sc), sc), outer))
+        cfg = IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
+        history = integrate(cascade_rhs(cascade), folded.states[0], cfg, cascade.tau_max)
+        assert np.array_equal(history.states, folded.states)
+
+
 class TestCascadeValidation:
     def test_delayed_inner_stage_rejected(self):
         delayed = DelayedRelative(path_graph(5).weights, lambda t: 0.1, tau_max=0.1)
@@ -82,6 +113,11 @@ class TestCascadeValidation:
         casc = Cascade((LinearStatic(L5), delayed))
         assert casc.order == 2
         assert casc.tau_max == 0.1
+
+    def test_numeric_reference_needs_no_history(self):
+        delayed = DelayedAbsoluteVelocity(np.ones(5), 10.0, lambda t: 0.3, tau_max=0.3)
+        assert delayed.tau_max is None
+        assert Cascade((LinearStatic(L5), delayed)).tau_max is None
 
     def test_order_cap(self):
         with pytest.raises(OperatorError):

@@ -16,7 +16,7 @@ from consensuslab.operators import (
     check_relative_invariance,
     estimate_lipschitz,
 )
-from consensuslab.sim import FunctionView
+from consensuslab.sim import FunctionView, PoissonSampledDelay
 
 L2 = build_laplacian(path_graph(2))
 L3 = build_laplacian(path_graph(3))
@@ -83,6 +83,33 @@ class TestEvaluate:
         out = op.evaluate(np.array([3.0, 7.0]), 3.0, hist)
         # component 1: z1(3) - z0(3 - 1) = 7 - 2
         assert np.allclose(out, [0.0, 5.0])
+
+    def test_delayed_relative_without_edges_is_zero(self):
+        op = DelayedRelative(np.zeros((3, 3)), lambda t: 1.0, tau_max=1.0)
+        out = op.evaluate(np.array([1.0, -2.0, 3.0]), 2.0, constant_history(np.ones(3)))
+        assert np.array_equal(out, np.zeros(3))
+
+    def test_delayed_relative_poisson_edges_read_last_arrival(self):
+        w = np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 1.0], [0.0, 3.0, 0.0]])
+        arrivals = {(0, 1): [0.5, 1.5], (1, 0): [], (1, 2): [1.25], (2, 1): [0.75]}
+        delays = {e: PoissonSampledDelay(a, 10.0) for e, a in arrivals.items()}
+        op = DelayedRelative(w, delays, tau_max=10.0)
+        hist = FunctionView(lambda s: np.array([s, 10.0 * s, 100.0 * s]))
+        z = np.array([1.0, 2.0, 3.0])
+        out = op.evaluate(z, 1.4, hist)
+        # Last arrivals at t = 1.4: 0.5, none (reads t = 0), 1.25 and 0.75.
+        want = [2.0 * (1.0 - 5.0), 0.5 * (2.0 - 0.0) + 1.0 * (2.0 - 125.0),
+                3.0 * (3.0 - 7.5)]
+        assert np.allclose(out, want, rtol=1e-15)
+
+    def test_numeric_reference(self):
+        op = DelayedAbsoluteVelocity([2.0, 0.5], 10.0)
+        assert op.tau_max is None
+        assert np.array_equal(op.evaluate(np.array([11.0, 9.0]), 3.0), [2.0, -0.5])
+        with pytest.raises(OperatorError):
+            DelayedAbsoluteVelocity([1.0, 1.0], "ten")
+        with pytest.raises(OperatorError):
+            DelayedAbsoluteVelocity([1.0, 1.0], lambda s: 10.0)
 
     def test_delayed_absolute_velocity(self):
         op = DelayedAbsoluteVelocity(

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from consensuslab import dynamics
+from consensuslab.dynamics import gps_velocity_controller
 from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, cascade_rhs
 from consensuslab.graphs import build_laplacian, path_graph
@@ -19,7 +20,13 @@ from consensuslab.operators import (
     Saturated,
 )
 from consensuslab.scenario import INIT_PRESETS, Scenario, StageSpec, validate_scenario
-from consensuslab.sim import FunctionView, SliceView
+from consensuslab.sim import (
+    FunctionView,
+    IntegratorConfig,
+    PoissonSampledDelay,
+    SliceView,
+    integrate,
+)
 
 INNER = ("linear_static", "linear_time_varying", "saturated")
 OUTER = INNER + ("delayed_relative", "delayed_absolute_velocity")
@@ -145,8 +152,10 @@ def random_operator(kind, n, rng):
         return Saturated(L)
     if kind == "delayed_relative":
         return DelayedRelative(w, lambda t: 0.3, tau_max=0.3)
-    return DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), lambda s: 1.5 * s,
-                                   lambda t: 0.2, tau_max=0.2)
+    gains = rng.uniform(0.5, 2.0, n)
+    if rng.random() < 0.5:
+        return DelayedAbsoluteVelocity(gains, rng.uniform(-5.0, 5.0))
+    return DelayedAbsoluteVelocity(gains, lambda s: 1.5 * s, lambda t: 0.2, tau_max=0.2)
 
 
 @given(n=st.integers(min_value=1, max_value=5),
@@ -188,3 +197,76 @@ def test_csr_field_matches_definition_above_threshold():
             xi = rng.uniform(-5.0, 5.0, dim)
             want = reference_field(cascade, lambda s: u, xi, t, None)
             assert np.abs(field(xi, t, None) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@st.composite
+def arrival_streams(draw, count, dt, nsteps):
+    """``count`` sorted arrival sequences on (0, nsteps * dt]; some arrivals
+    sit exactly on the step grid, where a read time meets a committed end."""
+    on_grid = st.integers(1, nsteps).map(lambda k: k * dt)
+    off_grid = st.floats(min_value=0.0, max_value=nsteps * dt, exclude_min=True)
+    stream = st.lists(on_grid | off_grid, max_size=8).map(sorted)
+    return [draw(stream) for _ in range(count)]
+
+
+def last_arrival(delay, t):
+    before = delay.arrivals[delay.arrivals <= t]
+    return before[-1] if len(before) else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4),
+       dt=st.sampled_from((0.01, 0.025, 0.05)), nsteps=st.integers(20, 120),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
+    """Held delayed reads give the trajectories of reading the view at every
+    RK stage at each delay's own last arrival."""
+    rng = np.random.default_rng(seed)
+    t_end = nsteps * dt
+    cfg = IntegratorConfig(dt, t_end, record_every=1)
+    w = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    np.fill_diagonal(w, 0.0)
+    L = np.diag(w.sum(axis=1)) - w
+
+    # Delayed GPS velocity tracking on the plant [x; xdot].
+    gains = rng.uniform(0.5, 2.0, n)
+    delays = [PoissonSampledDelay(a, t_end)
+              for a in data.draw(arrival_streams(n, dt, nsteps))]
+    held = gps_velocity_controller(gains, LinearStatic(L), 10.0, delays)
+    agents = np.arange(n)
+
+    def held_plant(state, t, hist):
+        x, v = state[:n], state[n:]
+        return np.concatenate((v, held(x, v, t, SliceView(hist, n))))
+
+    def fresh_plant(state, t, hist):
+        x, v = state[:n], state[n:]
+        ts = np.array([last_arrival(d, t) for d in delays])
+        u = -gains * (hist.components(ts, agents + n) - 10.0) - L @ x
+        return np.concatenate((v, u))
+
+    x0 = rng.uniform(-2.0, 2.0, 2 * n)
+    a = integrate(held_plant, x0, cfg, tau_max=t_end)
+    b = integrate(fresh_plant, x0, cfg, tau_max=t_end)
+    assert np.array_equal(a.states, b.states)
+
+    # A delayed_relative cascade with one Poisson stream per edge.
+    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(w))]
+    streams = data.draw(arrival_streams(len(edges), dt, nsteps))
+    edge_delays = {e: PoissonSampledDelay(s, t_end) for e, s in zip(edges, streams)}
+    u = rng.uniform(-1.0, 1.0, n)
+    cascade = Cascade((DelayedRelative(w, edge_delays, tau_max=t_end),))
+
+    def fresh_cascade(z, t, hist):
+        out = w.sum(axis=1) * z
+        if edges:
+            ts = np.array([last_arrival(edge_delays[e], t) for e in edges])
+            vals = hist.components(ts, np.array([j for _, j in edges]))
+            for (i, j), v in zip(edges, vals):
+                out[i] -= w[i, j] * v
+        return -out + u
+
+    z0 = rng.uniform(-2.0, 2.0, n)
+    a = integrate(cascade_rhs(cascade, lambda t: u), z0, cfg, tau_max=t_end)
+    b = integrate(fresh_cascade, z0, cfg, tau_max=t_end)
+    assert np.array_equal(a.states, b.states)

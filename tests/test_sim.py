@@ -8,6 +8,8 @@ from consensuslab.operators import DelayedRelative, LinearStatic
 from consensuslab.sim import (
     ArrivalBank,
     ConstantDelay,
+    FunctionView,
+    HeldReads,
     HistoryBuffer,
     IntegratorConfig,
     PoissonSampledDelay,
@@ -173,6 +175,83 @@ class TestDelayProcesses:
             vec = bank.last_arrivals(t)
             loop = np.array([t - d(t) for d in bank_delays])
             assert np.abs(vec - loop).max() < 1e-12
+
+    def test_arrival_bank_window_matches_loop(self):
+        bank_delays = poisson_delay_bank(1.0, 5, 30.0, 6)
+        bank = ArrivalBank(bank_delays)
+        arrivals = np.sort(np.concatenate([d.arrivals for d in bank_delays]))
+        first, final = arrivals[0], arrivals[-1]
+        points = [
+            *arrivals[::7],                                   # exactly on an arrival
+            *np.nextafter(arrivals[::7], -np.inf),            # one ulp before one
+            0.0, first / 2, np.nextafter(first, -np.inf),     # before the first
+            final, final + 0.5, 30.0,                         # after the last
+        ]
+        for t in points:
+            times, lo, hi = bank.window(t)
+            # The last arrival before or at t, per delay, by its own lookup.
+            loop = np.array([d.arrivals[d.arrivals <= t].max(initial=0.0)
+                             for d in bank_delays])
+            assert np.array_equal(times, loop), t
+            assert lo == loop.max() <= t < hi
+            assert hi == arrivals[arrivals > t].min(initial=np.inf), t
+            for s in (lo, np.nextafter(hi, -np.inf)):
+                assert np.array_equal(bank.window(s)[0], times), (t, s)
+        assert bank.window(final)[2] == np.inf
+        assert bank.window(0.0)[1:] == (0.0, first)
+
+
+class CountingView:
+    """FunctionView that counts its reads and reports a chosen committed end."""
+
+    def __init__(self, fn, t_last):
+        self.view = FunctionView(fn)
+        self.source = self.view.source
+        self.t_last = t_last
+        self.reads = 0
+
+    def components(self, ts, idx):
+        self.reads += 1
+        return self.view.components(ts, idx)
+
+
+class TestHeldReads:
+    def delays(self):
+        return [PoissonSampledDelay([1.0, 3.0], 10.0), PoissonSampledDelay([2.0], 10.0)]
+
+    def test_held_between_arrivals_once_committed(self):
+        reads = HeldReads(self.delays(), [0, 1])
+        view = CountingView(lambda s: np.array([s, 10.0 + s]), t_last=np.inf)
+        for t in (2.0, 2.5, 2.999):
+            assert np.array_equal(reads(t, view), [1.0, 12.0])
+        assert view.reads == 1
+        assert np.array_equal(reads(3.0, view), [3.0, 12.0])
+        assert view.reads == 2
+        with pytest.raises(ValueError):
+            reads(3.5, view)[0] = 0.0  # the held values are read-only
+
+    def test_uncommitted_reads_are_not_held(self):
+        reads = HeldReads(self.delays(), [0, 1])
+        view = CountingView(lambda s: np.array([s, -s]), t_last=2.5)
+        for t in (3.0, 3.2, 3.4):
+            assert np.array_equal(reads(t, view), [3.0, -2.0])
+        assert view.reads == 3
+
+    def test_another_history_is_read_afresh(self):
+        reads = HeldReads(self.delays(), [0, 1])
+        a = CountingView(lambda s: np.array([s, s]), t_last=np.inf)
+        b = CountingView(lambda s: np.array([-s, -s]), t_last=np.inf)
+        assert np.array_equal(reads(2.2, a), [1.0, 2.0])
+        assert np.array_equal(reads(2.4, b), [-1.0, -2.0])
+        assert np.array_equal(reads(2.6, b), [-1.0, -2.0])
+        assert (a.reads, b.reads) == (1, 1)
+
+    def test_other_delays_read_every_call(self):
+        reads = HeldReads([ConstantDelay(0.5), RampDelay(1.0)], [0, 0])
+        view = CountingView(lambda s: np.array([s]), t_last=np.inf)
+        for t in (0.25, 0.5, 0.5, 3.0):
+            assert np.array_equal(reads(t, view), [t - 0.5, t - min(t, 1.0)])
+        assert view.reads == 4
 
 
 class TestCounterexample:
