@@ -50,7 +50,6 @@ from .metrics import (
     nth_order_residuals,
     peak_disagreement,
     regime_entry_time,
-    sinusoid_gates,
 )
 from .operators import (
     ConsensusOperator,
@@ -68,7 +67,6 @@ from .sim import (
     PoissonSampledDelay,
     RampDelay,
     Trajectory,
-    counterexample_two_agent,
     integrate,
     poisson_delay_bank,
     sample_poisson_delays,

@@ -44,7 +44,7 @@ class Cascade:
             if not isinstance(op, ConsensusOperator):
                 raise OperatorError(f"stage {k + 1} is not a consensus operator")
             if op.n != n:
-                raise ShapeError("all cascade stages must share the agent count")
+                raise ShapeError(f"stage {k + 1} has {op.n} agents, stage 1 has {n}")
             if k < len(stages) - 1 and not op.relative_feedback:
                 raise OperatorError(
                     f"stage {k + 1} ({op.kind}) is not relative feedback; "
@@ -185,36 +185,48 @@ def _require_inner(op: ConsensusOperator, role: str):
         )
 
 
-def compositional_controller(l1, l2, x, xdot, t, hist=None) -> np.ndarray:
-    """u = -op_2(xdot + op_1(x, t), t) - d/dt op_1(x, t).
+def compositional_controller(l1, l2):
+    """u(x, xdot, t, hist=None) = -op_2(xdot + op_1(x, t), t) - d/dt op_1(x, t).
 
     The derivative term uses the almost-everywhere rule of the inner stage.
     ``hist`` is a history view of the composite signal xdot + op_1(x), needed
     only when the outer stage is delayed.
     """
     _require_inner(l1, "inner stage")
-    z2 = xdot + l1.apply(x, t)
-    return -l2.apply(z2, t, hist) - l1.ae_derivative(x, xdot, t)
+
+    def control(x, xdot, t, hist=None):
+        z2 = xdot + l1.apply(x, t)
+        return -l2.apply(z2, t, hist) - l1.ae_derivative(x, xdot, t)
+
+    return control
 
 
-def conventional_controller(lvel, lpos, x, xdot, t) -> np.ndarray:
-    """u = -op_vel(xdot, t) - op_pos(x, t)."""
+def conventional_controller(lvel, lpos):
+    """u(x, xdot, t, hist=None) = -op_vel(xdot, t) - op_pos(x, t)."""
     _require_inner(lvel, "velocity operator")
     _require_inner(lpos, "position operator")
-    return -lvel.apply(xdot, t) - lpos.apply(x, t)
+
+    def control(x, xdot, t, hist=None):
+        return -lvel.apply(xdot, t) - lpos.apply(x, t)
+
+    return control
 
 
-def naive_serial_controller(l1, l2, x, xdot, t) -> np.ndarray:
-    """u = -(op_2 + op_1)(xdot, t) - op_2(op_1(x, t), t).
+def naive_serial_controller(l1, l2):
+    """u(x, xdot, t, hist=None) = -(op_2 + op_1)(xdot, t) - op_2(op_1(x, t), t).
 
     The serial expansion that simply drops the time-variation cross terms of
     the true composition; correct only for static linear stages.
     """
     _require_inner(l1, "first operator")
     _require_inner(l2, "second operator")
-    vel2 = l2.apply(xdot, t)
-    vel1 = vel2 if l1 is l2 else l1.apply(xdot, t)
-    return -(vel2 + vel1) - l2.apply(l1.apply(x, t), t)
+
+    def control(x, xdot, t, hist=None):
+        vel2 = l2.apply(xdot, t)
+        vel1 = vel2 if l1 is l2 else l1.apply(xdot, t)
+        return -(vel2 + vel1) - l2.apply(l1.apply(x, t), t)
+
+    return control
 
 
 def gps_velocity_controller(gains, lpos, v_ref, delays=None):
@@ -231,6 +243,8 @@ def gps_velocity_controller(gains, lpos, v_ref, delays=None):
     """
     gains = np.asarray(gains, dtype=float)
     _require_inner(lpos, "position operator")
+    if gains.shape != (lpos.n,):
+        raise ShapeError(f"need {lpos.n} gains, one per agent, got {gains.shape}")
 
     if delays is None:
         def control(x, xdot, t, xdot_hist=None):

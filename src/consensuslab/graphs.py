@@ -85,15 +85,16 @@ def graph_from_edges(n: int, edges) -> WeightedDigraph:
         raise GraphError(f"graph needs n >= 1, got {n}")
     w = np.zeros((n, n))
     for entry in edges:
-        if len(entry) != 3:
-            raise GraphError(f"edge entries must be [i, j, w], got {entry!r}")
-        i, j, wt = entry
-        i, j = int(i), int(j)
+        try:
+            i, j, wt = entry
+            i, j, wt = int(i), int(j), float(wt)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge entries must be [i, j, w], got {entry!r}") from None
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) out of range for n = {n}")
         if i == j:
             raise GraphError(f"self-loop on node {i} rejected")
-        w[i - 1, j - 1] = float(wt)
+        w[i - 1, j - 1] = wt
     return WeightedDigraph(w)
 
 

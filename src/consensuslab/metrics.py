@@ -187,18 +187,6 @@ def regime_entry_time(traj: Trajectory, L, r: float):
     return float(traj.times[last + 1])
 
 
-def sinusoid_gates(omega, phi):
-    """Gate vector t -> max(sin(omega t + phi), 0) for integrated-connectivity
-    checks of the time-varying operator."""
-    omega = np.asarray(omega, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-
-    def gates(t):
-        return np.maximum(np.sin(omega * t + phi), 0.0)
-
-    return gates
-
-
 def integrated_connectivity(gates, L_base, window: float, t_starts,
                             dt: float = 0.01) -> list[ReachabilityReport]:
     """Spanning-tree reports for the window-integrated gated Laplacian.

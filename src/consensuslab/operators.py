@@ -52,7 +52,9 @@ def _as_laplacian(L):
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise OperatorError(f"Laplacian must be square, got shape {L.shape}")
-    if np.abs(L.sum(axis=1)).max() > 1e-12:
+    # Zero to rounding: the tolerance scales with each row's magnitude.
+    row_tol = 1e-12 * np.maximum(1.0, np.abs(L).sum(axis=1))
+    if not np.all(np.abs(L.sum(axis=1)) <= row_tol):
         raise OperatorError("Laplacian rows must sum to zero")
     return L
 

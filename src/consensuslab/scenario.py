@@ -4,6 +4,14 @@ A Scenario is plain data (strings, numbers, tuples) so that config round
 trips reproduce it exactly; operators, delay realizations, and disturbance
 vectors are only instantiated at simulation time from the scenario seed.
 
+Validation lives in two places, one per kind of rule. ``validate_scenario``
+checks what no object can see: controller names and the stage layouts the
+baselines take, stage kinds and spec syntax, initial conditions,
+disturbances, the grid, the metric settings and that every number is
+finite. Every other rule belongs to the object it constrains (the graph,
+the operators, ``Cascade`` and the plant controllers), so validation then
+builds the scenario, with the same builder ``simulate_scenario`` runs.
+
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
 from (seed, agent) and per-edge streams from (seed, i, j). Controllers in a
@@ -13,12 +21,20 @@ realizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dynamics, graphs, operators, sim
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import (
+    ConfigError,
+    DivergenceError,
+    GraphError,
+    OperatorError,
+    ShapeError,
+)
 
 CONTROLLERS = (
     "compositional",
@@ -70,14 +86,19 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Reject inconsistent scenarios; raises ConfigError with the reason."""
+    """Reject a scenario the toolkit cannot run; raises ConfigError with the
+    reason. Checks the scenario-level rules, then builds the scenario."""
+    _check_scenario(sc)
+    _build(sc)
+
+
+def _check_scenario(sc: Scenario) -> None:
+    """The scenario-level rules of ``validate_scenario``."""
     n = sc.graph_n
     if sc.graph_kind not in ("path", "edges"):
         raise ConfigError(f"unknown graph kind {sc.graph_kind!r}")
     if sc.graph_kind == "edges" and sc.graph_edges is None:
         raise ConfigError("graph kind 'edges' needs an edges list")
-    if n < 1:
-        raise ConfigError("graph needs at least one agent")
     if sc.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {sc.seed}")
     if sc.controller not in CONTROLLERS:
@@ -86,42 +107,13 @@ def validate_scenario(sc: Scenario) -> None:
         raise ConfigError(
             f"order {sc.order} does not match {len(sc.stages)} stage sections"
         )
-    if not 1 <= sc.order <= dynamics.MAX_ORDER:
-        raise ConfigError(f"order must be 1..{dynamics.MAX_ORDER}")
     for k, stage in enumerate(sc.stages):
         if stage.kind not in STAGE_KINDS:
             raise ConfigError(f"stage {k + 1}: unknown kind {stage.kind!r}")
-        inner = stage.kind in operators.INNER_KINDS
-        if not inner and k + 1 < sc.order:
-            raise ConfigError(
-                f"stage {k + 1}: {stage.kind} is not relative feedback and is "
-                "only admissible as the outermost stage"
-            )
-        if stage.kind == "linear_time_varying":
-            if stage.omega is None or stage.phi is None:
-                raise ConfigError(f"stage {k + 1}: time-varying stage needs omega and phi")
-            if len(stage.omega) != n or len(stage.phi) != n:
-                raise ConfigError(f"stage {k + 1}: omega/phi must have {n} entries")
-            if any(w == 0 for w in stage.omega):
-                raise ConfigError(f"stage {k + 1}: gate frequencies must be nonzero")
         if stage.kind in operators.DELAYED_KINDS and stage.delay is None:
             raise ConfigError(f"stage {k + 1}: delayed stage needs a delay spec")
-        if stage.kind == "delayed_absolute_velocity":
-            if stage.gains is None or len(stage.gains) != n:
-                raise ConfigError(f"stage {k + 1}: needs {n} gains")
-            if stage.ref is None:
-                raise ConfigError(f"stage {k + 1}: needs a reference accessor")
-        if stage.delay is not None:
-            _parse_tagged(stage.delay, ("constant", "ramp", "poisson"), k + 1)
-        if stage.ref is not None:
-            _parse_tagged(stage.ref, ("constant",), k + 1)
-    if sc.controller in ("conventional", "naive-serial"):
-        if sc.order != 2:
-            raise ConfigError(f"{sc.controller} baseline is second order only")
-        if any(st.kind not in operators.INNER_KINDS for st in sc.stages):
-            raise ConfigError(
-                f"{sc.controller} baseline requires inner-admissible operators"
-            )
+    if sc.controller in ("conventional", "naive-serial") and sc.order != 2:
+        raise ConfigError(f"{sc.controller} baseline is second order only")
     if sc.controller in ("conventional-ideal", "conventional-delayed"):
         if sc.order != 2 or sc.stages[1].kind != "delayed_absolute_velocity":
             raise ConfigError(
@@ -130,6 +122,7 @@ def validate_scenario(sc: Scenario) -> None:
             )
     if sc.init_preset is not None and sc.init_preset not in INIT_PRESETS:
         raise ConfigError(f"unknown init preset {sc.init_preset!r}")
+    _check_finite_numbers(sc)
     for label, vec in (("x0", sc.x0), ("xdot0", sc.xdot0), ("d_ref", sc.d_ref),
                        ("disturbance vector", sc.disturbance_vector)):
         if vec is not None and len(vec) != n:
@@ -152,19 +145,52 @@ def validate_scenario(sc: Scenario) -> None:
         raise ConfigError("tail_fraction must be in (0, 1]")
 
 
-def _parse_tagged(spec: str, allowed, stage_no):
+def _check_finite_numbers(sc: Scenario) -> None:
+    """A config's JSON lists admit NaN and Infinity; spec values are checked
+    where they are parsed."""
+    stages = [(f"stage {k}: {name}", getattr(stage, name))
+              for k, stage in enumerate(sc.stages, start=1)
+              for name in ("scale", "omega", "phi", "gains")]
+    for label, values in [("x0", sc.x0), ("xdot0", sc.xdot0), ("xi0", sc.xi0),
+                          ("d_ref", sc.d_ref), ("disturbance vector", sc.disturbance_vector),
+                          ("disturbance sup", sc.disturbance_sup),
+                          *(("edge", entry) for entry in sc.graph_edges or ()), *stages]:
+        try:
+            finite = values is None or np.isfinite(np.asarray(values, dtype=float)).all()
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"{label} must hold finite numbers, got {values!r}")
+
+
+def _parse_tagged(spec, allowed):
+    """(tag, value) of a "<tag>:<value>" spec, or None when there is none."""
+    if spec is None:
+        return None
     try:
         tag, value = spec.split(":", 1)
         value = float(value)
     except ValueError:
-        raise ConfigError(f"stage {stage_no}: malformed spec {spec!r}") from None
+        raise ConfigError(f"malformed spec {spec!r}") from None
     if tag not in allowed:
-        raise ConfigError(f"stage {stage_no}: {tag!r} not one of {allowed}")
+        raise ConfigError(f"{tag!r} not one of {allowed}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{tag} parameter must be finite")
     if tag in ("ramp", "poisson") and not value > 0:
-        raise ConfigError(f"stage {stage_no}: {tag} parameter must be positive")
+        raise ConfigError(f"{tag} parameter must be positive")
     if tag == "constant" and len(allowed) > 1 and value < 0:
-        raise ConfigError(f"stage {stage_no}: constant delay must be nonnegative")
+        raise ConfigError("constant delay must be nonnegative")
     return tag, value
+
+
+@contextmanager
+def _config_errors(prefix=""):
+    """Re-raise what an object or spec rejects as a ConfigError whose
+    message starts with ``prefix``."""
+    try:
+        yield
+    except (ConfigError, GraphError, OperatorError, ShapeError) as err:
+        raise ConfigError(f"{prefix}{err}") from err
 
 
 def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
@@ -173,30 +199,23 @@ def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
     return graphs.graph_from_edges(sc.graph_n, sc.graph_edges)
 
 
-def _build_delays_for_agents(tag, value, sc, n):
-    if tag == "constant":
-        return [sim.ConstantDelay(value)] * n, value
-    if tag == "ramp":
-        return [sim.RampDelay(value)] * n, value
-    bank = sim.poisson_delay_bank(value, sc.seed, sc.t_end, n)
-    return bank, max(d.tau_max for d in bank)
+def _build_delays(delay, sc: Scenario, edges=None):
+    """(delays, tau_max) of a parsed delay spec: one constant or ramp delay
+    for all, or Poisson streams per agent or, given ``edges``, per edge."""
+    tag, value = delay
+    if tag != "poisson":
+        return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value), value
+    if edges is None:
+        streams = sim.poisson_delay_bank(value, sc.seed, sc.t_end, sc.graph_n)
+    else:
+        streams = [sim.sample_poisson_delays(value, (sc.seed, *e), sc.t_end) for e in edges]
+    tau_max = max((d.tau_max for d in streams), default=0.0)
+    return (streams if edges is None else dict(zip(edges, streams))), tau_max
 
 
-def _build_delays_for_edges(tag, value, sc, weights):
-    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(weights))]
-    if tag == "constant":
-        return {e: sim.ConstantDelay(value) for e in edges}, value
-    if tag == "ramp":
-        return {e: sim.RampDelay(value) for e in edges}, value
-    delays = {
-        (i, j): sim.sample_poisson_delays(value, (sc.seed, i, j), sc.t_end)
-        for i, j in edges
-    }
-    tau_max = max((d.tau_max for d in delays.values()), default=0.0)
-    return delays, tau_max
-
-
-def build_operator(stage: StageSpec, graph, sc: Scenario) -> operators.ConsensusOperator:
+def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
+                   ref=None) -> operators.ConsensusOperator:
+    """Stage operator; ``delay`` is the parsed spec (tag, value), ``ref`` a number."""
     L = stage.scale * graphs.build_laplacian(graph)
     if stage.kind == "linear_static":
         return operators.LinearStatic(L)
@@ -205,24 +224,49 @@ def build_operator(stage: StageSpec, graph, sc: Scenario) -> operators.Consensus
     if stage.kind == "saturated":
         return operators.Saturated(L)
     if stage.kind == "delayed_relative":
-        tag, value = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"), 0)
         weights = stage.scale * graph.weights
-        delays, tau_max = _build_delays_for_edges(tag, value, sc, weights)
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(weights))]
+        delays, tau_max = _build_delays(delay, sc, edges)
         return operators.DelayedRelative(weights, delays, tau_max)
     # "constant" is the only ref tag: a numeric reference reads the same value
     # at every delayed time, so no delay stream is sampled for it.
-    _, ref_value = _parse_tagged(stage.ref, ("constant",), 0)
-    return operators.DelayedAbsoluteVelocity(stage.gains, ref_value)
+    return operators.DelayedAbsoluteVelocity(stage.gains, ref)
 
 
-def _shared_operators(stages, graph, sc: Scenario) -> tuple:
-    """One operator per stage, identical StageSpecs sharing one operator, so
-    that its gate memo and common subexpressions serve every such stage."""
+def _build(sc: Scenario):
+    """(graph, system, tau_max): the system is the Cascade on the
+    compositional route, else the plant controller u(x, xdot, t, xdot_hist).
+
+    Identical StageSpecs share one operator, so that its gate memo and
+    common subexpressions serve every such stage. What an object rejects is
+    re-raised as ConfigError, prefixed "stage k:" when stage k raised it.
+    """
+    with _config_errors():
+        graph = build_graph(sc)
     built = {}
-    for stage in stages:
-        if stage not in built:
-            built[stage] = build_operator(stage, graph, sc)
-    return tuple(built[stage] for stage in stages)
+    for k, stage in enumerate(sc.stages, start=1):
+        if stage in built:
+            continue
+        with _config_errors(f"stage {k}: "):
+            delay = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"))
+            ref = _parse_tagged(stage.ref, ("constant",))
+            op = build_operator(stage, graph, sc, delay, ref and ref[1])
+        built[stage] = op, delay
+    ops = tuple(built[stage][0] for stage in sc.stages)
+    with _config_errors():
+        if sc.controller == "compositional":
+            cascade = dynamics.Cascade(ops)
+            return graph, cascade, cascade.tau_max
+        if sc.controller == "conventional":
+            return graph, dynamics.conventional_controller(*ops), None
+        if sc.controller == "naive-serial":
+            return graph, dynamics.naive_serial_controller(*ops), None
+        lpos, outer = ops
+        delays, tau_max = None, None
+        if sc.controller == "conventional-delayed":
+            delays, tau_max = _build_delays(built[sc.stages[1]][1], sc)
+        control = dynamics.gps_velocity_controller(outer.gains, lpos, outer.ref, delays)
+        return graph, control, tau_max
 
 
 def _initial_conditions(sc: Scenario, cascade=None):
@@ -300,12 +344,12 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     DivergenceError whose ``trajectory`` carries the partial, fully annotated
     record (the blow-up time sits in meta["divergence_time"]).
     """
-    validate_scenario(sc)
-    graph = build_graph(sc)
+    _check_scenario(sc)
+    graph, system, tau_max = _build(sc)
     cfg = sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
     if sc.controller == "compositional":
-        return _run_cascade(sc, graph, cfg)
-    return _run_plant(sc, graph, cfg)
+        return _run_cascade(sc, graph, system, cfg)
+    return _run_plant(sc, graph, system, tau_max, cfg)
 
 
 def _integrate_annotated(field, x0, cfg, tau_max, meta, plant_of):
@@ -340,8 +384,7 @@ def _cascade_plant(traj, cascade, d_ref):
     return plant_x, plant_xdot
 
 
-def _run_cascade(sc, graph, cfg):
-    cascade = dynamics.Cascade(_shared_operators(sc.stages, graph, sc))
+def _run_cascade(sc, graph, cascade, cfg):
     x0, xdot0, xi0, d_ref = _initial_conditions(sc, cascade)
     u_ref = _build_disturbance(sc)
     field = dynamics.cascade_rhs(cascade, u_ref)
@@ -352,44 +395,17 @@ def _run_cascade(sc, graph, cfg):
     )
 
 
-def _plant_controller(sc: Scenario, graph):
-    """(controller callable, tau_max or None) for the plant route."""
-    n = sc.graph_n
-    if sc.controller in ("conventional", "naive-serial"):
-        op1, op2 = _shared_operators(sc.stages, graph, sc)
-    else:
-        op1 = build_operator(sc.stages[0], graph, sc)
-    if sc.controller == "conventional":
-        return (lambda x, v, t, hist: dynamics.conventional_controller(
-            op1, op2, x, v, t)), None
-    if sc.controller == "naive-serial":
-        return (lambda x, v, t, hist: dynamics.naive_serial_controller(
-            op1, op2, x, v, t)), None
-    stage2 = sc.stages[1]
-    _, v_ref = _parse_tagged(stage2.ref, ("constant",), 2)
-    if sc.controller == "conventional-ideal":
-        control = dynamics.gps_velocity_controller(stage2.gains, op1, v_ref)
-        return (lambda x, v, t, hist: control(x, v, t)), None
-    tag, value = _parse_tagged(stage2.delay, ("constant", "ramp", "poisson"), 2)
-    delays, tau_max = _build_delays_for_agents(tag, value, sc, n)
-    control = dynamics.gps_velocity_controller(stage2.gains, op1, v_ref, delays)
-
-    def wrapped(x, v, t, hist):
-        vel_hist = sim.SliceView(hist, n) if hist is not None else None
-        return control(x, v, t, vel_hist)
-
-    return wrapped, tau_max
-
-
-def _run_plant(sc, graph, cfg):
+def _run_plant(sc, graph, control, tau_max, cfg):
+    """Integrate the plant [x; xdot] under ``control``, which reads the
+    velocity history when the controller is delayed."""
     n = sc.graph_n
     x0, xdot0, _, d_ref = _initial_conditions(sc)
     w = _build_disturbance(sc)
-    control, tau_max = _plant_controller(sc, graph)
 
     def field(state, t, hist):
         x, v = state[:n], state[n:]
-        u = control(x, v, t, hist)
+        vel_hist = sim.SliceView(hist, n) if hist is not None else None
+        u = control(x, v, t, vel_hist)
         if w is not None:
             u = u + w(t)
         return np.concatenate((v, u))

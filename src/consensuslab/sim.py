@@ -446,34 +446,3 @@ def poisson_delay_bank(mean, seed, t_end, n_agents) -> list[PoissonSampledDelay]
     Adding agents never perturbs the streams of existing agents.
     """
     return [sample_poisson_delays(mean, (seed, i), t_end) for i in range(n_agents)]
-
-
-# ---------------------------------------------------------------------------
-# Appendix-style exact counterexample
-
-
-def counterexample_two_agent(a, tau_cap, cfg: IntegratorConfig):
-    """Two agents from consensus, the follower reading the leader through a
-    ramp delay tau(t) = min(t, tau_cap):
-
-        zdot_0 = a
-        zdot_1 = -z_1 + z_0(t - tau(t)) + a
-
-    While the ramp is active the follower only ever sees z_0(0), so the
-    agents drift apart as a * (t - 1 + exp(-t)) despite the common input.
-    Returns the trajectory and the max absolute error against that closed
-    form over the grid points with t <= tau_cap.
-    """
-    a = float(a)
-    delay = RampDelay(tau_cap)
-
-    def field(z, t, hist):
-        lagged = hist(t - delay(t))[0]
-        return np.array([a, -z[1] + lagged + a])
-
-    traj = integrate(field, [0.0, 0.0], cfg, tau_max=tau_cap)
-    mask = traj.times <= tau_cap + 1e-12
-    drift = traj.states[mask, 0] - traj.states[mask, 1]
-    analytic = a * (traj.times[mask] - 1.0 + np.exp(-traj.times[mask]))
-    max_err = float(np.abs(drift - analytic).max())
-    return traj, max_err

@@ -6,6 +6,7 @@ residuals are below 1e-6 while the delayed baseline's exceed 10.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import row_disagreement
 from consensuslab.presets import preset
+from consensuslab.scenario import StageSpec
 from consensuslab.sim import Trajectory
 
 
@@ -100,6 +102,30 @@ class TestExitCodes:
         data = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
         # The lone agent integrates its unit input: x(t) = t.
         assert np.allclose(data[:, 1], data[:, 0], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("preset_name, changes, says", [
+        ("counterexample_appD", {"graph_edges": ((2, 1, 1.0), (1, 1, 1.0))}, "self-loop"),
+        ("counterexample_appD", {"graph_edges": ((3, 1, 1.0),)}, "out of range"),
+        ("counterexample_appD", {"graph_edges": ((2, 1, -1.0),)}, "nonnegative"),
+        ("counterexample_appD", {"graph_edges": ((2, 1),)}, "[i, j, w]"),
+        ("gps_fig3", {"stages": (StageSpec(kind="linear_static"), StageSpec(
+            kind="delayed_absolute_velocity", gains=(0.0,) + (1.0,) * 9,
+            ref="constant:10.0", delay="poisson:1.0"))}, "stage 2: gains"),
+        ("gps_fig3", {"stages": (StageSpec(kind="linear_static"), StageSpec(
+            kind="delayed_absolute_velocity", gains=(1.0,) * 10,
+            ref="constant:nan", delay="poisson:1.0"))}, "stage 2: constant"),
+        ("serial_lti", {"x0": (math.nan,) * 10}, "x0"),
+        ("serial_lti", {"x0": (math.nan,) * 10, "controller": "conventional"}, "x0"),
+        ("counterexample_appD", {"disturbance_vector": (math.nan, 1.0)}, "disturbance"),
+    ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
+            "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
+            "nan-disturbance"])
+    def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))
+        assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and says in err, err
 
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "file"

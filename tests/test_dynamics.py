@@ -135,7 +135,7 @@ class TestControllers:
         for _ in range(20):
             x = rng.normal(size=5)
             v = rng.normal(size=5)
-            u = compositional_controller(op, op, x, v, 0.0)
+            u = compositional_controller(op, op)(x, v, 0.0)
             expanded = -(L5 + L5) @ v - L5 @ (L5 @ x)
             assert np.abs(u - expanded).max() < 1e-12
 
@@ -145,19 +145,18 @@ class TestControllers:
         v = np.full(5, -1.5)
         for ctrl in (compositional_controller, conventional_controller,
                      naive_serial_controller):
-            assert np.abs(ctrl(op, op, x, v, 0.0)).max() < 1e-12
+            assert np.abs(ctrl(op, op)(x, v, 0.0)).max() < 1e-12
 
     def test_compositional_saturated_hand_value(self):
         op = Saturated(L2)
-        u = compositional_controller(op, op, np.array([0.0, 10.0]),
-                                     np.zeros(2), 0.0)
+        u = compositional_controller(op, op)(np.array([0.0, 10.0]), np.zeros(2), 0.0)
         assert np.allclose(u, [0.0, -1.0])
 
     def test_conventional_saturated_formula(self):
         op = Saturated(L5)
         rng = np.random.default_rng(2)
         x, v = rng.normal(size=5) * 3, rng.normal(size=5) * 3
-        u = conventional_controller(op, op, x, v, 0.0)
+        u = conventional_controller(op, op)(x, v, 0.0)
         expected = -np.clip(L5 @ v, -1, 1) - np.clip(L5 @ x, -1, 1)
         assert np.allclose(u, expected)
 
@@ -165,7 +164,7 @@ class TestControllers:
         op = Saturated(L5)
         rng = np.random.default_rng(3)
         x, v = rng.normal(size=5) * 3, rng.normal(size=5) * 3
-        u = naive_serial_controller(op, op, x, v, 0.0)
+        u = naive_serial_controller(op, op)(x, v, 0.0)
         inner = np.clip(L5 @ x, -1, 1)
         expected = -2 * np.clip(L5 @ v, -1, 1) - np.clip(L5 @ inner, -1, 1)
         assert np.allclose(u, expected)
@@ -178,7 +177,7 @@ class TestControllers:
         x, v, t = rng.normal(size=5), rng.normal(size=5), 1.234
         D = np.diag(np.maximum(np.sin(omega * t + phi), 0.0))
         Lt = D @ L5
-        u = naive_serial_controller(op, op, x, v, t)
+        u = naive_serial_controller(op, op)(x, v, t)
         assert np.allclose(u, -(Lt + Lt) @ v - Lt @ (Lt @ x))
 
     def test_delayed_kinds_inadmissible_in_baselines(self):
@@ -186,11 +185,11 @@ class TestControllers:
                                           lambda t: 0.0, tau_max=0.0)
         op = LinearStatic(L5)
         with pytest.raises(OperatorError):
-            conventional_controller(delayed, op, np.zeros(5), np.zeros(5), 0.0)
+            conventional_controller(delayed, op)
         with pytest.raises(OperatorError):
-            naive_serial_controller(op, delayed, np.zeros(5), np.zeros(5), 0.0)
+            naive_serial_controller(op, delayed)
         with pytest.raises(OperatorError):
-            compositional_controller(delayed, op, np.zeros(5), np.zeros(5), 0.0)
+            compositional_controller(delayed, op)
 
 
 class TestReconstruction:

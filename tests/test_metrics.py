@@ -23,8 +23,8 @@ from consensuslab.metrics import (
     nth_order_residuals,
     peak_disagreement,
     regime_entry_time,
-    sinusoid_gates,
 )
+from consensuslab.operators import LinearTimeVarying
 from consensuslab.sim import IntegratorConfig, Trajectory, integrate
 
 L2 = build_laplacian(path_graph(2))
@@ -246,7 +246,7 @@ class TestIntegratedConnectivity:
         phi = rng.uniform(0, 2 * np.pi, 5)
         window = 2 * np.pi / omega.min()
         reports = integrated_connectivity(
-            sinusoid_gates(omega, phi), L5, window,
+            LinearTimeVarying(L5, omega, phi).gates, L5, window,
             t_starts=np.linspace(0, 30, 8),
         )
         assert all(r.has_spanning_tree for r in reports)

@@ -6,7 +6,7 @@ from consensuslab.exceptions import (
     NumericError,
     OperatorError,
 )
-from consensuslab.graphs import build_laplacian, path_graph
+from consensuslab.graphs import build_laplacian, graph_from_edges, path_graph
 from consensuslab.operators import (
     DelayedAbsoluteVelocity,
     DelayedRelative,
@@ -230,6 +230,15 @@ class TestConstruction:
     def test_rejects_non_laplacian(self):
         with pytest.raises(OperatorError):
             LinearStatic(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_row_sum_tolerance_scales_with_the_row(self):
+        # Rounding leaves this row about 2e-12 off zero at scale 1000.
+        L = 1000.0 * build_laplacian(graph_from_edges(3, [(1, 2, 0.1), (1, 3, 9.7)]))
+        assert LinearStatic(L).n == 3
+        off = L.copy()
+        off[0, 0] += 1e-6 * np.abs(L[0]).sum()
+        with pytest.raises(OperatorError):
+            LinearStatic(off)
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(OperatorError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from consensuslab.dynamics import Cascade, cascade_rhs
 from consensuslab.exceptions import ConfigError, DivergenceError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.operators import DelayedRelative, LinearStatic
+from consensuslab.presets import preset
+from consensuslab.scenario import simulate_scenario
 from consensuslab.sim import (
     ArrivalBank,
     ConstantDelay,
@@ -15,7 +19,6 @@ from consensuslab.sim import (
     PoissonSampledDelay,
     RampDelay,
     StepView,
-    counterexample_two_agent,
     integrate,
     poisson_delay_bank,
     sample_poisson_delays,
@@ -255,21 +258,31 @@ class TestHeldReads:
 
 
 class TestCounterexample:
+    """The appendix-D preset under a common input a: the follower reads the
+    leader through tau(t) = min(t, 5), so while the ramp is active the
+    agents drift apart as a * (t - 1 + e^-t)."""
+
+    @staticmethod
+    def drift(a, t_end, record_every):
+        sc = dataclasses.replace(preset("counterexample_appD"), disturbance_vector=(a, a),
+                                 t_end=t_end, record_every=record_every)
+        traj = simulate_scenario(sc)
+        drift = traj.plant_x[:, 0] - traj.plant_x[:, 1]
+        t = traj.times
+        err = np.abs(drift - a * (t - 1.0 + np.exp(-t))).max()
+        return traj, drift, err
+
     def test_unit_input_drift(self):
-        cfg = IntegratorConfig(dt=1e-3, t_end=5.0, record_every=5)
-        traj, err = counterexample_two_agent(1.0, 5.0, cfg)
+        traj, drift, err = self.drift(1.0, 5.0, 5)
         assert err < 1e-4
         i = np.searchsorted(traj.times, 1.0)
-        drift = traj.states[i, 0] - traj.states[i, 1]
-        assert abs(drift - np.exp(-1.0)) < 1e-4
+        assert abs(drift[i] - np.exp(-1.0)) < 1e-4
 
     def test_zero_input_no_drift(self):
-        cfg = IntegratorConfig(dt=1e-3, t_end=2.0, record_every=10)
-        traj, err = counterexample_two_agent(0.0, 5.0, cfg)
+        _, drift, err = self.drift(0.0, 2.0, 10)
         assert err < 1e-12
-        assert np.abs(traj.states[:, 0] - traj.states[:, 1]).max() < 1e-12
+        assert np.abs(drift).max() < 1e-12
 
     def test_drift_linear_in_input(self):
-        cfg = IntegratorConfig(dt=1e-3, t_end=3.0, record_every=10)
-        _, err = counterexample_two_agent(-2.0, 5.0, cfg)
+        _, _, err = self.drift(-2.0, 3.0, 10)
         assert err < 2e-4
