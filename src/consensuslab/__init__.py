@@ -9,12 +9,11 @@ checks consensus residuals and stability bounds numerically.
 
 from .dynamics import (
     Cascade,
+    PlantLaw,
     cascade_rhs,
     compositional_controller,
-    conventional_controller,
-    gps_velocity_controller,
     matched_cascade_state,
-    naive_serial_controller,
+    plant_rhs,
     reconstruct_plant,
 )
 from .exceptions import (

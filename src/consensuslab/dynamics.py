@@ -1,4 +1,4 @@
-"""Cascade assembly and the explicit second-order controllers.
+"""Cascade assembly and the plant-route baseline controllers.
 
 A cascade of n first-order consensus operators defines the closed loop
 
@@ -6,11 +6,16 @@ A cascade of n first-order consensus operators defines the closed loop
     xi_n' = -op_n(xi_n, t) + u_ref(t)
 
 with xi_1 = x the plant positions and xi_{k+1} = xi_k' + op_k(xi_k, t).
-The cascade form is the primary simulation route; the controller-on-plant
-form exists for n = 2 as a cross-check and for the baseline comparisons.
+The cascade form is the primary simulation route. The controller-on-plant
+form runs the second-order baselines (``PlantLaw``) on the plant
+s = [x; xdot]; ``compositional_controller`` writes the cascade as such a
+controller, as a cross-check.
 
-The compiled cascade field and the controllers call the operators'
-unchecked ``apply``; they run inside ``sim.integrate``, which rejects a
+Both routes are compiled: ``cascade_rhs`` and ``plant_rhs`` make one block
+product per call (naive-serial's nested op_2(op_1(x)) adds a second), then
+apply the gated and saturated operators' ``finish`` map once per run of
+adjacent blocks that share one operator. They call the operators' unchecked
+``apply``/``finish`` and run inside ``sim.integrate``, which rejects a
 non-finite or blown-up state after every step. Plant reconstruction and
 matched initialization go through the checked ``evaluate``.
 """
@@ -79,12 +84,26 @@ _CSR_MAX_DENSITY = 0.05
 
 def _block_operator(A):
     """A itself, or A as a CSR array when it is large and sparse."""
-    dim = A.shape[0]
-    if dim >= _CSR_MIN_DIM and np.count_nonzero(A) <= _CSR_MAX_DENSITY * dim * dim:
+    if A.shape[0] >= _CSR_MIN_DIM and np.count_nonzero(A) <= _CSR_MAX_DENSITY * A.size:
         from scipy.sparse import csr_array
 
         return csr_array(A)
     return A
+
+
+def _finish_runs(block_ops, n):
+    """(finish, rows, m) for each run of m adjacent N-row blocks whose
+    operator, block_ops[k] for block k, is one and the same gated or
+    saturated operator. Other blocks have no ``finish``."""
+    runs = []
+    for k, op in enumerate(block_ops):
+        if op is None or isinstance(op, LinearStatic) or not op.relative_feedback:
+            continue
+        if runs and block_ops[k - 1] is op:
+            runs[-1][2] += 1
+        else:
+            runs.append([op.finish, k, 1])
+    return [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
 
 
 def cascade_rhs(cascade: Cascade, u_ref=None):
@@ -95,12 +114,13 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     outer stage. The field is compiled into one block product per call: A
     holds -L_k on the diagonal block of every inner stage and the identity
     shift xi_{k+1} of every linear-static stage. Gated and saturated stages
-    then apply their odd ``finish`` map in place to their block of A xi and
-    add their shift; a delayed outer stage runs its unchecked ``apply``. A
-    ``DelayedAbsoluteVelocity`` outer stage with a numeric reference v is
-    affine, -op(z) = -diag(gains) z + gains v: it is folded into A plus a
-    constant shift and reads no history. No operator input is checked here:
-    ``sim.integrate`` tests the state after every step.
+    then apply their odd ``finish`` map in place to their block of A xi,
+    once over the joined (m, N) block of m adjacent stages that share one
+    operator, and add their shift; a delayed outer stage runs its unchecked
+    ``apply``. A ``DelayedAbsoluteVelocity`` outer stage with a numeric
+    reference v is affine, -op(z) = -diag(gains) z + gains v: it is folded
+    into A plus a constant shift and reads no history. No operator input is
+    checked here: ``sim.integrate`` tests the state after every step.
     """
     stages = cascade.stages
     order = cascade.order
@@ -110,7 +130,6 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     tail = slices[-1]
 
     A = np.zeros((dim, dim))
-    finished = []
     shifted = []
     for k, op in enumerate(stages):
         sl = slices[k]
@@ -121,10 +140,9 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
         if isinstance(op, LinearStatic):
             if nxt is not None:
                 A[sl, nxt] = np.eye(n)
-        else:
-            finished.append((op.finish, sl))
-            if nxt is not None:
-                shifted.append((sl, nxt))
+        elif nxt is not None:
+            shifted.append((sl, nxt))
+    finished = _finish_runs(stages, n)
     delayed = None if stages[-1].relative_feedback else stages[-1]
     ref_shift = None
     if isinstance(delayed, DelayedAbsoluteVelocity) and delayed.tau_max is None:
@@ -137,8 +155,8 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
         if len(xi) != dim:
             raise ShapeError(f"state length {len(xi)} != order*N = {dim}")
         out = A @ xi
-        for finish, sl in finished:
-            finish(out[sl], t)
+        for finish, sl, m in finished:
+            finish(out[sl] if m == 1 else out[sl].reshape(m, n), t)
         for sl, nxt in shifted:
             out[sl] += xi[nxt]
         if delayed is not None:
@@ -201,63 +219,132 @@ def compositional_controller(l1, l2):
     return control
 
 
-def conventional_controller(lvel, lpos):
-    """u(x, xdot, t, hist=None) = -op_vel(xdot, t) - op_pos(x, t)."""
-    _require_inner(lvel, "velocity operator")
-    _require_inner(lpos, "position operator")
-
-    def control(x, xdot, t, hist=None):
-        return -lvel.apply(xdot, t) - lpos.apply(x, t)
-
-    return control
+BASELINES = ("conventional", "naive-serial", "conventional-ideal", "conventional-delayed")
 
 
-def naive_serial_controller(l1, l2):
-    """u(x, xdot, t, hist=None) = -(op_2 + op_1)(xdot, t) - op_2(op_1(x, t), t).
+@dataclass(frozen=True)
+class PlantLaw:
+    """A baseline controller u of the double-integrator plant x'' = u + w.
 
-    The serial expansion that simply drops the time-variation cross terms of
-    the true composition; correct only for static linear stages.
+    ``stages`` are a scenario's two stage operators, innermost first:
+
+        conventional:          u = -op_1(xdot, t) - op_2(x, t)
+        naive-serial:          u = -(op_2 + op_1)(xdot, t) - op_2(op_1(x, t), t)
+        conventional-ideal:    u = -gains * (xdot(t) - v) - op_1(x, t)
+        conventional-delayed:  u_i = -gains_i * (xdot_i(t - tau_i(t)) - v) - [op_1(x, t)]_i
+
+    naive-serial is the serial expansion that drops the time-variation cross
+    terms of the true composition; it is correct only for static linear
+    stages. The velocity-tracking laws take gains and the numeric reference
+    v from their ``DelayedAbsoluteVelocity`` outer stage. The delayed form
+    consumes the raw held measurement of each agent's own velocity
+    (zero-order hold of the last sample), as an implementation without
+    local velocity-history correction would; ``delays`` is one delay per
+    agent or one shared by all, and ``tau_max`` bounds them.
     """
-    _require_inner(l1, "first operator")
-    _require_inner(l2, "second operator")
 
-    def control(x, xdot, t, hist=None):
-        vel2 = l2.apply(xdot, t)
-        vel1 = vel2 if l1 is l2 else l1.apply(xdot, t)
-        return -(vel2 + vel1) - l2.apply(l1.apply(x, t), t)
+    controller: str
+    stages: tuple
+    delays: object = None
+    tau_max: float | None = None
 
-    return control
+    def __post_init__(self):
+        stages = tuple(self.stages)
+        object.__setattr__(self, "stages", stages)
+        if self.controller not in BASELINES:
+            raise OperatorError(f"unknown baseline {self.controller!r}")
+        if len(stages) != 2:
+            raise OperatorError(f"{self.controller} is second order only")
+        first, second = stages
+        _require_inner(first, "stage 1")
+        if self.controller in ("conventional", "naive-serial"):
+            _require_inner(second, "stage 2")
+        elif not (isinstance(second, DelayedAbsoluteVelocity) and second.tau_max is None):
+            raise OperatorError(
+                f"{self.controller} needs a delayed_absolute_velocity outer "
+                "stage with a numeric reference"
+            )
+        if second.n != first.n:
+            raise ShapeError(f"need {first.n} agents in stage 2, got {second.n}")
+        if (self.controller == "conventional-delayed") != (self.delays is not None):
+            raise OperatorError("delays go with conventional-delayed, and only with it")
+
+    @property
+    def n(self) -> int:
+        return self.stages[0].n
 
 
-def gps_velocity_controller(gains, lpos, v_ref, delays=None):
-    """Velocity tracking toward a broadcast reference plus relative position
-    feedback: the baseline for the delayed-absolute-velocity comparisons.
+def plant_rhs(law: PlantLaw, w=None):
+    """Vector field ``field(s, t, hist)`` of the plant state s = [x; xdot].
 
-        ideal:   u = -gains * (xdot(t) - v_ref) - op_pos(x, t)
-        delayed: u_i = -gains_i * (xdot_i(t - tau_i(t)) - v_ref) - [op_pos(x, t)]_i
-
-    The delayed form consumes the raw held measurement of each agent's own
-    velocity error (zero-order hold of the last sample), which is what an
-    implementation without local velocity-history correction would do.
-    Returns a callable u(x, xdot, t, xdot_hist).
+    ``w`` is None or a callable t -> N-vector disturbance added to u.
+    ``hist`` is a history view of s, read only by conventional-delayed. The
+    field is compiled like ``cascade_rhs``: one block product y = P s per
+    call. The first block of y is xdot, copied by an identity block; each
+    further block is -L xdot or -L x, one per operator term of u. Adjacent
+    terms of one gated or saturated operator then take a single ``finish``
+    over their joined (m, N) block, and naive-serial's nested
+    op_2(op_1(x)) makes the one further product. The terms are summed in
+    place into the second block, in the order the law is written: the sum
+    (-a) + (-b) rounds exactly as -a - b, so every law keeps its rounding.
+    The field returns the first two blocks, [xdot; u].
     """
-    gains = np.asarray(gains, dtype=float)
-    _require_inner(lpos, "position operator")
-    if gains.shape != (lpos.n,):
-        raise ShapeError(f"need {lpos.n} gains, one per agent, got {gains.shape}")
+    n = law.n
+    first, second = law.stages
+    X, V = slice(0, n), slice(n, 2 * n)
+    if law.controller == "conventional":
+        terms = [(first, V), (second, X)]
+    elif law.controller == "naive-serial":
+        terms = [(second, V), (first, X)] if first is second else \
+            [(second, V), (first, V), (first, X)]
+    else:
+        terms = [(first, X)]
 
-    if delays is None:
-        def control(x, xdot, t, xdot_hist=None):
-            return -gains * (xdot - v_ref) - lpos.apply(x, t)
-        return control
+    P = np.zeros(((1 + len(terms)) * n, 2 * n))
+    P[X, V] = np.eye(n)
+    for k, (op, cols) in enumerate(terms, start=1):
+        P[k * n:(k + 1) * n, cols] = -op.L
+    P = _block_operator(P)
+    finished = _finish_runs([None] + [op for op, _ in terms], n)
 
-    delay_list = list(delays) if not callable(delays) else [delays] * len(gains)
-    lagged_velocity = HeldReads(delay_list, np.arange(len(gains)))
+    naive = law.controller == "naive-serial"
+    doubled = naive and first is second  # -(op + op)(xdot) from one term
+    summed = slice(2 * n, 3 * n) if len(terms) > 1 and not doubled else None
+    nested = _block_operator(second.L) if naive else None
+    nested_finish = None if not naive or isinstance(second, LinearStatic) else second.finish
+    gains = v_ref = reads = None
+    if law.controller.startswith("conventional-"):
+        gains, v_ref = second.gains, second.ref
+    if law.delays is not None:
+        delays = [law.delays] * n if callable(law.delays) else list(law.delays)
+        reads = HeldReads(delays, n + np.arange(n))
+    head = slice(0, 2 * n)
+    inner = slice(len(terms) * n, (len(terms) + 1) * n)  # -op_1(x) for naive-serial
 
-    def control(x, xdot, t, xdot_hist=None):
-        if xdot_hist is None:
-            raise OperatorError("delayed velocity tracking needs a velocity history")
-        lagged = lagged_velocity(t, xdot_hist)
-        return -gains * (lagged - v_ref) - lpos.apply(x, t)
+    def field(s, t, hist):
+        y = P @ s
+        for finish, sl, m in finished:
+            finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
+        u = y[V]
+        if summed is not None:
+            u += y[summed]
+        elif doubled:
+            u += u
+        if nested is not None:
+            z = nested @ y[inner]
+            if nested_finish is not None:
+                nested_finish(z, t)
+            u += z
+        if gains is not None:
+            if reads is None:
+                vel = s[V]
+            elif hist is None:
+                raise OperatorError("delayed velocity tracking needs a velocity history")
+            else:
+                vel = reads(t, hist)
+            u -= gains * (vel - v_ref)
+        if w is not None:
+            u += w(t)
+        return y[head]
 
-    return control
+    return field

@@ -80,20 +80,31 @@ def path_graph(n: int) -> WeightedDigraph:
 
 
 def graph_from_edges(n: int, edges) -> WeightedDigraph:
-    """Build a digraph from ``[(i, j, w), ...]`` triples, 1-indexed, j -> i."""
+    """Build a digraph from ``[(i, j, w), ...]`` triples, 1-indexed, j -> i.
+
+    Indices must be integral (2.0 is node 2; 2.7 is rejected) and each
+    (i, j) pair may appear once.
+    """
     if n < 1:
         raise GraphError(f"graph needs n >= 1, got {n}")
     w = np.zeros((n, n))
+    seen = set()
     for entry in edges:
         try:
             i, j, wt = entry
-            i, j, wt = int(i), int(j), float(wt)
+            fi, fj, wt = float(i), float(j), float(wt)
         except (TypeError, ValueError):
             raise GraphError(f"edge entries must be [i, j, w], got {entry!r}") from None
+        if not (fi.is_integer() and fj.is_integer()):
+            raise GraphError(f"edge ({i}, {j}) needs integer node indices")
+        i, j = int(fi), int(fj)
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i}, {j}) out of range for n = {n}")
         if i == j:
             raise GraphError(f"self-loop on node {i} rejected")
+        if (i, j) in seen:
+            raise GraphError(f"edge ({i}, {j}) given more than once")
+        seen.add((i, j))
         w[i - 1, j - 1] = wt
     return WeightedDigraph(w)
 

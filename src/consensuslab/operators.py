@@ -9,12 +9,13 @@ admissible as the outermost stage.
 Every kind has two entry points. ``evaluate`` is the checked public call:
 it rejects NaN/Inf input with NumericError, then runs ``apply``. ``apply``
 is the same map without the check, for hot paths whose caller guarantees
-finite input (the compiled cascade field and the plant controllers, run
-by ``sim.integrate``, which tests the state after every step). The gated
-and saturated kinds compute ``apply(z, t) = finish(L z, t)``, where
-``finish`` works in place on its argument: the gate product D(t) y or the
-clamp to [-1, 1]. Both maps are odd, so ``finish(-L z) = -finish(L z)``
-exactly and the cascade field applies them to its negated block product.
+finite input (the compiled cascade and plant fields, run by
+``sim.integrate``, which tests the state after every step). The gated and
+saturated kinds compute ``apply(z, t) = finish(L z, t)``, where ``finish``
+works in place on its argument, an (N,) block or m such blocks as (m, N):
+the gate product D(t) y or the clamp to [-1, 1]. Both maps are odd, so
+``finish(-L z) = -finish(L z)`` exactly and the compiled fields apply them
+to their negated block products.
 
 History access for the delayed kinds goes through a *history view*: an
 object whose ``components(ts, idx)`` returns, for each m, component idx[m]

@@ -9,8 +9,9 @@ checks what no object can see: controller names and the stage layouts the
 baselines take, stage kinds and spec syntax, initial conditions,
 disturbances, the grid, the metric settings and that every number is
 finite. Every other rule belongs to the object it constrains (the graph,
-the operators, ``Cascade`` and the plant controllers), so validation then
-builds the scenario, with the same builder ``simulate_scenario`` runs.
+the operators, ``Cascade`` and ``PlantLaw``), so validation then builds the
+scenario, with the same builder ``simulate_scenario`` runs; it builds no
+vector field.
 
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
@@ -36,13 +37,7 @@ from .exceptions import (
     ShapeError,
 )
 
-CONTROLLERS = (
-    "compositional",
-    "conventional",
-    "naive-serial",
-    "conventional-ideal",
-    "conventional-delayed",
-)
+CONTROLLERS = ("compositional", *dynamics.BASELINES)
 INIT_PRESETS = ("uniform_pm1", "standstill_leader_v10", "positional_error_v10")
 STAGE_KINDS = operators.INNER_KINDS + operators.DELAYED_KINDS
 
@@ -234,8 +229,8 @@ def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
 
 
 def _build(sc: Scenario):
-    """(graph, system, tau_max): the system is the Cascade on the
-    compositional route, else the plant controller u(x, xdot, t, xdot_hist).
+    """(graph, system): the system is the Cascade on the compositional
+    route, else the baseline's PlantLaw.
 
     Identical StageSpecs share one operator, so that its gate memo and
     common subexpressions serve every such stage. What an object rejects is
@@ -255,18 +250,11 @@ def _build(sc: Scenario):
     ops = tuple(built[stage][0] for stage in sc.stages)
     with _config_errors():
         if sc.controller == "compositional":
-            cascade = dynamics.Cascade(ops)
-            return graph, cascade, cascade.tau_max
-        if sc.controller == "conventional":
-            return graph, dynamics.conventional_controller(*ops), None
-        if sc.controller == "naive-serial":
-            return graph, dynamics.naive_serial_controller(*ops), None
-        lpos, outer = ops
+            return graph, dynamics.Cascade(ops)
         delays, tau_max = None, None
         if sc.controller == "conventional-delayed":
             delays, tau_max = _build_delays(built[sc.stages[1]][1], sc)
-        control = dynamics.gps_velocity_controller(outer.gains, lpos, outer.ref, delays)
-        return graph, control, tau_max
+        return graph, dynamics.PlantLaw(sc.controller, ops, delays, tau_max)
 
 
 def _initial_conditions(sc: Scenario, cascade=None):
@@ -345,11 +333,11 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     record (the blow-up time sits in meta["divergence_time"]).
     """
     _check_scenario(sc)
-    graph, system, tau_max = _build(sc)
+    graph, system = _build(sc)
     cfg = sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
     if sc.controller == "compositional":
         return _run_cascade(sc, graph, system, cfg)
-    return _run_plant(sc, graph, system, tau_max, cfg)
+    return _run_plant(sc, graph, system, cfg)
 
 
 def _integrate_annotated(field, x0, cfg, tau_max, meta, plant_of):
@@ -395,24 +383,14 @@ def _run_cascade(sc, graph, cascade, cfg):
     )
 
 
-def _run_plant(sc, graph, control, tau_max, cfg):
-    """Integrate the plant [x; xdot] under ``control``, which reads the
-    velocity history when the controller is delayed."""
+def _run_plant(sc, graph, law, cfg):
+    """Integrate the plant [x; xdot] under the baseline ``law``."""
     n = sc.graph_n
     x0, xdot0, _, d_ref = _initial_conditions(sc)
-    w = _build_disturbance(sc)
-
-    def field(state, t, hist):
-        x, v = state[:n], state[n:]
-        vel_hist = sim.SliceView(hist, n) if hist is not None else None
-        u = control(x, v, t, vel_hist)
-        if w is not None:
-            u = u + w(t)
-        return np.concatenate((v, u))
-
+    field = dynamics.plant_rhs(law, _build_disturbance(sc))
     meta = _base_meta(sc, graph, d_ref, "plant")
     return _integrate_annotated(
-        field, np.concatenate((x0, xdot0)), cfg, tau_max, meta,
+        field, np.concatenate((x0, xdot0)), cfg, law.tau_max, meta,
         lambda traj: (traj.states[:, :n] + d_ref, traj.states[:, n:].copy()),
     )
 

@@ -16,11 +16,13 @@ function s -> state to that protocol; its committed end is +inf.
 Delayed reads go through one sample-and-hold reader, ``HeldReads``. An
 arrival-based delay reads the state at the agent's last arrival, so the
 read times stay fixed on a window [lo, hi) between arrivals
-(``ArrivalBank.window``). Once every read time lies before the committed
-end, the values read are fixed as well: the reader keeps them and returns
-them until t leaves the window. Reads whose arrival lies inside the current
-step still go through the view, and its provisional segment, at every
-stage. Other delays look up and read afresh on every call.
+(``ArrivalBank.window``). A ramp delay min(t, cap) reads the state at time
+0 exactly on its window [0, cap). Once every read time lies before the
+committed end, the values read are fixed as well: the reader keeps them and
+returns them until t leaves the window. Reads whose arrival lies inside the
+current step still go through the view, and its provisional segment, at
+every stage. Other delays, and a ramp from its cap on, look up and read
+afresh on every call.
 
 Everything here is deterministic: identical inputs (including seeds) give
 bit-identical trajectories within one environment.
@@ -413,11 +415,25 @@ def read_window(delays):
     The read times are the same at every time in [lo, hi), and lo bounds
     them from above. When every delay is arrival-based, an ArrivalBank
     looks them up for all delays at once and the window runs between
-    arrivals. Otherwise the window [t, t) is empty.
+    arrivals. When every delay is a ramp, each read time is t - t = 0 on
+    [0, cap) for the smallest cap. Otherwise the window [t, t) is empty.
     """
     if delays and all(hasattr(d, "arrivals") for d in delays):
         return ArrivalBank(delays).window
-    return lambda t: ([t - d(t) for d in delays], t, t)
+
+    def fresh(t):
+        return [t - d(t) for d in delays], t, t
+
+    if not delays or not all(isinstance(d, RampDelay) for d in delays):
+        return fresh
+    cap = min(d.cap for d in delays)
+    origin = np.zeros(len(delays))
+    origin.flags.writeable = False
+
+    def ramp(t):
+        return (origin, 0.0, cap) if 0.0 <= t < cap else fresh(t)
+
+    return ramp
 
 
 def sample_poisson_delays(mean, seed, t_end) -> PoissonSampledDelay:

@@ -2,7 +2,12 @@
 
 Horizons are cut to where each verdict is already decided: serial_lti's
 residuals are below 1e-6 by t = 40, and by t = 40 gps_fig3's compositional
-residuals are below 1e-6 while the delayed baseline's exceed 10.
+residuals are below 1e-6 while the delayed baseline's exceed 10. Against a
+tolerance of 1e-3: by t = 50 saturated_fig2's compositional and
+naive-serial residuals are below 1.2e-4 while the conventional one's exceed
+10 (at t = 40 none has converged); by t = 190 timevarying_fig1's
+compositional residuals are below 5e-5 while the naive-serial ones exceed
+90 (at t = 170 neither has converged).
 """
 
 import dataclasses
@@ -108,6 +113,8 @@ class TestExitCodes:
         ("counterexample_appD", {"graph_edges": ((3, 1, 1.0),)}, "out of range"),
         ("counterexample_appD", {"graph_edges": ((2, 1, -1.0),)}, "nonnegative"),
         ("counterexample_appD", {"graph_edges": ((2, 1),)}, "[i, j, w]"),
+        ("counterexample_appD", {"graph_edges": ((2, 1, 1.0), (2, 1, 3.0))}, "more than once"),
+        ("counterexample_appD", {"graph_edges": ((2.7, 1, 1.0),)}, "integer"),
         ("gps_fig3", {"stages": (StageSpec(kind="linear_static"), StageSpec(
             kind="delayed_absolute_velocity", gains=(0.0,) + (1.0,) * 9,
             ref="constant:10.0", delay="poisson:1.0"))}, "stage 2: gains"),
@@ -118,6 +125,7 @@ class TestExitCodes:
         ("serial_lti", {"x0": (math.nan,) * 10, "controller": "conventional"}, "x0"),
         ("counterexample_appD", {"disturbance_vector": (math.nan, 1.0)}, "disturbance"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
+            "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
             "nan-disturbance"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
@@ -178,6 +186,19 @@ class TestPresetVerdicts:
         delayed = read_report(out / "conventional-delayed" / "report.txt")
         assert delayed["converged"] == "false"
         assert "divergence_time" not in delayed
+
+    @pytest.mark.parametrize("name, t_end, verdicts", [
+        ("saturated_fig2", "50",
+         {"compositional": "true", "conventional": "false", "naive-serial": "true"}),
+        ("timevarying_fig1", "190", {"compositional": "true", "naive-serial": "false"}),
+    ])
+    def test_baseline_verdicts(self, name, t_end, verdicts, tmp_path):
+        assert run_cli("--preset", name, "--t-end", t_end, "--out", str(tmp_path),
+                       "--compare", ",".join(verdicts)) == 0
+        for kind, converged in verdicts.items():
+            report = read_report(tmp_path / kind / "report.txt")
+            assert report["converged"] == converged, kind
+            assert "divergence_time" not in report, kind
 
     def test_appendix_d_drift_matches_closed_form(self, tmp_path):
         assert run_cli("--preset", "counterexample_appD", "--out", str(tmp_path)) == 0

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from consensuslab import dynamics
 from consensuslab.config import _SCHEMA, emit_scenario, parse_scenario
 from consensuslab.exceptions import ConfigError
 from consensuslab.presets import PRESETS, preset
@@ -129,6 +130,27 @@ class TestValidation:
         text = MINIMAL.replace("record_every = 10", "record_every = 7")
         with pytest.raises(ConfigError):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("name, controller", [
+        ("serial_lti", "conventional-ideal"), ("serial_lti", "conventional-delayed"),
+        ("gps_fig3", "conventional"), ("gps_fig3", "naive-serial"),
+        ("saturated_regime", "conventional"), ("counterexample_appD", "conventional-delayed"),
+    ])
+    def test_baseline_on_another_stage_layout_rejected(self, name, controller):
+        with pytest.raises(ConfigError):
+            validate_scenario(dataclasses.replace(preset(name), controller=controller))
+
+    @pytest.mark.parametrize("controller", ["conventional-ideal", "conventional-delayed"])
+    def test_baseline_rejected_without_building_a_field(self, controller, monkeypatch):
+        def no_field(A):
+            raise AssertionError("validation built a block operator")
+
+        monkeypatch.setattr(dynamics, "_block_operator", no_field)
+        sc = dataclasses.replace(preset("gps_fig3"), controller=controller)
+        validate_scenario(sc)
+        outer = dataclasses.replace(sc.stages[1], gains=(1.0,) * 9)
+        with pytest.raises(ConfigError, match="agents"):
+            validate_scenario(dataclasses.replace(sc, stages=(sc.stages[0], outer)))
 
 
 class TestRoundTrip:

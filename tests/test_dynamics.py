@@ -5,12 +5,11 @@ import pytest
 
 from consensuslab.dynamics import (
     Cascade,
+    PlantLaw,
     cascade_rhs,
     compositional_controller,
-    conventional_controller,
-    gps_velocity_controller,
     matched_cascade_state,
-    naive_serial_controller,
+    plant_rhs,
     reconstruct_plant,
 )
 from consensuslab.exceptions import OperatorError, ShapeError
@@ -33,6 +32,20 @@ L2 = build_laplacian(path_graph(2))
 def lti_cascade(n_stages, L=L5):
     op = LinearStatic(L)
     return Cascade((op,) * n_stages)
+
+
+def control(controller, l1, l2, x, v, t, hist=None, delays=None):
+    """u of a baseline: the velocity block of its plant field at [x; v]."""
+    law = PlantLaw(controller, (l1, l2), delays, None if delays is None else 1.0)
+    return plant_rhs(law)(np.concatenate((x, v)), t, hist)[len(x):]
+
+
+def conventional(l1, l2):
+    return lambda x, v, t: control("conventional", l1, l2, x, v, t)
+
+
+def naive_serial(l1, l2):
+    return lambda x, v, t: control("naive-serial", l1, l2, x, v, t)
 
 
 class TestCascadeField:
@@ -73,6 +86,22 @@ class TestCascadeField:
         out = cascade_rhs(casc, lambda t: np.full(5, 2.0))(xi, 0.0, None)
         assert np.array_equal(out[5:], np.full(5, 2.0))
         assert np.array_equal(out[:5], np.zeros(5))
+
+
+class TestJoinedFinish:
+    def test_one_gate_call_per_run_of_shared_stages(self):
+        op = LinearTimeVarying(L5, omega=np.full(5, 1.3), phi=np.zeros(5))
+        calls = []
+        gates = op.gates
+        op.gates = lambda t: calls.append(t) or gates(t)
+        xi = np.arange(10.0)
+        cascade_rhs(Cascade((op, op)))(xi, 0.5, None)
+        assert len(calls) == 1
+        plant_rhs(PlantLaw("conventional", (op, op)))(xi, 0.5, None)
+        assert len(calls) == 2
+        # naive-serial's nested op(op(x)) is a second product.
+        plant_rhs(PlantLaw("naive-serial", (op, op)))(xi, 0.5, None)
+        assert len(calls) == 4
 
 
 class TestNumericReferenceFold:
@@ -143,8 +172,7 @@ class TestControllers:
         op = LinearStatic(L5)
         x = np.full(5, 4.0)
         v = np.full(5, -1.5)
-        for ctrl in (compositional_controller, conventional_controller,
-                     naive_serial_controller):
+        for ctrl in (compositional_controller, conventional, naive_serial):
             assert np.abs(ctrl(op, op)(x, v, 0.0)).max() < 1e-12
 
     def test_compositional_saturated_hand_value(self):
@@ -156,7 +184,7 @@ class TestControllers:
         op = Saturated(L5)
         rng = np.random.default_rng(2)
         x, v = rng.normal(size=5) * 3, rng.normal(size=5) * 3
-        u = conventional_controller(op, op)(x, v, 0.0)
+        u = conventional(op, op)(x, v, 0.0)
         expected = -np.clip(L5 @ v, -1, 1) - np.clip(L5 @ x, -1, 1)
         assert np.allclose(u, expected)
 
@@ -164,7 +192,7 @@ class TestControllers:
         op = Saturated(L5)
         rng = np.random.default_rng(3)
         x, v = rng.normal(size=5) * 3, rng.normal(size=5) * 3
-        u = naive_serial_controller(op, op)(x, v, 0.0)
+        u = naive_serial(op, op)(x, v, 0.0)
         inner = np.clip(L5 @ x, -1, 1)
         expected = -2 * np.clip(L5 @ v, -1, 1) - np.clip(L5 @ inner, -1, 1)
         assert np.allclose(u, expected)
@@ -177,7 +205,7 @@ class TestControllers:
         x, v, t = rng.normal(size=5), rng.normal(size=5), 1.234
         D = np.diag(np.maximum(np.sin(omega * t + phi), 0.0))
         Lt = D @ L5
-        u = naive_serial_controller(op, op)(x, v, t)
+        u = naive_serial(op, op)(x, v, t)
         assert np.allclose(u, -(Lt + Lt) @ v - Lt @ (Lt @ x))
 
     def test_delayed_kinds_inadmissible_in_baselines(self):
@@ -185,9 +213,9 @@ class TestControllers:
                                           lambda t: 0.0, tau_max=0.0)
         op = LinearStatic(L5)
         with pytest.raises(OperatorError):
-            conventional_controller(delayed, op)
+            PlantLaw("conventional", (delayed, op))
         with pytest.raises(OperatorError):
-            naive_serial_controller(op, delayed)
+            PlantLaw("naive-serial", (op, delayed))
         with pytest.raises(OperatorError):
             compositional_controller(delayed, op)
 
@@ -228,22 +256,29 @@ class TestReconstruction:
 class TestGpsController:
     def test_ideal_formula(self):
         op = LinearStatic(L5)
-        ctrl = gps_velocity_controller(np.ones(5), op, v_ref=10.0)
+        outer = DelayedAbsoluteVelocity(np.ones(5), 10.0)
         rng = np.random.default_rng(6)
         x, v = rng.normal(size=5), rng.normal(size=5)
-        assert np.allclose(ctrl(x, v, 0.0), -(v - 10.0) - L5 @ x)
+        u = control("conventional-ideal", op, outer, x, v, 0.0)
+        assert np.allclose(u, -(v - 10.0) - L5 @ x)
 
     def test_delayed_needs_history(self):
         op = LinearStatic(L5)
-        ctrl = gps_velocity_controller(np.ones(5), op, 10.0,
-                                       delays=lambda t: 0.5)
+        outer = DelayedAbsoluteVelocity(np.ones(5), 10.0)
         with pytest.raises(OperatorError):
-            ctrl(np.zeros(5), np.zeros(5), 1.0)
+            control("conventional-delayed", op, outer, np.zeros(5), np.zeros(5), 1.0,
+                    delays=lambda t: 0.5)
 
     def test_delayed_reads_velocity_history(self):
         op = LinearStatic(L2)
-        ctrl = gps_velocity_controller(np.ones(2), op, 0.0,
-                                       delays=lambda t: 1.0)
-        hist = FunctionView(lambda s: np.array([2.0 * s, -s]))
-        u = ctrl(np.zeros(2), np.zeros(2), 3.0, hist)
+        outer = DelayedAbsoluteVelocity(np.ones(2), 0.0)
+        # The view holds the plant state [x; xdot]; only xdot is read.
+        hist = FunctionView(lambda s: np.array([0.0, 0.0, 2.0 * s, -s]))
+        u = control("conventional-delayed", op, outer, np.zeros(2), np.zeros(2), 3.0,
+                    hist, delays=lambda t: 1.0)
         assert np.allclose(u, [-4.0, 2.0])
+
+    def test_gains_length_rejected(self):
+        with pytest.raises(ShapeError):
+            PlantLaw("conventional-ideal",
+                     (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(4), 10.0)))

@@ -239,3 +239,15 @@ class TestEdgeListGraphs:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             graph_from_edges(2, [(3, 1, 1.0)])
+
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(GraphError, match="more than once"):
+            graph_from_edges(2, [(2, 1, 1.0), (2, 1, 3.0)])
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(GraphError, match="integer"):
+            graph_from_edges(3, [(2.7, 1, 1.0)])
+
+    def test_integral_float_index_accepted(self):
+        g = graph_from_edges(3, [(2.0, 1.0, 1.5)])
+        assert g.weights[1, 0] == 1.5

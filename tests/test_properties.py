@@ -9,9 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from consensuslab import dynamics, sim
-from consensuslab.dynamics import gps_velocity_controller
 from consensuslab.config import emit_scenario, parse_scenario
-from consensuslab.dynamics import Cascade, cascade_rhs
+from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import disagreement_seminorm
 from consensuslab.operators import (
@@ -29,9 +28,11 @@ from consensuslab.scenario import (
     validate_scenario,
 )
 from consensuslab.sim import (
+    ConstantDelay,
     FunctionView,
     IntegratorConfig,
     PoissonSampledDelay,
+    RampDelay,
     SliceView,
     integrate,
 )
@@ -94,10 +95,12 @@ def scenarios(draw):
                else maybe(vectors(order * n)))
     disturbance = draw(st.sampled_from(("none", "constant", "random")))
     graph_kind = draw(st.sampled_from(("path", "edges")))
-    # The graph rejects self-loops, so a lone agent has no edges to draw.
+    # The graph rejects self-loops and repeated pairs, so a lone agent has
+    # no edges to draw.
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    edges = st.lists(st.tuples(st.sampled_from(pairs), positive).map(lambda e: (*e[0], e[1])),
-                     min_size=1, max_size=4).map(tuple) if pairs else st.just(())
+    edges = st.lists(st.tuples(st.sampled_from(pairs), positive), min_size=1, max_size=4,
+                     unique_by=lambda e: e[0]).map(
+        lambda es: tuple((*pair, wt) for pair, wt in es)) if pairs else st.just(())
     record_every = draw(st.integers(min_value=1, max_value=50))
     dt = draw(st.floats(min_value=1e-4, max_value=0.5))
     nsteps = record_every * draw(st.integers(min_value=1, max_value=1000))
@@ -169,10 +172,13 @@ def reference_field(cascade, u_ref, xi, t, hist):
     return np.concatenate(blocks)
 
 
-def random_operator(kind, n, rng):
+def random_operator(kind, n, rng, L=None):
+    """An operator of ``kind`` on a random weighted digraph, or on the
+    Laplacian ``L`` when one is given (inner kinds only)."""
     w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
-    L = np.diag(w.sum(axis=1)) - w
+    if L is None:
+        L = np.diag(w.sum(axis=1)) - w
     if kind == "linear_static":
         return LinearStatic(L)
     if kind == "linear_time_varying":
@@ -229,6 +235,60 @@ def test_csr_field_matches_definition_above_threshold():
             assert np.abs(field(xi, t, None) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def reference_plant(law, w, s, t, hist):
+    """The plant field [xdot; u + w] by each baseline's definition, one
+    checked evaluate per operator term."""
+    n = law.n
+    x, v = s[:n], s[n:]
+    first, second = law.stages
+    if law.controller == "conventional":
+        u = -first.evaluate(v, t) - second.evaluate(x, t)
+    elif law.controller == "naive-serial":
+        u = (-(second.evaluate(v, t) + first.evaluate(v, t))
+             - second.evaluate(first.evaluate(x, t), t))
+    else:
+        if law.delays is not None:
+            v = hist.components([t - law.delays(t)] * n, np.arange(n) + n)
+        u = -second.gains * (v - second.ref) - first.evaluate(x, t)
+    if w is not None:
+        u = u + w(t)
+    return np.concatenate((s[n:], u))
+
+
+@given(n=st.integers(min_value=1, max_value=5),
+       controller=st.sampled_from(dynamics.BASELINES),
+       kinds=st.tuples(st.sampled_from(INNER), st.sampled_from(INNER)),
+       shared=st.booleans(), path=st.booleans(), with_w=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       t=st.floats(min_value=0.0, max_value=50.0))
+def test_plant_field_matches_definition(n, controller, kinds, shared, path, with_w, seed, t):
+    """On a unit-weight path graph every product is exact and every row sums
+    at most two of them, so the compiled field must equal the definition
+    bit for bit; on weighted digraphs the block product may sum a row in
+    another order."""
+    rng = np.random.default_rng(seed)
+    L = build_laplacian(path_graph(n)) if path else None
+    first = random_operator(kinds[0], n, rng, L)
+    second = first if shared else random_operator(kinds[1], n, rng, L)
+    delays = None
+    if controller.startswith("conventional-"):
+        second = DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), rng.uniform(-5.0, 5.0))
+        if controller == "conventional-delayed":
+            delays = ConstantDelay(rng.uniform(0.0, 2.0))
+    law = PlantLaw(controller, (first, second), delays, None if delays is None else delays.tau)
+    d = rng.uniform(-3.0, 3.0, n)
+    w = (lambda s: d * np.cos(s)) if with_w else None
+    base, slope = rng.uniform(-5.0, 5.0, 2 * n), rng.uniform(-1.0, 1.0, 2 * n)
+    hist = FunctionView(lambda s: base + slope * s)
+    state = rng.uniform(-5.0, 5.0, 2 * n)
+    want = reference_plant(law, w, state, t, hist)
+    got = plant_rhs(law, w)(state, t, hist)
+    if path:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 @st.composite
 def arrival_streams(draw, count, dt, nsteps):
     """``count`` sorted arrival sequences on (0, nsteps * dt]; some arrivals
@@ -239,7 +299,23 @@ def arrival_streams(draw, count, dt, nsteps):
     return [draw(stream) for _ in range(count)]
 
 
-def last_arrival(delay, t):
+@st.composite
+def delay_draws(draw, count, dt, nsteps):
+    """``count`` delays: Poisson streams, or ramps whose caps fall on or off
+    the step grid, inside the horizon or beyond it."""
+    t_end = nsteps * dt
+    if draw(st.booleans()):
+        return [PoissonSampledDelay(a, t_end) for a in draw(arrival_streams(count, dt, nsteps))]
+    cap = st.integers(1, 2 * nsteps).map(lambda k: k * dt) | st.floats(
+        min_value=dt / 4, max_value=2 * t_end)
+    return [RampDelay(c) for c in draw(st.lists(cap, min_size=count, max_size=count))]
+
+
+def read_time(delay, t):
+    """t - tau(t), written out: a Poisson stream's last arrival (0 before
+    the first) and 0 or t - cap for a ramp."""
+    if isinstance(delay, RampDelay):
+        return 0.0 if t < delay.cap else t - delay.cap
     before = delay.arrivals[delay.arrivals <= t]
     return before[-1] if len(before) else 0.0
 
@@ -250,7 +326,7 @@ def last_arrival(delay, t):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     """Held delayed reads give the trajectories of reading the view at every
-    RK stage at each delay's own last arrival."""
+    RK stage at each delay's own read time."""
     rng = np.random.default_rng(seed)
     t_end = nsteps * dt
     cfg = IntegratorConfig(dt, t_end, record_every=1)
@@ -258,39 +334,34 @@ def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     np.fill_diagonal(w, 0.0)
     L = np.diag(w.sum(axis=1)) - w
 
-    # Delayed GPS velocity tracking on the plant [x; xdot].
-    gains = rng.uniform(0.5, 2.0, n)
-    delays = [PoissonSampledDelay(a, t_end)
-              for a in data.draw(arrival_streams(n, dt, nsteps))]
-    held = gps_velocity_controller(gains, LinearStatic(L), 10.0, delays)
-    agents = np.arange(n)
-
-    def held_plant(state, t, hist):
-        x, v = state[:n], state[n:]
-        return np.concatenate((v, held(x, v, t, SliceView(hist, n))))
+    # Delayed GPS velocity tracking on the plant [x; xdot], against the
+    # ideal law evaluated at freshly read velocities.
+    stages = (LinearStatic(L), DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), 10.0))
+    delays = data.draw(delay_draws(n, dt, nsteps))
+    held_plant = plant_rhs(PlantLaw("conventional-delayed", stages, delays, t_end))
+    ideal = plant_rhs(PlantLaw("conventional-ideal", stages))
+    velocities = np.arange(n) + n
 
     def fresh_plant(state, t, hist):
-        x, v = state[:n], state[n:]
-        ts = np.array([last_arrival(d, t) for d in delays])
-        u = -gains * (hist.components(ts, agents + n) - 10.0) - L @ x
-        return np.concatenate((v, u))
+        ts = np.array([read_time(d, t) for d in delays])
+        lagged = np.concatenate((state[:n], hist.components(ts, velocities)))
+        return np.concatenate((state[n:], ideal(lagged, t, None)[n:]))
 
     x0 = rng.uniform(-2.0, 2.0, 2 * n)
     a = integrate(held_plant, x0, cfg, tau_max=t_end)
     b = integrate(fresh_plant, x0, cfg, tau_max=t_end)
     assert np.array_equal(a.states, b.states)
 
-    # A delayed_relative cascade with one Poisson stream per edge.
+    # A delayed_relative cascade with one delay per edge.
     edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(w))]
-    streams = data.draw(arrival_streams(len(edges), dt, nsteps))
-    edge_delays = {e: PoissonSampledDelay(s, t_end) for e, s in zip(edges, streams)}
+    edge_delays = dict(zip(edges, data.draw(delay_draws(len(edges), dt, nsteps))))
     u = rng.uniform(-1.0, 1.0, n)
     cascade = Cascade((DelayedRelative(w, edge_delays, tau_max=t_end),))
 
     def fresh_cascade(z, t, hist):
         out = w.sum(axis=1) * z
         if edges:
-            ts = np.array([last_arrival(edge_delays[e], t) for e in edges])
+            ts = np.array([read_time(edge_delays[e], t) for e in edges])
             vals = hist.components(ts, np.array([j for _, j in edges]))
             for (i, j), v in zip(edges, vals):
                 out[i] -= w[i, j] * v

@@ -256,6 +256,16 @@ class TestHeldReads:
             assert np.array_equal(reads(t, view), [t - 0.5, t - min(t, 1.0)])
         assert view.reads == 4
 
+    def test_ramp_reads_held_before_the_cap(self):
+        reads = HeldReads([RampDelay(1.0), RampDelay(2.0)], [0, 1])
+        view = CountingView(lambda s: np.array([1.0 + s, 2.0 - s]), t_last=np.inf)
+        for t in (0.0, 0.3, 0.999):
+            assert np.array_equal(reads(t, view), [1.0, 2.0])
+        assert view.reads == 1
+        for t in (1.0, 1.5, 1.5):  # from the smallest cap on, read afresh
+            assert np.array_equal(reads(t, view), [1.0 + t - 1.0, 2.0 - t + min(t, 2.0)])
+        assert view.reads == 4
+
 
 class TestCounterexample:
     """The appendix-D preset under a common input a: the follower reads the
@@ -286,3 +296,17 @@ class TestCounterexample:
     def test_drift_linear_in_input(self):
         _, _, err = self.drift(-2.0, 3.0, 10)
         assert err < 2e-4
+
+    def test_ramp_reads_held(self, monkeypatch):
+        # Every read before the cap is at t - t = 0, so the held read serves
+        # all but the first step's stages and the read at the cap.
+        reads = []
+        components = HistoryBuffer.components
+
+        def counted(buf, ts, idx):
+            reads.append(ts)
+            return components(buf, ts, idx)
+
+        monkeypatch.setattr(HistoryBuffer, "components", counted)
+        self.drift(1.0, 5.0, 5)
+        assert len(reads) <= 6
