@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import emit_scenario, parse_scenario, scenario_hash
 from .exceptions import ConfigError, ConsensusLabError, DivergenceError
-from .metrics import build_report, row_disagreement
+from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
 from .scenario import simulate_scenario, with_controller
 
@@ -98,7 +98,7 @@ def write_trajectory_csv(traj, path: Path) -> None:
         blocks.append(traj.states)
 
     disagreement = row_disagreement(x_rel)
-    lap = np.abs(x_rel @ L.T).max(axis=1)
+    lap = row_laplacian_seminorm(L, x_rel)
     header += ["disagreement", "lap_seminorm"]
     blocks.append(np.column_stack((disagreement, lap)))
 
@@ -138,8 +138,7 @@ def write_report(traj, sc, path: Path, config_hash: str):
         lines.append(f"order{k}_residual = {_fmt12(res)}")
     lines.append(f"peak_disagreement = {_fmt12(report.peak_disagreement)}")
     lines.append(
-        f"final_lap_seminorm = "
-        f"{_fmt12(float(np.abs(traj.meta['laplacian'] @ x_rel[-1]).max()))}"
+        f"final_lap_seminorm = {_fmt12(laplacian_seminorm(traj.meta['laplacian'], x_rel[-1]))}"
     )
     if report.regime_entry is not None:
         lines.append(f"regime_entry_time = {_fmt12(report.regime_entry)}")

@@ -66,11 +66,9 @@ class Cascade:
 
     @property
     def tau_max(self) -> float | None:
-        """Largest delay bound among stages that read a history; None when
-        no stage does."""
-        taus = [op.tau_max for op in self.stages
-                if getattr(op, "tau_max", None) is not None]
-        return max(taus) if taus else None
+        """Delay bound of a history-reading outer stage (only the outer
+        stage may be delayed); None when no stage reads a history."""
+        return getattr(self.stages[-1], "tau_max", None)
 
 
 # Block products at or above this state size go through CSR when at most
@@ -145,7 +143,7 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     finished = _finish_runs(stages, n)
     delayed = None if stages[-1].relative_feedback else stages[-1]
     ref_shift = None
-    if isinstance(delayed, DelayedAbsoluteVelocity) and delayed.tau_max is None:
+    if isinstance(delayed, DelayedAbsoluteVelocity):
         A[tail, tail] = -np.diag(delayed.gains)
         ref_shift = delayed.gains * delayed.ref
         delayed = None
@@ -240,7 +238,9 @@ class PlantLaw:
     consumes the raw held measurement of each agent's own velocity
     (zero-order hold of the last sample), as an implementation without
     local velocity-history correction would; ``delays`` is one delay per
-    agent or one shared by all, and ``tau_max`` bounds them.
+    agent or one shared by all, built by the scenario from the outer
+    stage's delay spec, and ``tau_max`` bounds them. Construction is the
+    one check of the stage layout each baseline takes.
     """
 
     controller: str
@@ -259,10 +259,9 @@ class PlantLaw:
         _require_inner(first, "stage 1")
         if self.controller in ("conventional", "naive-serial"):
             _require_inner(second, "stage 2")
-        elif not (isinstance(second, DelayedAbsoluteVelocity) and second.tau_max is None):
+        elif not isinstance(second, DelayedAbsoluteVelocity):
             raise OperatorError(
-                f"{self.controller} needs a delayed_absolute_velocity outer "
-                "stage with a numeric reference"
+                f"{self.controller} needs a delayed_absolute_velocity outer stage"
             )
         if second.n != first.n:
             raise ShapeError(f"need {first.n} agents in stage 2, got {second.n}")
@@ -316,8 +315,7 @@ def plant_rhs(law: PlantLaw, w=None):
     if law.controller.startswith("conventional-"):
         gains, v_ref = second.gains, second.ref
     if law.delays is not None:
-        delays = [law.delays] * n if callable(law.delays) else list(law.delays)
-        reads = HeldReads(delays, n + np.arange(n))
+        reads = HeldReads(law.delays, n + np.arange(n))
     head = slice(0, 2 * n)
     inner = slice(len(terms) * n, (len(terms) + 1) * n)  # -op_1(x) for naive-serial
 

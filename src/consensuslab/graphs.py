@@ -42,10 +42,6 @@ class WeightedDigraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def successors(self, k: int) -> np.ndarray:
-        """Nodes influenced by k, i.e. heads of edges k -> i."""
-        return np.nonzero(self.weights[:, k] > 0)[0]
-
 
 @dataclass(frozen=True)
 class ReachabilityReport:
@@ -110,25 +106,25 @@ def graph_from_edges(n: int, edges) -> WeightedDigraph:
 
 
 def spanning_tree_check(g: WeightedDigraph) -> ReachabilityReport:
-    """BFS from every candidate root; roots are nodes that reach all others."""
-    n = g.n
-    adj = [g.successors(k) for k in range(n)]
-    roots = []
-    for k in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[k] = True
-        frontier = [k]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
-        if seen.all():
-            roots.append(k)
-    return ReachabilityReport(bool(roots), tuple(roots))
+    """Roots are the nodes that reach all others.
+
+    Every strongly connected component is reached from a source component
+    of the condensation (one no edge enters from another component), so
+    the roots are the members of the source component when it is unique,
+    and there are none when there are several.
+    """
+    # Imported here: `import consensuslab` loads no scipy.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    edges = csr_array(g.weights)
+    count, labels = connected_components(edges, connection="strong")
+    heads, tails = edges.nonzero()
+    entered = np.zeros(count, dtype=bool)
+    entered[labels[heads][labels[heads] != labels[tails]]] = True
+    sources = np.flatnonzero(~entered)
+    roots = tuple(np.flatnonzero(labels == sources[0]).tolist()) if len(sources) == 1 else ()
+    return ReachabilityReport(bool(roots), roots)
 
 
 def delta_graph(g: WeightedDigraph, delta: float) -> WeightedDigraph:

@@ -57,9 +57,16 @@ def disagreement_seminorm(z) -> float:
     return float(row_disagreement(np.ravel(z)))
 
 
+def row_laplacian_seminorm(L, x) -> np.ndarray:
+    """Laplacian seminorm ||L z||_inf of each row z of ``x`` (taken over the
+    last axis)."""
+    x = np.asarray(x, dtype=float)
+    return np.abs(x @ np.asarray(L, dtype=float).T).max(axis=-1)
+
+
 def laplacian_seminorm(L, z) -> float:
     """||L z||_inf."""
-    return float(np.abs(np.asarray(L) @ np.asarray(z, dtype=float)).max())
+    return float(row_laplacian_seminorm(L, z))
 
 
 def _offset_positions(traj: Trajectory):
@@ -152,9 +159,7 @@ def check_iss_bound(traj: Trajectory, L, M: float, alpha: float,
     """
     if not (M > 0 and alpha > 0 and w_sup >= 0):
         raise ValueError("need M > 0, alpha > 0, w_sup >= 0")
-    L = np.asarray(L, dtype=float)
-    x = _offset_positions(traj)
-    e = np.abs(x @ L.T).max(axis=1)
+    e = row_laplacian_seminorm(L, _offset_positions(traj))
     i0 = int(np.searchsorted(traj.times, T0 - 1e-12))
     if i0 >= len(traj):
         raise ConsensusLabError("T0 is beyond the trajectory horizon")
@@ -175,9 +180,7 @@ def regime_entry_time(traj: Trajectory, L, r: float):
     """
     if not 0 < r <= 1:
         raise ConsensusLabError(f"band radius must be in (0, 1], got {r}")
-    L = np.asarray(L, dtype=float)
-    x = _offset_positions(traj)
-    e = np.abs(x @ L.T).max(axis=1)
+    e = row_laplacian_seminorm(L, _offset_positions(traj))
     above = np.nonzero(e >= r)[0]
     if len(above) == 0:
         return float(traj.times[0])

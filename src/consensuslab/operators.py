@@ -17,13 +17,15 @@ the gate product D(t) y or the clamp to [-1, 1]. Both maps are odd, so
 ``finish(-L z) = -finish(L z)`` exactly and the compiled fields apply them
 to their negated block products.
 
-History access for the delayed kinds goes through a *history view*: an
-object whose ``components(ts, idx)`` returns, for each m, component idx[m]
-of the operator's state vector at the past time ts[m]. Simulation code
-supplies interpolating views backed by the integrator's committed samples;
-``sim.FunctionView`` adapts a plain function s -> state vector. The delayed
-kinds read through a ``sim.HeldReads``, which holds arrival-based samples
-between arrivals.
+``DelayedRelative`` reads its neighbours' past states through a *history
+view*: an object whose ``components(ts, idx)`` returns, for each m,
+component idx[m] of the operator's state vector at the past time ts[m].
+Simulation code supplies interpolating views backed by the integrator's
+committed samples; ``sim.FunctionView`` adapts a plain function s -> state
+vector. The reads go through a ``sim.HeldReads``, which holds
+arrival-based samples between arrivals. ``DelayedAbsoluteVelocity`` takes
+a numeric reference, which reads the same at every delayed time, so it
+reads no history.
 """
 
 from __future__ import annotations
@@ -224,17 +226,15 @@ class DelayedRelative(ConsensusOperator):
         self.tau_max = float(tau_max)
         heads, tails = np.nonzero(w)
         self.edges = [(int(i), int(j)) for i, j in zip(heads, tails)]
-        if callable(delays):
-            delay_list = [delays] * len(self.edges)
-        else:
+        if not callable(delays):
             missing = [e for e in self.edges if e not in delays]
             if missing:
                 raise OperatorError(f"no delay function for edges {missing}")
-            delay_list = [delays[e] for e in self.edges]
+            delays = [delays[e] for e in self.edges]
         self._heads = heads.astype(np.int64)
         self._edge_weights = w[heads, tails]
         self._row_sums = w.sum(axis=1)
-        self._reads = HeldReads(delay_list, tails) if self.edges else None
+        self._reads = HeldReads(delays, tails) if self.edges else None
 
     @property
     def n(self):
@@ -257,46 +257,28 @@ class DelayedRelative(ConsensusOperator):
 
 
 class DelayedAbsoluteVelocity(ConsensusOperator):
-    """Per-agent pull toward a delayed broadcast reference signal.
+    """Per-agent pull toward a delayed broadcast reference velocity.
 
-    Component i is d_i * (z_i(t) - ref(t - tau_i(t))). Delays model
-    aperiodic measurement arrivals. Absolute feedback: not translation
-    invariant, outer stage only.
-
-    ``ref`` is either a number or a callable reference accessor (e.g. the
-    leader's velocity as a function of time). A numeric reference reads the
-    same value at every delayed time, so the operator is d * (z - ref): it
-    ignores ``delays``, needs no history, and its ``tau_max`` is None. The
-    compiled cascade field folds it into its block product. A callable
-    reference is read at each agent's delayed time, held between arrivals
-    by a ``sim.HeldReads``; ``delays`` (a single callable or one per agent)
-    and ``tau_max`` are then required.
+    Component i is d_i * (z_i(t) - v(t - tau_i(t))). Absolute feedback: not
+    translation invariant, outer stage only. The reference v is a number,
+    so every delayed read returns v and the operator is d * (z - v): it
+    needs no delays and no history, and the compiled cascade field folds it
+    into its block product. The stage's delay spec acts only where an
+    agent's own velocity is read late: in the conventional-delayed baseline
+    (``dynamics.PlantLaw``).
     """
 
     kind = "delayed_absolute_velocity"
     relative_feedback = False
 
-    def __init__(self, gains, ref, delays=None, tau_max=None):
+    def __init__(self, gains, ref):
         self.gains = np.asarray(gains, dtype=float)
         if self.gains.ndim != 1 or np.any(self.gains <= 0):
             raise OperatorError("gains must be a vector of positive reals")
-        if not callable(ref):
-            try:
-                self.ref = float(ref)
-            except (TypeError, ValueError):
-                raise OperatorError("ref must be a number or a callable") from None
-            self.tau_max = None
-            return
-        if delays is None or tau_max is None:
-            raise OperatorError("a callable ref needs delays and tau_max")
-        self.ref = ref
-        self.tau_max = float(tau_max)
-        if callable(delays):
-            delays = [delays] * self.n
-        elif len(delays) != self.n:
-            raise OperatorError("need one delay function per agent")
-        self._ref_view = FunctionView(lambda s: (ref(s),))
-        self._reads = HeldReads(delays, np.zeros(self.n, dtype=np.int64))
+        try:
+            self.ref = float(ref)
+        except (TypeError, ValueError):
+            raise OperatorError("ref must be a number") from None
 
     @property
     def n(self):
@@ -307,9 +289,7 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
-        if self.tau_max is None:
-            return self.gains * (z - self.ref)
-        return self.gains * (z - self._reads(t, self._ref_view))
+        return self.gains * (z - self.ref)
 
 
 def check_relative_invariance(op: ConsensusOperator, samples: int, seed: int) -> float:

@@ -5,13 +5,14 @@ trips reproduce it exactly; operators, delay realizations, and disturbance
 vectors are only instantiated at simulation time from the scenario seed.
 
 Validation lives in two places, one per kind of rule. ``validate_scenario``
-checks what no object can see: controller names and the stage layouts the
-baselines take, stage kinds and spec syntax, initial conditions,
+checks what no object can see: controller names, the stage count, stage
+kinds and spec syntax, initial conditions (order 3 and up takes xi0 alone),
 disturbances, the grid, the metric settings and that every number is
-finite. Every other rule belongs to the object it constrains (the graph,
-the operators, ``Cascade`` and ``PlantLaw``), so validation then builds the
-scenario, with the same builder ``simulate_scenario`` runs; it builds no
-vector field.
+finite. Every other rule belongs to the object it constrains: the graph,
+the operators, the delay classes in ``sim`` (delay value ranges),
+``Cascade`` and ``PlantLaw`` (the stage layout each baseline takes). So
+validation then builds the scenario, with the same builder
+``simulate_scenario`` runs; it builds no vector field.
 
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
@@ -107,14 +108,6 @@ def _check_scenario(sc: Scenario) -> None:
             raise ConfigError(f"stage {k + 1}: unknown kind {stage.kind!r}")
         if stage.kind in operators.DELAYED_KINDS and stage.delay is None:
             raise ConfigError(f"stage {k + 1}: delayed stage needs a delay spec")
-    if sc.controller in ("conventional", "naive-serial") and sc.order != 2:
-        raise ConfigError(f"{sc.controller} baseline is second order only")
-    if sc.controller in ("conventional-ideal", "conventional-delayed"):
-        if sc.order != 2 or sc.stages[1].kind != "delayed_absolute_velocity":
-            raise ConfigError(
-                f"{sc.controller} applies to order-2 scenarios with a "
-                "delayed_absolute_velocity outer stage"
-            )
     if sc.init_preset is not None and sc.init_preset not in INIT_PRESETS:
         raise ConfigError(f"unknown init preset {sc.init_preset!r}")
     _check_finite_numbers(sc)
@@ -126,6 +119,8 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"xi0 must have order*N = {sc.order * n} entries")
     if sc.init_preset is None and sc.x0 is None and sc.xi0 is None:
         raise ConfigError("no initial conditions: give a preset, x0, or xi0")
+    if sc.order >= 3 and (sc.xi0 is None or (sc.init_preset, sc.x0, sc.xdot0) != (None,) * 3):
+        raise ConfigError(f"order {sc.order} takes its initial state from xi0 alone")
     if sc.disturbance_kind not in ("none", "constant", "random"):
         raise ConfigError(f"unknown disturbance kind {sc.disturbance_kind!r}")
     if sc.disturbance_kind == "constant" and sc.disturbance_vector is None:
@@ -171,10 +166,6 @@ def _parse_tagged(spec, allowed):
         raise ConfigError(f"{tag!r} not one of {allowed}")
     if not math.isfinite(value):
         raise ConfigError(f"{tag} parameter must be finite")
-    if tag in ("ramp", "poisson") and not value > 0:
-        raise ConfigError(f"{tag} parameter must be positive")
-    if tag == "constant" and len(allowed) > 1 and value < 0:
-        raise ConfigError("constant delay must be nonnegative")
     return tag, value
 
 
@@ -196,7 +187,8 @@ def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
 
 def _build_delays(delay, sc: Scenario, edges=None):
     """(delays, tau_max) of a parsed delay spec: one constant or ramp delay
-    for all, or Poisson streams per agent or, given ``edges``, per edge."""
+    for all, or Poisson streams per agent or, given ``edges``, per edge.
+    The delay classes check the value's range."""
     tag, value = delay
     if tag != "poisson":
         return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value), value
@@ -223,8 +215,6 @@ def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
         edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(weights))]
         delays, tau_max = _build_delays(delay, sc, edges)
         return operators.DelayedRelative(weights, delays, tau_max)
-    # "constant" is the only ref tag: a numeric reference reads the same value
-    # at every delayed time, so no delay stream is sampled for it.
     return operators.DelayedAbsoluteVelocity(stage.gains, ref)
 
 
@@ -233,8 +223,12 @@ def _build(sc: Scenario):
     route, else the baseline's PlantLaw.
 
     Identical StageSpecs share one operator, so that its gate memo and
-    common subexpressions serve every such stage. What an object rejects is
-    re-raised as ConfigError, prefixed "stage k:" when stage k raised it.
+    common subexpressions serve every such stage. Each delayed stage's delay
+    spec is built once, whatever the controller: per edge inside
+    ``build_operator`` for delayed_relative, per agent here for
+    delayed_absolute_velocity, whose delays only conventional-delayed reads.
+    What an object rejects is re-raised as ConfigError, prefixed "stage k:"
+    when stage k raised it.
     """
     with _config_errors():
         graph = build_graph(sc)
@@ -246,15 +240,16 @@ def _build(sc: Scenario):
             delay = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"))
             ref = _parse_tagged(stage.ref, ("constant",))
             op = build_operator(stage, graph, sc, delay, ref and ref[1])
-        built[stage] = op, delay
+            absolute = stage.kind == "delayed_absolute_velocity"
+            built[stage] = op, _build_delays(delay, sc) if absolute else (None, None)
     ops = tuple(built[stage][0] for stage in sc.stages)
     with _config_errors():
         if sc.controller == "compositional":
             return graph, dynamics.Cascade(ops)
-        delays, tau_max = None, None
+        delays = (None, None)
         if sc.controller == "conventional-delayed":
-            delays, tau_max = _build_delays(built[sc.stages[1]][1], sc)
-        return graph, dynamics.PlantLaw(sc.controller, ops, delays, tau_max)
+            delays = built[sc.stages[-1]][1]
+        return graph, dynamics.PlantLaw(sc.controller, ops, *delays)
 
 
 def _initial_conditions(sc: Scenario, cascade=None):
@@ -288,11 +283,8 @@ def _initial_conditions(sc: Scenario, cascade=None):
         xi0 = np.asarray(sc.xi0, dtype=float)
     elif sc.order == 1:
         xi0 = x0
-    elif sc.order == 2:
-        xi0 = dynamics.matched_cascade_state(cascade, x0, xdot0)
     else:
-        # No matched rule beyond order 2: seed the cascade states directly.
-        xi0 = rng.uniform(-1.0, 1.0, size=sc.order * n)
+        xi0 = dynamics.matched_cascade_state(cascade, x0, xdot0)
     return x0, xdot0, xi0, d_ref
 
 

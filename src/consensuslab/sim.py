@@ -216,7 +216,8 @@ class HeldReads:
     """Sample-and-hold reads of history components at delayed read times.
 
     ``reads(t, view)`` returns component idx[m] of the viewed state at the
-    read time of delays[m] at t. The read times hold on the window [lo, hi)
+    read time of delays[m] at t; ``delays`` is one delay per read, or one
+    delay that every read shares. The read times hold on the window [lo, hi)
     of ``read_window(delays)``, and lo bounds them from above. When lo lies
     strictly before the view's committed end, the values read are kept and
     returned as they are, read-only, until t leaves the window or another
@@ -229,8 +230,8 @@ class HeldReads:
     __slots__ = ("window", "idx", "times", "lo", "hi", "source", "held")
 
     def __init__(self, delays, idx):
-        self.window = read_window(delays)
         self.idx = np.asarray(idx, dtype=np.int64)
+        self.window = read_window([delays] * len(self.idx) if callable(delays) else delays)
         self.times = None
         self.lo = self.hi = -math.inf
         self.source = self.held = None

@@ -34,6 +34,16 @@ def run_cli(*args):
     return main([*args, "--quiet"])
 
 
+def with_delay(name, delay, **changes):
+    """Scenario changes that give preset ``name``'s outer stage the delay
+    spec ``delay``."""
+    stages = preset(name).stages
+    return {"stages": (*stages[:-1], dataclasses.replace(stages[-1], delay=delay)), **changes}
+
+
+THIRD_ORDER = {"order": 3, "stages": (StageSpec(kind="linear_static"),) * 3}
+
+
 @pytest.fixture(scope="module")
 def gps_compare(tmp_path_factory):
     out = tmp_path_factory.mktemp("gps")
@@ -124,10 +134,28 @@ class TestExitCodes:
         ("serial_lti", {"x0": (math.nan,) * 10}, "x0"),
         ("serial_lti", {"x0": (math.nan,) * 10, "controller": "conventional"}, "x0"),
         ("counterexample_appD", {"disturbance_vector": (math.nan, 1.0)}, "disturbance"),
+        ("gps_fig3", with_delay("gps_fig3", "poisson:0"), "stage 2: "),
+        ("gps_fig3", with_delay("gps_fig3", "poisson:0", controller="conventional-ideal"),
+         "stage 2: "),
+        ("counterexample_appD", with_delay("counterexample_appD", "ramp:0"), "stage 1: ramp"),
+        ("counterexample_appD", with_delay("counterexample_appD", "constant:-1"),
+         "stage 1: constant delay"),
+        ("serial_lti", {"controller": "conventional-delayed"},
+         "delayed_absolute_velocity outer stage"),
+        ("serial_lti", THIRD_ORDER, "xi0 alone"),
+        ("serial_lti", {**THIRD_ORDER, "xi0": (0.0,) * 30}, "xi0 alone"),
+        ("serial_lti", {**THIRD_ORDER, "init_preset": None, "xi0": (0.0,) * 30,
+                        "x0": (0.0,) * 10}, "xi0 alone"),
+        ("serial_lti", {**THIRD_ORDER, "init_preset": None, "xi0": (0.0,) * 30,
+                        "xdot0": (0.0,) * 10}, "xi0 alone"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
-            "nan-disturbance"])
+            "nan-disturbance",
+            "zero-poisson-mean-compositional", "zero-poisson-mean-conventional-ideal",
+            "zero-ramp-cap", "negative-constant-delay", "gps-baseline-on-lti",
+            "order-3-preset", "order-3-preset-and-xi0", "order-3-x0-and-xi0",
+            "order-3-xdot0-and-xi0"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,9 +19,7 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.presets import preset
-from consensuslab.scenario import build_graph, build_operator, simulate_scenario
-from consensuslab.sim import FunctionView, IntegratorConfig, integrate, poisson_delay_bank
+from consensuslab.sim import FunctionView
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))
@@ -116,20 +112,6 @@ class TestNumericReferenceFold:
                                    -delayed.evaluate(xi[5:], t) + t))
             assert np.allclose(field(xi, t, None), want, rtol=1e-15, atol=1e-14)
 
-    def test_gps_fig3_equals_history_route(self):
-        # The folded constant reference against the same cascade with a
-        # callable reference, read at each agent's last Poisson arrival on a
-        # run with the history machinery on.
-        sc = dataclasses.replace(preset("gps_fig3"), t_end=20.0)
-        folded = simulate_scenario(sc)
-        outer = DelayedAbsoluteVelocity(
-            sc.stages[1].gains, lambda s: 10.0,
-            poisson_delay_bank(1.0, sc.seed, sc.t_end, sc.graph_n), tau_max=sc.t_end)
-        cascade = Cascade((build_operator(sc.stages[0], build_graph(sc), sc), outer))
-        cfg = IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
-        history = integrate(cascade_rhs(cascade), folded.states[0], cfg, cascade.tau_max)
-        assert np.array_equal(history.states, folded.states)
-
 
 class TestCascadeValidation:
     def test_delayed_inner_stage_rejected(self):
@@ -144,8 +126,7 @@ class TestCascadeValidation:
         assert casc.tau_max == 0.1
 
     def test_numeric_reference_needs_no_history(self):
-        delayed = DelayedAbsoluteVelocity(np.ones(5), 10.0, lambda t: 0.3, tau_max=0.3)
-        assert delayed.tau_max is None
+        delayed = DelayedAbsoluteVelocity(np.ones(5), 10.0)
         assert Cascade((LinearStatic(L5), delayed)).tau_max is None
 
     def test_order_cap(self):
@@ -209,8 +190,7 @@ class TestControllers:
         assert np.allclose(u, -(Lt + Lt) @ v - Lt @ (Lt @ x))
 
     def test_delayed_kinds_inadmissible_in_baselines(self):
-        delayed = DelayedAbsoluteVelocity(np.ones(5), lambda s: 0.0,
-                                          lambda t: 0.0, tau_max=0.0)
+        delayed = DelayedAbsoluteVelocity(np.ones(5), 0.0)
         op = LinearStatic(L5)
         with pytest.raises(OperatorError):
             PlantLaw("conventional", (delayed, op))

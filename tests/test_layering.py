@@ -1,0 +1,83 @@
+"""The package's modules form layers: each imports only from lower layers,
+at module level or inside functions, so there are no import cycles; and
+scipy is imported only inside functions, so ``import consensuslab`` stays
+free of it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "consensuslab"
+
+LAYERS = [
+    ("exceptions",),
+    ("graphs", "sim"),
+    ("operators", "metrics"),
+    ("dynamics",),
+    ("scenario",),
+    ("config", "presets"),
+    ("cli",),
+]
+LAYER = {module: rank for rank, modules in enumerate(LAYERS) for module in modules}
+
+
+def imports(tree):
+    """(imported module, line, inside a function) of every import in ``tree``;
+    a package-relative module is named without the package prefix."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, node.lineno, in_function) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                found.append((node.module, node.lineno, in_function))
+            else:  # from . import a, b
+                found.extend((alias.name, node.lineno, in_function) for alias in node.names)
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+def parsed(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER)
+
+
+def intra_package(module):
+    """Layered module names this module imports, with their lines."""
+    found = []
+    for name, line, _ in imports(parsed(module)):
+        name = name.removeprefix("consensuslab.")
+        if name in LAYER:
+            found.append((name, line))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_imports_only_lower_layers(module):
+    upward = [(name, line) for name, line in intra_package(module)
+              if LAYER[name] >= LAYER[module]]
+    assert not upward, f"{module} imports from its own or a higher layer: {upward}"
+
+
+def test_the_guard_sees_imports_inside_functions():
+    tree = ast.parse("def f():\n    from .cli import main\n    import scipy.linalg\n")
+    assert imports(tree) == [("cli", 2, True), ("scipy.linalg", 3, True)]
+    assert imports(ast.parse("from . import dynamics, sim\n")) == [
+        ("dynamics", 1, False), ("sim", 1, False)]
+
+
+@pytest.mark.parametrize("module", sorted(LAYER) + ["__init__"])
+def test_scipy_imported_only_inside_functions(module):
+    at_import = [(name, line) for name, line, in_function in imports(parsed(module))
+                 if name.split(".")[0] == "scipy" and not in_function]
+    assert not at_import, f"{module} imports scipy at import time: {at_import}"

@@ -89,8 +89,10 @@ def scenarios(draw):
         controllers += ["conventional", "naive-serial"]
     if order == 2 and kinds[1] == "delayed_absolute_velocity":
         controllers += ["conventional-ideal", "conventional-delayed"]
-    init_preset = draw(maybe(st.sampled_from(INIT_PRESETS)))
-    x0 = draw(maybe(vectors(n)))
+    # Order 3 and up takes its initial state from xi0 alone.
+    plant_init = st.none() if order >= 3 else maybe(vectors(n))
+    init_preset = draw(st.none() if order >= 3 else maybe(st.sampled_from(INIT_PRESETS)))
+    x0 = draw(plant_init)
     xi0 = draw(vectors(order * n) if init_preset is None and x0 is None
                else maybe(vectors(order * n)))
     disturbance = draw(st.sampled_from(("none", "constant", "random")))
@@ -115,7 +117,7 @@ def scenarios(draw):
         graph_edges=draw(edges if graph_kind == "edges" else maybe(edges)),
         init_preset=init_preset,
         x0=x0,
-        xdot0=draw(maybe(vectors(n))),
+        xdot0=draw(plant_init),
         xi0=xi0,
         d_ref=draw(maybe(vectors(n))),
         disturbance_kind=disturbance,
@@ -188,10 +190,7 @@ def random_operator(kind, n, rng, L=None):
         return Saturated(L)
     if kind == "delayed_relative":
         return DelayedRelative(w, lambda t: 0.3, tau_max=0.3)
-    gains = rng.uniform(0.5, 2.0, n)
-    if rng.random() < 0.5:
-        return DelayedAbsoluteVelocity(gains, rng.uniform(-5.0, 5.0))
-    return DelayedAbsoluteVelocity(gains, lambda s: 1.5 * s, lambda t: 0.2, tau_max=0.2)
+    return DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), rng.uniform(-5.0, 5.0))
 
 
 @given(n=st.integers(min_value=1, max_value=5),

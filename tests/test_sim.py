@@ -266,6 +266,13 @@ class TestHeldReads:
             assert np.array_equal(reads(t, view), [1.0 + t - 1.0, 2.0 - t + min(t, 2.0)])
         assert view.reads == 4
 
+    def test_one_shared_delay_reads_like_one_per_read(self):
+        view = FunctionView(lambda s: np.array([s, 10.0 + s, 20.0 + s]))
+        for delay in (PoissonSampledDelay([1.0, 3.0], 10.0), RampDelay(2.0), ConstantDelay(0.5)):
+            shared, listed = HeldReads(delay, [2, 0]), HeldReads([delay, delay], [2, 0])
+            for t in (0.5, 1.5, 3.25, 7.0):
+                assert np.array_equal(shared(t, view), listed(t, view))
+
 
 class TestCounterexample:
     """The appendix-D preset under a common input a: the follower reads the
