@@ -20,6 +20,7 @@ from .exceptions import ConfigError, ConsensusLabError, DivergenceError
 from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
 from .scenario import simulate_scenario, with_controller
+from .sim import ROW_BLOCK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,47 +70,53 @@ def _load_scenario(args):
     return sc
 
 
-# Rows per formatted chunk of trajectory.csv: large enough to amortize the
-# per-chunk calls, small enough that the text never holds the whole file.
-_CSV_CHUNK_ROWS = 1024
-
-
 def _fmt12(v) -> str:
     return f"{v:.12g}"
 
 
 def write_trajectory_csv(traj, path: Path) -> None:
+    """Write ``traj`` as CSV: t, the plant positions x_i and velocities
+    xdot_i, on the cascade route of order >= 2 the cascade states xi_k_i,
+    then each row's disagreement and Laplacian seminorm of the offset-free
+    positions x - d_ref. Values print as "%.12g".
+
+    The rows go out one block of ``ROW_BLOCK`` at a time: each block is
+    copied into one preallocated array, its two seminorm columns are taken
+    from that block's positions alone, and it is formatted and written
+    before the next is filled, so no copy of the whole record is made.
+    """
     meta = traj.meta
     n = meta["n_agents"]
     L = meta["laplacian"]
     d_ref = np.asarray(meta["d_ref"])
-    header = ["t"]
-    blocks = []
-
-    x_rel = traj.plant_x - d_ref
-    header += [f"x_{i + 1}" for i in range(n)]
-    blocks.append(traj.plant_x)
+    header = ["t"] + [f"x_{i + 1}" for i in range(n)]
+    sources = [traj.plant_x]
     if traj.plant_xdot is not None:
         header += [f"xdot_{i + 1}" for i in range(n)]
-        blocks.append(traj.plant_xdot)
+        sources.append(traj.plant_xdot)
     if meta["route"] == "cascade" and meta["order"] >= 2:
         for k in range(meta["order"]):
             header += [f"xi_{k + 1}_{i + 1}" for i in range(n)]
-        blocks.append(traj.states)
-
-    disagreement = row_disagreement(x_rel)
-    lap = row_laplacian_seminorm(L, x_rel)
+        sources.append(traj.states)
     header += ["disagreement", "lap_seminorm"]
-    blocks.append(np.column_stack((disagreement, lap)))
 
-    data = np.column_stack([traj.times] + blocks)
+    block = np.empty((min(ROW_BLOCK, len(traj)), len(header)))
     # "%.12g" on a Python float gives the same text as _fmt12.
-    row_format = ",".join(["%.12g"] * data.shape[1]) + "\n"
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), _CSV_CHUNK_ROWS):
-            rows = data[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.write("".join([row_format % tuple(row) for row in rows]))
+        for start in range(0, len(traj), ROW_BLOCK):
+            rows = slice(start, min(start + ROW_BLOCK, len(traj)))
+            out = block[:rows.stop - start]
+            out[:, 0] = traj.times[rows]
+            col = 1
+            for src in sources:
+                out[:, col:col + src.shape[1]] = src[rows]
+                col += src.shape[1]
+            x_rel = traj.plant_x[rows] - d_ref
+            out[:, -2] = row_disagreement(x_rel)
+            out[:, -1] = row_laplacian_seminorm(L, x_rel)
+            fh.writelines(row_format % tuple(row) for row in out.tolist())
 
 
 def write_report(traj, sc, path: Path, config_hash: str):
@@ -122,7 +129,7 @@ def write_report(traj, sc, path: Path, config_hash: str):
         regime_band=regime_band,
         L=traj.meta["laplacian"],
     )
-    x_rel = traj.plant_x - np.asarray(traj.meta["d_ref"])
+    last = traj.plant_x[-1] - np.asarray(traj.meta["d_ref"])
     lines = [
         f"name = {sc.name}",
         f"controller = {sc.controller}",
@@ -138,7 +145,7 @@ def write_report(traj, sc, path: Path, config_hash: str):
         lines.append(f"order{k}_residual = {_fmt12(res)}")
     lines.append(f"peak_disagreement = {_fmt12(report.peak_disagreement)}")
     lines.append(
-        f"final_lap_seminorm = {_fmt12(laplacian_seminorm(traj.meta['laplacian'], x_rel[-1]))}"
+        f"final_lap_seminorm = {_fmt12(laplacian_seminorm(traj.meta['laplacian'], last))}"
     )
     if report.regime_entry is not None:
         lines.append(f"regime_entry_time = {_fmt12(report.regime_entry)}")

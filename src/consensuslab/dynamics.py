@@ -17,7 +17,8 @@ apply the gated and saturated operators' ``finish`` map once per run of
 adjacent blocks that share one operator. They call the operators' unchecked
 ``apply``/``finish`` and run inside ``sim.integrate``, which rejects a
 non-finite or blown-up state after every step. Plant reconstruction and
-matched initialization go through the checked ``evaluate``.
+matched initialization go through the checked ``evaluate``; reconstruction
+takes a whole block of recorded rows in one call.
 """
 
 from __future__ import annotations
@@ -182,14 +183,19 @@ def matched_cascade_state(cascade: Cascade, x0, xdot0, t0=0.0) -> np.ndarray:
 def reconstruct_plant(cascade: Cascade, xi, t):
     """Plant states from cascade states: x = xi_1, xdot = xi_2 - op_1(xi_1, t).
 
-    For order 1 there is no velocity; returns (x, None). Derivatives beyond
-    xdot are left to finite differences on the recorded grid (metrics).
+    ``xi`` is one stacked state at time t, or an (m, order*N) block of
+    them with t the (m,) array of their times; x and xdot are then (m, N)
+    blocks, and op_1 takes the whole block in one product with one finite
+    check. For order 1 there is no velocity; returns (x, None). Derivatives
+    beyond xdot are left to finite differences on the recorded grid
+    (metrics).
     """
     n_agents = cascade.n
-    x = np.asarray(xi[:n_agents], dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    x = xi[..., :n_agents]
     if cascade.order == 1:
         return x, None
-    xdot = xi[n_agents:2 * n_agents] - cascade.stages[0].evaluate(x, t)
+    xdot = xi[..., n_agents:2 * n_agents] - cascade.stages[0].evaluate(x, t)
     return x, xdot
 
 

@@ -11,6 +11,10 @@ verifies the exponential-form bound
 
 with constants fitted from the impulse response ||L e^{-L t}||; only this
 exponential specialization is verified, not the general class-KL statement.
+
+The run metrics read a record one block of ``sim.ROW_BLOCK`` rows at a
+time: formation offsets are removed per block, so their memory beyond the
+record is one block of positions plus at most one value per row.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .graphs import (
     laplacian_pseudoinverse,
     spanning_tree_check,
 )
-from .sim import Trajectory
+from .sim import ROW_BLOCK, Trajectory
 
 
 def row_disagreement(x) -> np.ndarray:
@@ -69,12 +73,15 @@ def laplacian_seminorm(L, z) -> float:
     return float(row_laplacian_seminorm(L, z))
 
 
-def _offset_positions(traj: Trajectory):
+def _offset_blocks(traj: Trajectory, start: int = 0):
+    """(first row, offset-free positions) of each block of ``ROW_BLOCK``
+    recorded rows from row ``start`` on; no offset copy of the whole record
+    is made."""
     x = traj.plant_x if traj.plant_x is not None else traj.states
     d_ref = traj.meta.get("d_ref")
-    if d_ref is not None:
-        x = x - np.asarray(d_ref, dtype=float)
-    return x
+    d_ref = 0.0 if d_ref is None else np.asarray(d_ref, dtype=float)
+    for first in range(start, len(x), ROW_BLOCK):
+        yield first, x[first:first + ROW_BLOCK] - d_ref
 
 
 def _spread(values) -> float:
@@ -88,7 +95,9 @@ def nth_order_residuals(traj: Trajectory, tail_fraction: float = 0.1) -> list[fl
     Order 0 uses positions with formation offsets removed; order 1 uses the
     recorded velocities; orders >= 2 come from central finite differences of
     the recorded velocities (endpoints excluded). The list length equals the
-    number of derivative orders the trajectory supports.
+    number of derivative orders the trajectory supports. The tail is a
+    suffix of the record, and only its rows (and the few before it that the
+    differences reach) are read.
     """
     if len(traj) == 0:
         raise ConsensusLabError("empty trajectory has no residuals")
@@ -96,30 +105,31 @@ def nth_order_residuals(traj: Trajectory, tail_fraction: float = 0.1) -> list[fl
         raise ConsensusLabError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     times = traj.times
     t_cut = times[-1] - tail_fraction * (times[-1] - times[0])
-    tail = times >= t_cut - 1e-12
+    start = int(np.searchsorted(times, t_cut - 1e-12))
 
-    residuals = [_spread(_offset_positions(traj)[tail])]
+    residuals = [max(_spread(x) for _, x in _offset_blocks(traj, start))]
     if traj.plant_xdot is None:
         return residuals
-    residuals.append(_spread(traj.plant_xdot[tail]))
+    residuals.append(_spread(traj.plant_xdot[start:]))
 
     order = int(traj.meta.get("order", 2))
-    deriv = traj.plant_xdot
-    dts = np.diff(times)
-    h = dts[0] if len(dts) else 1.0
-    for _ in range(2, order):
+    h = times[1] - times[0] if len(times) > 1 else 1.0
+    # Row i of the k-th difference is recorded row lo + i + k; the last one
+    # taken (k = order - 2) reaches back to row start.
+    lo = max(start - (order - 2), 0)
+    deriv = traj.plant_xdot[lo:]
+    for k in range(1, order - 1):
         deriv = (deriv[2:] - deriv[:-2]) / (2.0 * h)
-        mask = tail[1:-1] if len(tail) > 2 else tail[:0]
-        tail = mask
-        if deriv.shape[0] == 0 or not tail.any():
+        first = max(start - lo - k, 0)
+        if first >= len(deriv):
             break
-        residuals.append(_spread(deriv[tail]))
+        residuals.append(_spread(deriv[first:]))
     return residuals
 
 
 def peak_disagreement(traj: Trajectory) -> float:
     """Sup over the run of the disagreement seminorm of offset-free positions."""
-    return float(row_disagreement(_offset_positions(traj)).max())
+    return max(float(row_disagreement(x).max()) for _, x in _offset_blocks(traj))
 
 
 def fit_iss_constants(L, horizon: float = 20.0, num: int = 400,
@@ -159,17 +169,17 @@ def check_iss_bound(traj: Trajectory, L, M: float, alpha: float,
     """
     if not (M > 0 and alpha > 0 and w_sup >= 0):
         raise ValueError("need M > 0, alpha > 0, w_sup >= 0")
-    e = row_laplacian_seminorm(L, _offset_positions(traj))
     i0 = int(np.searchsorted(traj.times, T0 - 1e-12))
     if i0 >= len(traj):
         raise ConsensusLabError("T0 is beyond the trajectory horizon")
+    e = np.concatenate([row_laplacian_seminorm(L, x) for _, x in _offset_blocks(traj, i0)])
     t0 = traj.times[i0]
     pinv_norm = np.abs(laplacian_pseudoinverse(L)).sum(axis=1).max()
     bound = (
-        M * np.exp(-alpha * (traj.times[i0:] - t0)) * pinv_norm * e[i0]
+        M * np.exp(-alpha * (traj.times[i0:] - t0)) * pinv_norm * e[0]
         + (M / alpha) * w_sup
     )
-    margin = float((bound - e[i0:]).min())
+    margin = float((bound - e).min())
     return margin >= -1e-9, margin
 
 
@@ -180,11 +190,13 @@ def regime_entry_time(traj: Trajectory, L, r: float):
     """
     if not 0 < r <= 1:
         raise ConsensusLabError(f"band radius must be in (0, 1], got {r}")
-    e = row_laplacian_seminorm(L, _offset_positions(traj))
-    above = np.nonzero(e >= r)[0]
-    if len(above) == 0:
+    last = None
+    for first, x in _offset_blocks(traj):
+        above = np.flatnonzero(row_laplacian_seminorm(L, x) >= r)
+        if len(above):
+            last = first + int(above[-1])
+    if last is None:
         return float(traj.times[0])
-    last = above[-1]
     if last == len(traj) - 1:
         return None
     return float(traj.times[last + 1])

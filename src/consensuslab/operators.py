@@ -15,7 +15,10 @@ saturated kinds compute ``apply(z, t) = finish(L z, t)``, where ``finish``
 works in place on its argument, an (N,) block or m such blocks as (m, N):
 the gate product D(t) y or the clamp to [-1, 1]. Both maps are odd, so
 ``finish(-L z) = -finish(L z)`` exactly and the compiled fields apply them
-to their negated block products.
+to their negated block products. The inner kinds also take a block of
+states: ``evaluate(z, t)`` of an (m, N) array z with an (m,) array t of
+its rows' times is one product z L^T, one finite check and, for the gated
+kind, row r gated by D(t[r]).
 
 ``DelayedRelative`` reads its neighbours' past states through a *history
 view*: an object whose ``components(ts, idx)`` returns, for each m,
@@ -51,6 +54,11 @@ def _check_finite(z):
         raise NumericError("operator input contains NaN or Inf")
 
 
+def _laplacian_product(L, z):
+    """L z of a state z, or L applied to every row of an (m, N) block z."""
+    return z @ L.T if np.ndim(z) == 2 else L @ z
+
+
 def _as_laplacian(L):
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -73,7 +81,8 @@ class ConsensusOperator:
         raise NotImplementedError
 
     def evaluate(self, z, t, hist=None) -> np.ndarray:
-        """op(z, t); raises NumericError on NaN/Inf input."""
+        """op(z, t); raises NumericError on NaN/Inf input. An inner kind
+        also takes an (m, N) block z with an (m,) array t of row times."""
         raise NotImplementedError
 
     def apply(self, z, t, hist=None) -> np.ndarray:
@@ -107,7 +116,7 @@ class LinearStatic(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
-        return self.L @ z
+        return _laplacian_product(self.L, z)
 
     def ae_derivative(self, z, zdot, t):
         return self.L @ zdot
@@ -139,7 +148,11 @@ class LinearTimeVarying(ConsensusOperator):
 
     def gates(self, t) -> np.ndarray:
         """Gate vector D(t), read-only. The last time point is memoized: an
-        RK4 step asks for each of its three time points once per stage."""
+        RK4 step asks for each of its three time points once per stage. An
+        (m,) array of times gives the (m, N) block whose row r is D(t[r]),
+        outside the memo."""
+        if isinstance(t, np.ndarray):
+            return np.maximum(np.sin(self.omega * t[:, None] + self.phi), 0.0)
         t_memo, g = self._gate_memo
         if t != t_memo:
             g = np.maximum(np.sin(self.omega * t + self.phi), 0.0)
@@ -156,7 +169,7 @@ class LinearTimeVarying(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
-        return self.finish(self.L @ z, t)
+        return self.finish(_laplacian_product(self.L, z), t)
 
     def finish(self, y, t):
         y *= self.gates(t)
@@ -188,7 +201,7 @@ class Saturated(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
-        return self.finish(self.L @ z, t)
+        return self.finish(_laplacian_product(self.L, z), t)
 
     def finish(self, y, t):
         # Two ufuncs with out= cost half of np.clip's Python-level dispatch.

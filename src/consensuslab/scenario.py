@@ -6,9 +6,11 @@ vectors are only instantiated at simulation time from the scenario seed.
 
 Validation lives in two places, one per kind of rule. ``validate_scenario``
 checks what no object can see: controller names, the stage count, stage
-kinds and spec syntax, initial conditions (order 3 and up takes xi0 alone),
-disturbances, the grid, the metric settings and that every number is
-finite. Every other rule belongs to the object it constrains: the graph,
+kinds and spec syntax, that no stage sets a key its kind does not read,
+initial conditions (order 3 and up takes xi0 alone, xi0 excludes the plant
+keys and is read only by the compositional controller, order 1 has no
+xdot0), disturbances, the grid, the metric settings and that every number
+is finite. Every other rule belongs to the object it constrains: the graph,
 the operators, the delay classes in ``sim`` (delay value ranges),
 ``Cascade`` and ``PlantLaw`` (the stage layout each baseline takes). So
 validation then builds the scenario, with the same builder
@@ -81,6 +83,17 @@ class Scenario:
     tail_fraction: float = 0.1
 
 
+# The optional StageSpec keys and the stage kinds that read them; any other
+# kind would ignore the key.
+_STAGE_KEY_READERS = {
+    "omega": ("linear_time_varying",),
+    "phi": ("linear_time_varying",),
+    "gains": ("delayed_absolute_velocity",),
+    "ref": ("delayed_absolute_velocity",),
+    "delay": operators.DELAYED_KINDS,
+}
+
+
 def validate_scenario(sc: Scenario) -> None:
     """Reject a scenario the toolkit cannot run; raises ConfigError with the
     reason. Checks the scenario-level rules, then builds the scenario."""
@@ -103,11 +116,14 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(
             f"order {sc.order} does not match {len(sc.stages)} stage sections"
         )
-    for k, stage in enumerate(sc.stages):
+    for k, stage in enumerate(sc.stages, start=1):
         if stage.kind not in STAGE_KINDS:
-            raise ConfigError(f"stage {k + 1}: unknown kind {stage.kind!r}")
+            raise ConfigError(f"stage {k}: unknown kind {stage.kind!r}")
         if stage.kind in operators.DELAYED_KINDS and stage.delay is None:
-            raise ConfigError(f"stage {k + 1}: delayed stage needs a delay spec")
+            raise ConfigError(f"stage {k}: delayed stage needs a delay spec")
+        for key, readers in _STAGE_KEY_READERS.items():
+            if getattr(stage, key) is not None and stage.kind not in readers:
+                raise ConfigError(f"stage {k}: {stage.kind} does not read {key}")
     if sc.init_preset is not None and sc.init_preset not in INIT_PRESETS:
         raise ConfigError(f"unknown init preset {sc.init_preset!r}")
     _check_finite_numbers(sc)
@@ -119,8 +135,15 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"xi0 must have order*N = {sc.order * n} entries")
     if sc.init_preset is None and sc.x0 is None and sc.xi0 is None:
         raise ConfigError("no initial conditions: give a preset, x0, or xi0")
-    if sc.order >= 3 and (sc.xi0 is None or (sc.init_preset, sc.x0, sc.xdot0) != (None,) * 3):
+    if sc.order >= 3 and sc.xi0 is None:
         raise ConfigError(f"order {sc.order} takes its initial state from xi0 alone")
+    if sc.xi0 is not None and sc.controller != "compositional":
+        raise ConfigError(f"{sc.controller} starts from plant states and does not read xi0")
+    if sc.xi0 is not None and (sc.init_preset, sc.x0, sc.xdot0) != (None,) * 3:
+        raise ConfigError("a cascade given xi0 starts from xi0 alone: "
+                          "init_preset, x0 and xdot0 are not read")
+    if sc.order == 1 and sc.xdot0 is not None:
+        raise ConfigError("order 1 has no velocity: xdot0 is not read")
     if sc.disturbance_kind not in ("none", "constant", "random"):
         raise ConfigError(f"unknown disturbance kind {sc.disturbance_kind!r}")
     if sc.disturbance_kind == "constant" and sc.disturbance_vector is None:
@@ -352,15 +375,18 @@ def _integrate_annotated(field, x0, cfg, tau_max, meta, plant_of):
 
 
 def _cascade_plant(traj, cascade, d_ref):
+    """(plant_x, plant_xdot) of a cascade record, reconstructed one block
+    of ``sim.ROW_BLOCK`` rows per call."""
     n = cascade.n
     m = len(traj)
     plant_x = np.empty((m, n))
     plant_xdot = np.empty((m, n)) if cascade.order >= 2 else None
-    for r in range(m):
-        x, xdot = dynamics.reconstruct_plant(cascade, traj.states[r], traj.times[r])
-        plant_x[r] = x + d_ref
+    for start in range(0, m, sim.ROW_BLOCK):
+        rows = slice(start, start + sim.ROW_BLOCK)
+        x, xdot = dynamics.reconstruct_plant(cascade, traj.states[rows], traj.times[rows])
+        np.add(x, d_ref, out=plant_x[rows])
         if plant_xdot is not None:
-            plant_xdot[r] = xdot
+            plant_xdot[rows] = xdot
     return plant_x, plant_xdot
 
 
@@ -383,7 +409,7 @@ def _run_plant(sc, graph, law, cfg):
     meta = _base_meta(sc, graph, d_ref, "plant")
     return _integrate_annotated(
         field, np.concatenate((x0, xdot0)), cfg, law.tau_max, meta,
-        lambda traj: (traj.states[:, :n] + d_ref, traj.states[:, n:].copy()),
+        lambda traj: (traj.states[:, :n] + d_ref, traj.states[:, n:]),
     )
 
 

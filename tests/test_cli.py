@@ -13,6 +13,7 @@ compositional residuals are below 5e-5 while the naive-serial ones exceed
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ import pytest
 from consensuslab.cli import main, write_trajectory_csv
 from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
 from consensuslab.graphs import build_laplacian, path_graph
-from consensuslab.metrics import row_disagreement
+from consensuslab.metrics import build_report, row_disagreement
 from consensuslab.presets import preset
 from consensuslab.scenario import StageSpec
-from consensuslab.sim import Trajectory
+from consensuslab.sim import ROW_BLOCK, Trajectory
 
 
 def read_report(path):
@@ -34,11 +35,18 @@ def run_cli(*args):
     return main([*args, "--quiet"])
 
 
+def with_stage(name, k, **fields):
+    """Scenario changes that set ``fields`` on stage ``k`` (from 1) of
+    preset ``name``."""
+    stages = list(preset(name).stages)
+    stages[k - 1] = dataclasses.replace(stages[k - 1], **fields)
+    return {"stages": tuple(stages)}
+
+
 def with_delay(name, delay, **changes):
     """Scenario changes that give preset ``name``'s outer stage the delay
     spec ``delay``."""
-    stages = preset(name).stages
-    return {"stages": (*stages[:-1], dataclasses.replace(stages[-1], delay=delay)), **changes}
+    return {**with_stage(name, preset(name).order, delay=delay), **changes}
 
 
 THIRD_ORDER = {"order": 3, "stages": (StageSpec(kind="linear_static"),) * 3}
@@ -148,6 +156,22 @@ class TestExitCodes:
                         "x0": (0.0,) * 10}, "xi0 alone"),
         ("serial_lti", {**THIRD_ORDER, "init_preset": None, "xi0": (0.0,) * 30,
                         "xdot0": (0.0,) * 10}, "xi0 alone"),
+        ("serial_lti", with_stage("serial_lti", 1, delay="ramp:0"),
+         "stage 1: linear_static does not read delay"),
+        ("serial_lti", with_stage("serial_lti", 2, phi=(0.0,) * 10),
+         "stage 2: linear_static does not read phi"),
+        ("saturated_fig2", with_stage("saturated_fig2", 1, omega=(1.0,) * 20),
+         "stage 1: saturated does not read omega"),
+        ("gps_fig3", with_stage("gps_fig3", 1, gains=(1.0,) * 10),
+         "stage 1: linear_static does not read gains"),
+        ("counterexample_appD", with_stage("counterexample_appD", 1, ref="constant:1.0"),
+         "stage 1: delayed_relative does not read ref"),
+        ("serial_lti", {"controller": "conventional", "init_preset": None,
+                        "xi0": (0.0,) * 20}, "does not read xi0"),
+        ("serial_lti", {"xi0": (0.0,) * 20}, "xi0 alone"),
+        ("serial_lti", {"init_preset": None, "x0": (0.0,) * 10, "xi0": (0.0,) * 20},
+         "xi0 alone"),
+        ("saturated_regime", {"xdot0": (0.0,) * 5}, "xdot0 is not read"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -155,7 +179,11 @@ class TestExitCodes:
             "zero-poisson-mean-compositional", "zero-poisson-mean-conventional-ideal",
             "zero-ramp-cap", "negative-constant-delay", "gps-baseline-on-lti",
             "order-3-preset", "order-3-preset-and-xi0", "order-3-x0-and-xi0",
-            "order-3-xdot0-and-xi0"])
+            "order-3-xdot0-and-xi0",
+            "delay-on-inner-stage", "phi-on-static-stage", "omega-on-saturated-stage",
+            "gains-on-inner-stage", "ref-on-delayed-relative-stage",
+            "xi0-under-baseline", "preset-beside-xi0", "x0-beside-xi0",
+            "xdot0-at-order-1"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))
@@ -186,25 +214,79 @@ class TestCompare:
 
 
 class TestTrajectoryCsv:
-    def test_matches_per_value_format(self, tmp_path):
-        n, rows = 3, 2500  # more rows than one formatting chunk
+    @staticmethod
+    def check_format(route, tmp_path):
+        n, rows = 3, 2 * ROW_BLOCK + 452  # two full row blocks and a partial one
         rng = np.random.default_rng(5)
         states = rng.standard_normal((rows, 2 * n)) * 10.0 ** rng.integers(-300, 300, (rows, 2 * n))
         states[:7, 0] = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1]
-        plant_x = rng.uniform(-1.0, 1.0, (rows, n))
+        d_ref = np.array([0.25, -1.5, 3.0])
+        plant_x = rng.uniform(-1.0, 1.0, (rows, n)) + d_ref
         L = build_laplacian(path_graph(n))
         traj = Trajectory(np.arange(rows) * 1e-3, states, plant_x, states[:, n:],
-                          meta={"n_agents": n, "laplacian": L, "d_ref": (0.0,) * n,
-                                "route": "cascade", "order": 2})
+                          meta={"n_agents": n, "laplacian": L, "d_ref": tuple(d_ref),
+                                "route": route, "order": 2})
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(traj, path)
 
-        derived = np.column_stack((row_disagreement(plant_x),
-                                   np.abs(plant_x @ L.T).max(axis=1)))
-        data = np.column_stack((traj.times, plant_x, states[:, n:], states, derived))
+        # The seminorm columns by their whole-record formulas.
+        x_rel = plant_x - d_ref
+        derived = np.column_stack((row_disagreement(x_rel), np.abs(x_rel @ L.T).max(axis=1)))
+        header = ([f"x_{i}" for i in range(1, n + 1)] + [f"xdot_{i}" for i in range(1, n + 1)])
+        columns = [traj.times, plant_x, states[:, n:]]
+        if route == "cascade":
+            header += [f"xi_{k}_{i}" for k in (1, 2) for i in range(1, n + 1)]
+            columns.append(states)
+        data = np.column_stack(columns + [derived])
         lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(["t", *header, "disagreement", "lap_seminorm"])
         assert len(lines) == rows + 1
         assert lines[1:] == [",".join(f"{v:.12g}" for v in row) for row in data]
+
+    def test_matches_per_value_format(self, tmp_path):
+        """Both column layouts, a formation offset and a partial last row
+        block: the seminorm columns, taken block by block, equal their
+        whole-record formulas."""
+        for route in ("cascade", "plant"):
+            self.check_format(route, tmp_path)
+
+
+class TestOutputMemory:
+    """The output stage takes the record one row block at a time, so beyond
+    its inputs it allocates about one block, not a copy of the record. An
+    order-2 plant-route record with many rows and two agents makes a
+    whole-record copy stand out while it formats few values per row:
+    tracemalloc slows the CSV formatting about twentyfold, which sets the
+    row count."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        n, rows = 2, 48_001
+        rng = np.random.default_rng(11)
+        states = rng.uniform(-1.0, 1.0, (rows, 2 * n))
+        d_ref = np.array([0.5, -0.5])
+        return Trajectory(np.arange(rows) * 1e-3, states, states[:, :n] + d_ref, states[:, n:],
+                          meta={"n_agents": n, "laplacian": build_laplacian(path_graph(n)),
+                                "d_ref": tuple(d_ref), "route": "plant", "order": 2})
+
+    @staticmethod
+    def peak_allocated(call):
+        """Peak bytes that ``call()`` holds allocated at once."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_csv_writer(self, record, tmp_path):
+        peak = self.peak_allocated(lambda: write_trajectory_csv(record, tmp_path / "t.csv"))
+        assert peak < record.states.nbytes / 2
+
+    def test_report(self, record):
+        L = record.meta["laplacian"]
+        peak = self.peak_allocated(lambda: build_report(record, regime_band=1.0, L=L))
+        assert peak < record.states.nbytes / 2
 
 
 class TestPresetVerdicts:

@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from consensuslab import dynamics, sim
+from consensuslab import dynamics, scenario, sim
 from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
 from consensuslab.graphs import build_laplacian, path_graph
@@ -65,20 +65,22 @@ def stage_specs(draw, n, kind):
     gated = kind == "linear_time_varying"
     delayed = kind in ("delayed_relative", "delayed_absolute_velocity")
     absolute = kind == "delayed_absolute_velocity"
+    # Each kind takes exactly the keys it reads; validation rejects the rest.
     return StageSpec(
         kind=kind,
         scale=draw(positive),
-        omega=draw(vectors(n, nonzero) if gated else maybe(vectors(n, nonzero))),
-        phi=draw(vectors(n) if gated else maybe(vectors(n))),
-        gains=draw(vectors(n, positive) if absolute else maybe(vectors(n, positive))),
-        ref=draw(st.just("constant:10.0") if absolute else maybe(st.just("constant:-1.5"))),
-        delay=draw(st.sampled_from(DELAYS) if delayed else maybe(st.sampled_from(DELAYS))),
+        omega=draw(vectors(n, nonzero)) if gated else None,
+        phi=draw(vectors(n)) if gated else None,
+        gains=draw(vectors(n, positive)) if absolute else None,
+        ref="constant:10.0" if absolute else None,
+        delay=draw(st.sampled_from(DELAYS)) if delayed else None,
     )
 
 
 @st.composite
 def scenarios(draw):
-    """Valid scenarios in which every optional config key may appear."""
+    """Valid scenarios in which every optional config key that the drawn
+    stages and route read may appear."""
     n = draw(st.integers(min_value=1, max_value=4))
     order = draw(st.integers(min_value=1, max_value=4))
     kinds = [draw(st.sampled_from(INNER)) for _ in range(order - 1)]
@@ -89,12 +91,17 @@ def scenarios(draw):
         controllers += ["conventional", "naive-serial"]
     if order == 2 and kinds[1] == "delayed_absolute_velocity":
         controllers += ["conventional-ideal", "conventional-delayed"]
-    # Order 3 and up takes its initial state from xi0 alone.
-    plant_init = st.none() if order >= 3 else maybe(vectors(n))
-    init_preset = draw(st.none() if order >= 3 else maybe(st.sampled_from(INIT_PRESETS)))
-    x0 = draw(plant_init)
-    xi0 = draw(vectors(order * n) if init_preset is None and x0 is None
-               else maybe(vectors(order * n)))
+    controller = draw(st.sampled_from(controllers))
+    # A cascade may start from xi0, and then from xi0 alone; order 3 and up
+    # must. Otherwise a preset or x0 gives the plant state, and xdot0 is
+    # read from order 2 on.
+    init_preset = x0 = xdot0 = xi0 = None
+    if order >= 3 or (controller == "compositional" and draw(st.booleans())):
+        xi0 = draw(vectors(order * n))
+    else:
+        init_preset = draw(maybe(st.sampled_from(INIT_PRESETS)))
+        x0 = draw(vectors(n) if init_preset is None else maybe(vectors(n)))
+        xdot0 = draw(maybe(vectors(n))) if order >= 2 else None
     disturbance = draw(st.sampled_from(("none", "constant", "random")))
     graph_kind = draw(st.sampled_from(("path", "edges")))
     # The graph rejects self-loops and repeated pairs, so a lone agent has
@@ -110,14 +117,14 @@ def scenarios(draw):
         name=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12)),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
         order=order,
-        controller=draw(st.sampled_from(controllers)),
+        controller=controller,
         graph_kind=graph_kind,
         graph_n=n,
         stages=stages,
         graph_edges=draw(edges if graph_kind == "edges" else maybe(edges)),
         init_preset=init_preset,
         x0=x0,
-        xdot0=draw(plant_init),
+        xdot0=xdot0,
         xi0=xi0,
         d_ref=draw(maybe(vectors(n))),
         disturbance_kind=disturbance,
@@ -286,6 +293,44 @@ def test_plant_field_matches_definition(n, controller, kinds, shared, path, with
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8),
+       kind=st.sampled_from(INNER),
+       order=st.integers(min_value=1, max_value=4),
+       full_blocks=st.integers(min_value=0, max_value=2),
+       partial=st.integers(min_value=1, max_value=sim.ROW_BLOCK - 1),
+       path=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial, path, seed):
+    """Plant reconstruction one row block per call, the last block partial,
+    equals reconstruction row by row at each row's own time: bit for bit on
+    a unit-weight path graph, where every product is exact and every row
+    sums at most two of them; on weighted digraphs the block product may
+    sum a row in another order, and so may the subtraction from xi_2 round
+    the other way."""
+    rng = np.random.default_rng(seed)
+    first = random_operator(kind, n, rng, build_laplacian(path_graph(n)) if path else None)
+    cascade = Cascade((first,) + tuple(LinearStatic(first.L) for _ in range(order - 1)))
+    rows = full_blocks * sim.ROW_BLOCK + partial
+    times = rng.uniform(0.0, 100.0, rows)
+    states = rng.uniform(-5.0, 5.0, (rows, order * n))
+    d_ref = rng.uniform(-3.0, 3.0, n)
+    plant_x, plant_xdot = scenario._cascade_plant(sim.Trajectory(times, states), cascade, d_ref)
+
+    by_row = [dynamics.reconstruct_plant(cascade, xi, t) for xi, t in zip(states, times)]
+    assert np.array_equal(plant_x, [x + d_ref for x, _ in by_row])
+    if order == 1:
+        assert plant_xdot is None
+        return
+    want = np.array([xdot for _, xdot in by_row])
+    if path:
+        assert np.array_equal(plant_xdot, want)
+    else:
+        x, xi_2 = states[:, :n], states[:, n:2 * n]
+        scale = np.abs(first.L).sum(axis=1).max() * np.abs(x).max() + np.abs(xi_2).max()
+        assert np.abs(plant_xdot - want).max() <= 1e-14 * scale
 
 
 @st.composite
