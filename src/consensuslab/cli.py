@@ -20,7 +20,6 @@ from .exceptions import ConfigError, ConsensusLabError, DivergenceError
 from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
 from .scenario import simulate_scenario, with_controller
-from .sim import ROW_BLOCK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,45 +74,44 @@ def _fmt12(v) -> str:
 
 
 def write_trajectory_csv(traj, path: Path) -> None:
-    """Write ``traj`` as CSV: t, the plant positions x_i and velocities
-    xdot_i, on the cascade route of order >= 2 the cascade states xi_k_i,
-    then each row's disagreement and Laplacian seminorm of the offset-free
-    positions x - d_ref. Values print as "%.12g".
+    """Write ``traj`` as CSV: t, the plant positions x_i, from order 2 on
+    the velocities xdot_i, on the cascade route of order >= 2 the cascade
+    states xi_k_i, then each row's disagreement and Laplacian seminorm of
+    the offset-free positions x - d_ref. Values print as "%.12g".
 
-    The rows go out one block of ``ROW_BLOCK`` at a time: each block is
-    copied into one preallocated array, its two seminorm columns are taken
-    from that block's positions alone, and it is formatted and written
-    before the next is filled, so no copy of the whole record is made.
+    The rows go out one block of ``traj.plant_blocks()`` at a time: each
+    block is copied into one array sized by the first block, its two
+    seminorm columns are taken from that block's positions alone, and it is
+    formatted and written before the next is derived, so no copy of the
+    whole record is made.
     """
     meta = traj.meta
     n = meta["n_agents"]
+    order = meta["order"]
     L = meta["laplacian"]
     d_ref = np.asarray(meta["d_ref"])
+    velocity = order >= 2
+    cascade = velocity and meta["route"] == "cascade"
     header = ["t"] + [f"x_{i + 1}" for i in range(n)]
-    sources = [traj.plant_x]
-    if traj.plant_xdot is not None:
+    if velocity:
         header += [f"xdot_{i + 1}" for i in range(n)]
-        sources.append(traj.plant_xdot)
-    if meta["route"] == "cascade" and meta["order"] >= 2:
-        for k in range(meta["order"]):
-            header += [f"xi_{k + 1}_{i + 1}" for i in range(n)]
-        sources.append(traj.states)
+    if cascade:
+        header += [f"xi_{k + 1}_{i + 1}" for k in range(order) for i in range(n)]
     header += ["disagreement", "lap_seminorm"]
 
-    block = np.empty((min(ROW_BLOCK, len(traj)), len(header)))
+    block = None
     # "%.12g" on a Python float gives the same text as _fmt12.
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(traj), ROW_BLOCK):
-            rows = slice(start, min(start + ROW_BLOCK, len(traj)))
-            out = block[:rows.stop - start]
-            out[:, 0] = traj.times[rows]
-            col = 1
-            for src in sources:
-                out[:, col:col + src.shape[1]] = src[rows]
-                col += src.shape[1]
-            x_rel = traj.plant_x[rows] - d_ref
+        for first, x, xdot in traj.plant_blocks():
+            if block is None:
+                block = np.empty((len(x), len(header)))
+            out = block[:len(x)]
+            rows = slice(first, first + len(x))
+            columns = (traj.times[rows, None], x, xdot, traj.states[rows])
+            np.concatenate(columns[:2 + velocity + cascade], axis=1, out=out[:, :-2])
+            x_rel = x - d_ref
             out[:, -2] = row_disagreement(x_rel)
             out[:, -1] = row_laplacian_seminorm(L, x_rel)
             fh.writelines(row_format % tuple(row) for row in out.tolist())
@@ -129,7 +127,8 @@ def write_report(traj, sc, path: Path, config_hash: str):
         regime_band=regime_band,
         L=traj.meta["laplacian"],
     )
-    last = traj.plant_x[-1] - np.asarray(traj.meta["d_ref"])
+    _, x, _ = next(traj.plant_blocks(len(traj) - 1))
+    last = x[0] - np.asarray(traj.meta["d_ref"])
     lines = [
         f"name = {sc.name}",
         f"controller = {sc.controller}",

@@ -17,8 +17,10 @@ apply the gated and saturated operators' ``finish`` map once per run of
 adjacent blocks that share one operator. They call the operators' unchecked
 ``apply``/``finish`` and run inside ``sim.integrate``, which rejects a
 non-finite or blown-up state after every step. Plant reconstruction and
-matched initialization go through the checked ``evaluate``; reconstruction
-takes a whole block of recorded rows in one call.
+matched initialization go through the checked ``evaluate``. Reconstruction
+takes a whole block of recorded rows in one call and runs where a record is
+read, not after integration: the scenario layer makes it the plant map of a
+cascade record, which ``Trajectory.plant_blocks`` applies block by block.
 """
 
 from __future__ import annotations

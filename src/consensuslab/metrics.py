@@ -12,9 +12,11 @@ verifies the exponential-form bound
 with constants fitted from the impulse response ||L e^{-L t}||; only this
 exponential specialization is verified, not the general class-KL statement.
 
-The run metrics read a record one block of ``sim.ROW_BLOCK`` rows at a
-time: formation offsets are removed per block, so their memory beyond the
-record is one block of positions plus at most one value per row.
+The run metrics read a record's plant states one block at a time, as
+``Trajectory.plant_blocks`` derives them: formation offsets are removed per
+block, so their memory beyond the record is one block of positions plus at
+most one value per row (the residuals also join the velocities of the
+tail).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .graphs import (
     laplacian_pseudoinverse,
     spanning_tree_check,
 )
-from .sim import ROW_BLOCK, Trajectory
+from .sim import Trajectory
 
 
 def row_disagreement(x) -> np.ndarray:
@@ -74,14 +76,13 @@ def laplacian_seminorm(L, z) -> float:
 
 
 def _offset_blocks(traj: Trajectory, start: int = 0):
-    """(first row, offset-free positions) of each block of ``ROW_BLOCK``
-    recorded rows from row ``start`` on; no offset copy of the whole record
-    is made."""
-    x = traj.plant_x if traj.plant_x is not None else traj.states
+    """(first row, offset-free positions) of each block of
+    ``traj.plant_blocks(start)``; no offset copy of the whole record is
+    made."""
     d_ref = traj.meta.get("d_ref")
     d_ref = 0.0 if d_ref is None else np.asarray(d_ref, dtype=float)
-    for first in range(start, len(x), ROW_BLOCK):
-        yield first, x[first:first + ROW_BLOCK] - d_ref
+    for first, x, _ in traj.plant_blocks(start):
+        yield first, x - d_ref
 
 
 def _spread(values) -> float:
@@ -108,16 +109,17 @@ def nth_order_residuals(traj: Trajectory, tail_fraction: float = 0.1) -> list[fl
     start = int(np.searchsorted(times, t_cut - 1e-12))
 
     residuals = [max(_spread(x) for _, x in _offset_blocks(traj, start))]
-    if traj.plant_xdot is None:
-        return residuals
-    residuals.append(_spread(traj.plant_xdot[start:]))
-
     order = int(traj.meta.get("order", 2))
-    h = times[1] - times[0] if len(times) > 1 else 1.0
     # Row i of the k-th difference is recorded row lo + i + k; the last one
     # taken (k = order - 2) reaches back to row start.
-    lo = max(start - (order - 2), 0)
-    deriv = traj.plant_xdot[lo:]
+    lo = max(start - max(order - 2, 0), 0)
+    velocities = [xdot for _, _, xdot in traj.plant_blocks(lo)]
+    if velocities[0] is None:
+        return residuals
+    deriv = np.concatenate(velocities)
+    residuals.append(_spread(deriv[start - lo:]))
+
+    h = times[1] - times[0] if len(times) > 1 else 1.0
     for k in range(1, order - 1):
         deriv = (deriv[2:] - deriv[:-2]) / (2.0 * h)
         first = max(start - lo - k, 0)

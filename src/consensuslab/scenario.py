@@ -6,10 +6,12 @@ vectors are only instantiated at simulation time from the scenario seed.
 
 Validation lives in two places, one per kind of rule. ``validate_scenario``
 checks what no object can see: controller names, the stage count, stage
-kinds and spec syntax, that no stage sets a key its kind does not read,
+kinds and spec syntax, that no stage sets a key its kind does not read
+(a delayed_absolute_velocity stage keeps scale at its default 1),
 initial conditions (order 3 and up takes xi0 alone, xi0 excludes the plant
 keys and is read only by the compositional controller, order 1 has no
-xdot0), disturbances, the grid, the metric settings and that every number
+xdot0), disturbances (a vector only under kind constant, a sup bound only
+under kind random), the grid, the metric settings and that every number
 is finite. Every other rule belongs to the object it constrains: the graph,
 the operators, the delay classes in ``sim`` (delay value ranges),
 ``Cascade`` and ``PlantLaw`` (the stage layout each baseline takes). So
@@ -124,6 +126,10 @@ def _check_scenario(sc: Scenario) -> None:
         for key, readers in _STAGE_KEY_READERS.items():
             if getattr(stage, key) is not None and stage.kind not in readers:
                 raise ConfigError(f"stage {k}: {stage.kind} does not read {key}")
+        # scale keeps its default 1.0 where it is not read: every emitted
+        # config writes it, so an unset default would change every hash.
+        if stage.kind == "delayed_absolute_velocity" and stage.scale != 1.0:
+            raise ConfigError(f"stage {k}: {stage.kind} does not read scale; leave it at 1")
     if sc.init_preset is not None and sc.init_preset not in INIT_PRESETS:
         raise ConfigError(f"unknown init preset {sc.init_preset!r}")
     _check_finite_numbers(sc)
@@ -150,6 +156,10 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError("constant disturbance needs a vector")
     if sc.disturbance_kind == "random" and not (sc.disturbance_sup or 0) > 0:
         raise ConfigError("random disturbance needs a positive sup bound")
+    if sc.disturbance_kind != "constant" and sc.disturbance_vector is not None:
+        raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read a vector")
+    if sc.disturbance_kind != "random" and sc.disturbance_sup is not None:
+        raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read sup")
     # The grid rules live in IntegratorConfig; reading nsteps applies the last.
     sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every).nsteps
     if not sc.tolerance > 0:
@@ -276,10 +286,9 @@ def _build(sc: Scenario):
 
 
 def _initial_conditions(sc: Scenario, cascade=None):
-    """Transformed-coordinate initial conditions (x_tilde, xdot, xi).
-
-    ``xi0`` is only computed when a cascade is supplied (cascade route).
-    """
+    """(initial state, d_ref) in transformed coordinates x_tilde = x - d_ref:
+    the cascade state xi(0) when ``cascade`` is supplied (cascade route),
+    else the plant state [x_tilde(0); xdot(0)]."""
     n = sc.graph_n
     rng = np.random.default_rng(np.random.SeedSequence((sc.seed, 101)))
     d_ref = np.asarray(sc.d_ref, dtype=float) if sc.d_ref is not None else np.zeros(n)
@@ -301,14 +310,14 @@ def _initial_conditions(sc: Scenario, cascade=None):
         xdot0 = rng.uniform(-1.0, 1.0, size=n) if sc.order >= 2 else np.zeros(n)
 
     if cascade is None:
-        return x0, xdot0, None, d_ref
+        return np.concatenate((x0, xdot0)), d_ref
     if sc.xi0 is not None:
         xi0 = np.asarray(sc.xi0, dtype=float)
     elif sc.order == 1:
         xi0 = x0
     else:
         xi0 = dynamics.matched_cascade_state(cascade, x0, xdot0)
-    return x0, xdot0, xi0, d_ref
+    return xi0, d_ref
 
 
 def _build_disturbance(sc: Scenario):
@@ -322,95 +331,55 @@ def _build_disturbance(sc: Scenario):
     return lambda t: vec
 
 
-def _base_meta(sc: Scenario, graph, d_ref, route):
-    return {
-        "name": sc.name,
-        "seed": sc.seed,
-        "order": sc.order,
-        "controller": sc.controller,
-        "n_agents": sc.graph_n,
-        "route": route,
-        "d_ref": tuple(float(v) for v in d_ref),
-        "dt": sc.dt,
-        "t_end": sc.t_end,
-        "record_every": sc.record_every,
-        "laplacian": graphs.build_laplacian(graph),
-        "divergence_time": None,
-    }
-
-
 def simulate_scenario(sc: Scenario) -> sim.Trajectory:
-    """Run one scenario and return the trajectory with plant states attached.
+    """Run one scenario and return its record with the plant map and meta
+    attached.
 
-    The compositional controller runs in the cascade state space; the
-    baselines run on the double-integrator plant. Divergence raises
-    DivergenceError whose ``trajectory`` carries the partial, fully annotated
-    record (the blow-up time sits in meta["divergence_time"]).
+    The compositional controller runs in the cascade state space, and its
+    plant map reconstructs x and xdot from each block of cascade states;
+    the baselines run on the double-integrator plant [x; xdot], whose map
+    slices the states. Either map adds the formation offsets d_ref to x.
+    Divergence raises DivergenceError whose ``trajectory`` carries the
+    partial record, annotated the same way (the blow-up time sits in
+    meta["divergence_time"]).
     """
     _check_scenario(sc)
     graph, system = _build(sc)
-    cfg = sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
+    n = sc.graph_n
+    w = _build_disturbance(sc)
     if sc.controller == "compositional":
-        return _run_cascade(sc, graph, system, cfg)
-    return _run_plant(sc, graph, system, cfg)
+        route = "cascade"
+        state0, d_ref = _initial_conditions(sc, system)
+        field = dynamics.cascade_rhs(system, w)
 
+        def plant(states, times):
+            x, xdot = dynamics.reconstruct_plant(system, states, times)
+            return x + d_ref, xdot
+    else:
+        route = "plant"
+        state0, d_ref = _initial_conditions(sc)
+        field = dynamics.plant_rhs(system, w)
 
-def _integrate_annotated(field, x0, cfg, tau_max, meta, plant_of):
-    """Integrate, then attach ``plant_of(traj) = (plant_x, plant_xdot)`` and
-    ``meta``. A divergence is re-raised with its partial trajectory annotated
-    the same way and the blow-up time in meta["divergence_time"]."""
+        def plant(states, times):
+            return states[:, :n] + d_ref, states[:, n:]
 
-    def annotate(traj):
-        traj.plant_x, traj.plant_xdot = plant_of(traj)
-        traj.meta = meta
-        return traj
-
+    meta = {
+        "order": sc.order,
+        "n_agents": n,
+        "route": route,
+        "d_ref": tuple(float(v) for v in d_ref),
+        "laplacian": graphs.build_laplacian(graph),
+        "divergence_time": None,
+    }
+    cfg = sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
     try:
-        traj = sim.integrate(field, x0, cfg, tau_max)
+        traj = sim.integrate(field, state0, cfg, system.tau_max)
     except DivergenceError as err:
         meta["divergence_time"] = err.time
-        annotate(err.trajectory)
+        err.trajectory.plant, err.trajectory.meta = plant, meta
         raise
-    return annotate(traj)
-
-
-def _cascade_plant(traj, cascade, d_ref):
-    """(plant_x, plant_xdot) of a cascade record, reconstructed one block
-    of ``sim.ROW_BLOCK`` rows per call."""
-    n = cascade.n
-    m = len(traj)
-    plant_x = np.empty((m, n))
-    plant_xdot = np.empty((m, n)) if cascade.order >= 2 else None
-    for start in range(0, m, sim.ROW_BLOCK):
-        rows = slice(start, start + sim.ROW_BLOCK)
-        x, xdot = dynamics.reconstruct_plant(cascade, traj.states[rows], traj.times[rows])
-        np.add(x, d_ref, out=plant_x[rows])
-        if plant_xdot is not None:
-            plant_xdot[rows] = xdot
-    return plant_x, plant_xdot
-
-
-def _run_cascade(sc, graph, cascade, cfg):
-    x0, xdot0, xi0, d_ref = _initial_conditions(sc, cascade)
-    u_ref = _build_disturbance(sc)
-    field = dynamics.cascade_rhs(cascade, u_ref)
-    meta = _base_meta(sc, graph, d_ref, "cascade")
-    return _integrate_annotated(
-        field, xi0, cfg, cascade.tau_max, meta,
-        lambda traj: _cascade_plant(traj, cascade, d_ref),
-    )
-
-
-def _run_plant(sc, graph, law, cfg):
-    """Integrate the plant [x; xdot] under the baseline ``law``."""
-    n = sc.graph_n
-    x0, xdot0, _, d_ref = _initial_conditions(sc)
-    field = dynamics.plant_rhs(law, _build_disturbance(sc))
-    meta = _base_meta(sc, graph, d_ref, "plant")
-    return _integrate_annotated(
-        field, np.concatenate((x0, xdot0)), cfg, law.tau_max, meta,
-        lambda traj: (traj.states[:, :n] + d_ref, traj.states[:, n:]),
-    )
+    traj.plant, traj.meta = plant, meta
+    return traj
 
 
 def with_controller(sc: Scenario, controller: str) -> Scenario:

@@ -39,11 +39,11 @@ from .exceptions import ConfigError, DivergenceError
 
 BLOWUP_LIMIT = 1e9
 
-# Rows per block of the output stage: plant reconstruction, the report's
-# metrics and the CSV writer each take a record this many rows at a time,
-# so their temporaries scale with one block, not with the record. Large
-# enough to amortize the per-block calls: saturated_fig2 recorded at every
-# step has 40,001 rows, 40 blocks.
+# Rows per block of ``Trajectory.plant_blocks``: plant reconstruction, the
+# report's metrics and the CSV writer each take a record this many rows at
+# a time, so their temporaries scale with one block, not with the record.
+# Large enough to amortize the per-block calls: saturated_fig2 recorded at
+# every step has 40,001 rows, 40 blocks.
 ROW_BLOCK = 1024
 
 
@@ -81,25 +81,38 @@ class IntegratorConfig:
         return nsteps
 
 
+def _positions(states, times):
+    """The plant map of a bare ``integrate`` record: its states are positions."""
+    return states, None
+
+
 @dataclass
 class Trajectory:
     """Recorded samples of one run.
 
     ``states`` holds the raw integrated vectors (stacked cascade states or
-    plant [x; xdot]); ``plant_x``/``plant_xdot`` are filled in by the
-    scenario layer after reconstruction. On the plant route
-    ``plant_xdot`` is a view of the velocity columns of ``states``, not a
-    copy.
+    plant [x; xdot]). ``plant`` maps a block of recorded states and the
+    block's times to the plant (x, xdot) of those rows: x the positions with
+    their formation offsets, xdot None at order 1. The scenario layer sets
+    it by route; the default reads the states as positions. Plant states are
+    derived where they are read, one block at a time (``plant_blocks``), and
+    are never stored.
     """
 
     times: np.ndarray
     states: np.ndarray
-    plant_x: np.ndarray | None = None
-    plant_xdot: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    plant: object = _positions
 
     def __len__(self):
         return len(self.times)
+
+    def plant_blocks(self, start=0):
+        """(first row, x, xdot) of each block of ``ROW_BLOCK`` recorded rows
+        from row ``start`` on."""
+        for first in range(start, len(self), ROW_BLOCK):
+            rows = slice(first, first + ROW_BLOCK)
+            yield (first, *self.plant(self.states[rows], self.times[rows]))
 
 
 class HistoryBuffer:

@@ -23,8 +23,18 @@ from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import build_report, row_disagreement
 from consensuslab.presets import preset
-from consensuslab.scenario import StageSpec
+from consensuslab.scenario import StageSpec, simulate_scenario
 from consensuslab.sim import ROW_BLOCK, Trajectory
+
+
+def peak_allocated(call):
+    """Peak bytes that ``call()`` holds allocated at once."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_report(path):
@@ -172,6 +182,16 @@ class TestExitCodes:
         ("serial_lti", {"init_preset": None, "x0": (0.0,) * 10, "xi0": (0.0,) * 20},
          "xi0 alone"),
         ("saturated_regime", {"xdot0": (0.0,) * 5}, "xdot0 is not read"),
+        ("gps_fig3", with_stage("gps_fig3", 2, scale=5.0),
+         "stage 2: delayed_absolute_velocity does not read scale"),
+        ("serial_lti", {"disturbance_vector": (1.0,) * 10},
+         "disturbance kind none does not read a vector"),
+        ("serial_lti", {"disturbance_kind": "random", "disturbance_sup": 0.1,
+                        "disturbance_vector": (1.0,) * 10},
+         "disturbance kind random does not read a vector"),
+        ("serial_lti", {"disturbance_sup": 3.0}, "disturbance kind none does not read sup"),
+        ("counterexample_appD", {"disturbance_sup": 3.0},
+         "disturbance kind constant does not read sup"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -183,7 +203,8 @@ class TestExitCodes:
             "delay-on-inner-stage", "phi-on-static-stage", "omega-on-saturated-stage",
             "gains-on-inner-stage", "ref-on-delayed-relative-stage",
             "xi0-under-baseline", "preset-beside-xi0", "x0-beside-xi0",
-            "xdot0-at-order-1"])
+            "xdot0-at-order-1", "scale-on-velocity-stage", "vector-under-none",
+            "vector-under-random", "sup-under-none", "sup-under-constant"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))
@@ -221,13 +242,17 @@ class TestTrajectoryCsv:
         states = rng.standard_normal((rows, 2 * n)) * 10.0 ** rng.integers(-300, 300, (rows, 2 * n))
         states[:7, 0] = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1]
         d_ref = np.array([0.25, -1.5, 3.0])
-        plant_x = rng.uniform(-1.0, 1.0, (rows, n)) + d_ref
+        # Positions apart from the states' extreme values, derived from each
+        # block's times.
+        positions = lambda t: np.sin(np.outer(t, [700.0, 1300.0, 2900.0])) + d_ref
         L = build_laplacian(path_graph(n))
-        traj = Trajectory(np.arange(rows) * 1e-3, states, plant_x, states[:, n:],
+        traj = Trajectory(np.arange(rows) * 1e-3, states,
                           meta={"n_agents": n, "laplacian": L, "d_ref": tuple(d_ref),
-                                "route": route, "order": 2})
+                                "route": route, "order": 2},
+                          plant=lambda s, t: (positions(t), s[:, n:]))
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(traj, path)
+        plant_x = positions(traj.times)
 
         # The seminorm columns by their whole-record formulas.
         x_rel = plant_x - d_ref
@@ -265,28 +290,33 @@ class TestOutputMemory:
         rng = np.random.default_rng(11)
         states = rng.uniform(-1.0, 1.0, (rows, 2 * n))
         d_ref = np.array([0.5, -0.5])
-        return Trajectory(np.arange(rows) * 1e-3, states, states[:, :n] + d_ref, states[:, n:],
+        return Trajectory(np.arange(rows) * 1e-3, states,
                           meta={"n_agents": n, "laplacian": build_laplacian(path_graph(n)),
-                                "d_ref": tuple(d_ref), "route": "plant", "order": 2})
-
-    @staticmethod
-    def peak_allocated(call):
-        """Peak bytes that ``call()`` holds allocated at once."""
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+                                "d_ref": tuple(d_ref), "route": "plant", "order": 2},
+                          plant=lambda s, t: (s[:, :n] + d_ref, s[:, n:]))
 
     def test_csv_writer(self, record, tmp_path):
-        peak = self.peak_allocated(lambda: write_trajectory_csv(record, tmp_path / "t.csv"))
+        peak = peak_allocated(lambda: write_trajectory_csv(record, tmp_path / "t.csv"))
         assert peak < record.states.nbytes / 2
 
     def test_report(self, record):
         L = record.meta["laplacian"]
-        peak = self.peak_allocated(lambda: build_report(record, regime_band=1.0, L=L))
+        peak = peak_allocated(lambda: build_report(record, regime_band=1.0, L=L))
         assert peak < record.states.nbytes / 2
+
+
+@pytest.mark.parametrize("controller", ["compositional", "conventional"])
+def test_simulation_stores_no_plant_copy(controller):
+    """A run holds its record and no whole-record copy of the plant states
+    beside it: they are derived per row block where they are read. The
+    record of serial_lti kept at every step is large next to the history-free
+    run's other allocations."""
+    sc = dataclasses.replace(preset("serial_lti"), controller=controller,
+                             t_end=5.0, record_every=1)
+    simulate_scenario(dataclasses.replace(sc, t_end=sc.dt))  # a first run's lazy imports
+    runs = []
+    peak = peak_allocated(lambda: runs.append(simulate_scenario(sc)))
+    assert peak < 1.5 * runs[0].states.nbytes
 
 
 class TestPresetVerdicts:

@@ -32,10 +32,14 @@ L5 = build_laplacian(path_graph(5))
 
 
 def make_traj(times, x, xdot=None, meta=None):
-    return Trajectory(np.asarray(times, float), np.asarray(x, float),
-                      plant_x=np.asarray(x, float),
-                      plant_xdot=None if xdot is None else np.asarray(xdot, float),
-                      meta=meta or {})
+    """A record of positions x, or of plant states [x; xdot] whose plant map
+    slices them."""
+    times, x = np.asarray(times, float), np.asarray(x, float)
+    if xdot is None:
+        return Trajectory(times, x, meta=meta or {})
+    n = x.shape[1]
+    return Trajectory(times, np.hstack((x, np.asarray(xdot, float))), meta=meta or {},
+                      plant=lambda s, t: (s[:, :n], s[:, n:]))
 
 
 class TestSeminorms:

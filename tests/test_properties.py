@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from consensuslab import dynamics, scenario, sim
+from consensuslab import dynamics, sim
 from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
 from consensuslab.graphs import build_laplacian, path_graph
@@ -65,10 +65,11 @@ def stage_specs(draw, n, kind):
     gated = kind == "linear_time_varying"
     delayed = kind in ("delayed_relative", "delayed_absolute_velocity")
     absolute = kind == "delayed_absolute_velocity"
-    # Each kind takes exactly the keys it reads; validation rejects the rest.
+    # Each kind takes exactly the keys it reads; validation rejects the rest,
+    # and a scale other than the default 1 where it is not read.
     return StageSpec(
         kind=kind,
-        scale=draw(positive),
+        scale=1.0 if absolute else draw(positive),
         omega=draw(vectors(n, nonzero)) if gated else None,
         phi=draw(vectors(n)) if gated else None,
         gains=draw(vectors(n, positive)) if absolute else None,
@@ -128,8 +129,8 @@ def scenarios(draw):
         xi0=xi0,
         d_ref=draw(maybe(vectors(n))),
         disturbance_kind=disturbance,
-        disturbance_vector=draw(vectors(n) if disturbance == "constant" else maybe(vectors(n))),
-        disturbance_sup=draw(positive if disturbance == "random" else maybe(positive)),
+        disturbance_vector=draw(vectors(n)) if disturbance == "constant" else None,
+        disturbance_sup=draw(positive) if disturbance == "random" else None,
         dt=dt,
         t_end=nsteps * dt,
         record_every=record_every,
@@ -301,34 +302,46 @@ def test_plant_field_matches_definition(n, controller, kinds, shared, path, with
        order=st.integers(min_value=1, max_value=4),
        full_blocks=st.integers(min_value=0, max_value=2),
        partial=st.integers(min_value=1, max_value=sim.ROW_BLOCK - 1),
+       start=st.integers(min_value=0, max_value=3 * sim.ROW_BLOCK),
        path=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial, path, seed):
-    """Plant reconstruction one row block per call, the last block partial,
-    equals reconstruction row by row at each row's own time: bit for bit on
-    a unit-weight path graph, where every product is exact and every row
-    sums at most two of them; on weighted digraphs the block product may
-    sum a row in another order, and so may the subtraction from xi_2 round
-    the other way."""
+def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial, start,
+                                           path, seed):
+    """Plant reconstruction one row block per call, from a first row that
+    need not start a block (the residuals' tail starts anywhere) and with
+    the last block partial, equals reconstruction row by row at each row's
+    own time: bit for bit on a unit-weight path graph, where every product
+    is exact and every row sums at most two of them; on weighted digraphs
+    the block product may sum a row in another order, and so may the
+    subtraction from xi_2 round the other way."""
     rng = np.random.default_rng(seed)
     first = random_operator(kind, n, rng, build_laplacian(path_graph(n)) if path else None)
     cascade = Cascade((first,) + tuple(LinearStatic(first.L) for _ in range(order - 1)))
     rows = full_blocks * sim.ROW_BLOCK + partial
+    start %= rows
     times = rng.uniform(0.0, 100.0, rows)
     states = rng.uniform(-5.0, 5.0, (rows, order * n))
     d_ref = rng.uniform(-3.0, 3.0, n)
-    plant_x, plant_xdot = scenario._cascade_plant(sim.Trajectory(times, states), cascade, d_ref)
 
-    by_row = [dynamics.reconstruct_plant(cascade, xi, t) for xi, t in zip(states, times)]
+    def plant(xi, t):
+        x, xdot = dynamics.reconstruct_plant(cascade, xi, t)
+        return x + d_ref, xdot
+
+    blocks = list(sim.Trajectory(times, states, plant=plant).plant_blocks(start))
+    assert [b for b, _, _ in blocks] == list(range(start, rows, sim.ROW_BLOCK))
+    plant_x = np.concatenate([x for _, x, _ in blocks])
+    by_row = [dynamics.reconstruct_plant(cascade, xi, t)
+              for xi, t in zip(states[start:], times[start:])]
     assert np.array_equal(plant_x, [x + d_ref for x, _ in by_row])
     if order == 1:
-        assert plant_xdot is None
+        assert all(xdot is None for _, _, xdot in blocks)
         return
+    plant_xdot = np.concatenate([xdot for _, _, xdot in blocks])
     want = np.array([xdot for _, xdot in by_row])
     if path:
         assert np.array_equal(plant_xdot, want)
     else:
-        x, xi_2 = states[:, :n], states[:, n:2 * n]
+        x, xi_2 = states[start:, :n], states[start:, n:2 * n]
         scale = np.abs(first.L).sum(axis=1).max() * np.abs(x).max() + np.abs(xi_2).max()
         assert np.abs(plant_xdot - want).max() <= 1e-14 * scale
 

@@ -284,7 +284,8 @@ class TestCounterexample:
         sc = dataclasses.replace(preset("counterexample_appD"), disturbance_vector=(a, a),
                                  t_end=t_end, record_every=record_every)
         traj = simulate_scenario(sc)
-        drift = traj.plant_x[:, 0] - traj.plant_x[:, 1]
+        x = np.concatenate([x for _, x, _ in traj.plant_blocks()])
+        drift = x[:, 0] - x[:, 1]
         t = traj.times
         err = np.abs(drift - a * (t - 1.0 + np.exp(-t))).max()
         return traj, drift, err

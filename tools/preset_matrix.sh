@@ -3,11 +3,12 @@
 #
 #     tools/preset_matrix.sh OUT
 #
-# Writes each run's artifacts under OUT/<preset>/ and one line
-# "<preset> <exit code>" per CLI call to OUT/codes. Run it from two
-# checkouts and `diff -r` the two OUT directories: a change that keeps
-# every trajectory.csv, report.txt, config.echo, comparison.txt and exit
-# code byte-identical shows no difference.
+# Writes each run's artifacts under OUT/<preset>/, its standard error to
+# OUT/<preset>.stderr and one line "<preset> <exit code>" per CLI call to
+# OUT/codes. Run it from two checkouts and `diff -r` the two OUT
+# directories: a change that keeps every trajectory.csv, report.txt,
+# config.echo, comparison.txt, exit code and warning byte-identical shows
+# no difference.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -23,7 +24,8 @@ export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 run() {
     local name=$1
     shift
-    python3 -m consensuslab.cli --preset "$name" --out "$out/$name" --quiet "$@"
+    python3 -m consensuslab.cli --preset "$name" --out "$out/$name" --quiet "$@" \
+        2> "$out/$name.stderr"
     echo "$name $?" >> "$out/codes"
 }
 
