@@ -4,7 +4,7 @@ High-order coordination laws are assembled as series compositions of
 first-order consensus operators; the toolkit integrates the resulting
 cascade (or the explicit second-order controllers on a double-integrator
 plant), handles bounded time-varying delays method-of-steps style, and
-checks consensus residuals and stability bounds numerically.
+checks consensus residuals numerically.
 """
 
 from .dynamics import (
@@ -30,21 +30,14 @@ from .graphs import (
     ReachabilityReport,
     WeightedDigraph,
     build_laplacian,
-    communication_footprint,
-    delta_graph,
     graph_from_edges,
-    laplacian_pseudoinverse,
     path_graph,
     spanning_tree_check,
 )
 from .metrics import (
     ConsensusReport,
     build_report,
-    check_iss_bound,
-    common_root_over_windows,
     disagreement_seminorm,
-    fit_iss_constants,
-    integrated_connectivity,
     laplacian_seminorm,
     nth_order_residuals,
     peak_disagreement,
@@ -57,8 +50,6 @@ from .operators import (
     LinearStatic,
     LinearTimeVarying,
     Saturated,
-    check_relative_invariance,
-    estimate_lipschitz,
 )
 from .sim import (
     ConstantDelay,

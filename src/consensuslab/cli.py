@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import emit_scenario, parse_scenario, scenario_hash
-from .exceptions import ConfigError, ConsensusLabError, DivergenceError
+from .exceptions import ConfigError, DivergenceError
 from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
 from .scenario import simulate_scenario, with_controller

@@ -125,61 +125,3 @@ def spanning_tree_check(g: WeightedDigraph) -> ReachabilityReport:
     sources = np.flatnonzero(~entered)
     roots = tuple(np.flatnonzero(labels == sources[0]).tolist()) if len(sources) == 1 else ()
     return ReachabilityReport(bool(roots), roots)
-
-
-def delta_graph(g: WeightedDigraph, delta: float) -> WeightedDigraph:
-    """Subgraph keeping only edges with weight >= delta."""
-    if not delta > 0:
-        raise GraphError(f"delta must be positive, got {delta}")
-    w = g.weights.copy()
-    w[w < delta] = 0.0
-    return WeightedDigraph(w)
-
-
-def laplacian_pseudoinverse(L: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a spanning-tree Laplacian.
-
-    Any matrix satisfying the defining identity L L+ L = L would do; the
-    least-squares pseudoinverse is the default. Raises for Laplacians whose
-    underlying graph lacks a directed spanning tree (zero eigenvalue not
-    simple, so the identity-based ISS machinery breaks down).
-    """
-    L = np.asarray(L, dtype=float)
-    g = digraph_from_laplacian(L)
-    if not spanning_tree_check(g).has_spanning_tree:
-        raise GraphError("Laplacian is rank deficient: no directed spanning tree")
-    return np.linalg.pinv(L)
-
-
-def digraph_from_laplacian(L: np.ndarray) -> WeightedDigraph:
-    """Recover the adjacency supporting L (off-diagonal entries negated)."""
-    L = np.asarray(L, dtype=float)
-    w = -L.copy()
-    np.fill_diagonal(w, 0.0)
-    if np.any(w < -1e-9):
-        raise GraphError("matrix has positive off-diagonal entries; not a Laplacian")
-    w[w < 0] = 0.0
-    return WeightedDigraph(w)
-
-
-def communication_footprint(stage_adjacencies) -> np.ndarray:
-    """Boolean support of (W_k + I)(W_{k-1} + I) ... (W_1 + I).
-
-    ``stage_adjacencies`` lists the per-stage 0/1 adjacencies innermost
-    first. The result is the sparsity pattern of the measurements needed to
-    realize the composed feedback; identical stages give the k-hop
-    neighborhood.
-    """
-    mats = [np.asarray(m) for m in stage_adjacencies]
-    if not mats:
-        raise GraphError("communication footprint needs at least one stage")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.ndim != 2 or m.shape != (n, n):
-            raise GraphError("all stage adjacencies must be square and same size")
-        if not np.isin(m, (0, 1)).all():
-            raise GraphError("stage adjacencies must be binary")
-    prod = np.eye(n, dtype=np.int64)
-    for m in mats:
-        prod = (m.astype(np.int64) + np.eye(n, dtype=np.int64)) @ prod
-    return (prod > 0).astype(np.int64)

@@ -42,7 +42,7 @@ from .exceptions import (
     NumericError,
     OperatorError,
 )
-from .sim import FunctionView, HeldReads
+from .sim import HeldReads
 
 INNER_KINDS = ("linear_static", "linear_time_varying", "saturated")
 DELAYED_KINDS = ("delayed_relative", "delayed_absolute_velocity")
@@ -303,60 +303,3 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def apply(self, z, t, hist=None):
         return self.gains * (z - self.ref)
-
-
-def check_relative_invariance(op: ConsensusOperator, samples: int, seed: int) -> float:
-    """Max deviation of op under uniform translation over random draws.
-
-    Inner kinds are shifted by a constant a * ones; delayed kinds by the
-    time-varying ramp a * t applied through history (constant shifts cancel
-    trivially in relative-difference terms and would hide the failure mode).
-    Returns max over samples of ||op(shifted) - op(base)||_inf.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = op.n
-    worst = 0.0
-    for _ in range(samples):
-        z = rng.uniform(-5.0, 5.0, size=n)
-        t = rng.uniform(0.0, 10.0)
-        a = rng.uniform(-10.0, 10.0)
-        if op.kind in DELAYED_KINDS:
-            base_hist = FunctionView(lambda s, z=z: z)
-            ramp_hist = FunctionView(lambda s, z=z, a=a: z + a * s)
-            base = op.evaluate(z, t, base_hist)
-            shifted = op.evaluate(z + a * t, t, ramp_hist)
-        else:
-            base = op.evaluate(z, t)
-            shifted = op.evaluate(z + a, t)
-        worst = max(worst, float(np.abs(shifted - base).max()))
-    return worst
-
-
-def estimate_lipschitz(op: ConsensusOperator, samples: int, seed: int) -> float:
-    """Sampled lower bound on the global Lipschitz constant in the inf norm.
-
-    For linear kinds the exact constant is the induced row-sum norm ||L||_inf;
-    this estimate approaches it from below.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    rng = np.random.default_rng(seed)
-    n = op.n
-    best = 0.0
-    for _ in range(samples):
-        z1 = rng.uniform(-5.0, 5.0, size=n)
-        z2 = rng.uniform(-5.0, 5.0, size=n)
-        t = rng.uniform(0.0, 10.0)
-        denom = float(np.abs(z1 - z2).max())
-        if denom < 1e-12:
-            continue
-        if op.kind in DELAYED_KINDS:
-            f1 = op.evaluate(z1, t, FunctionView(lambda s, z=z1: z))
-            f2 = op.evaluate(z2, t, FunctionView(lambda s, z=z2: z))
-        else:
-            f1 = op.evaluate(z1, t)
-            f2 = op.evaluate(z2, t)
-        best = max(best, float(np.abs(f1 - f2).max()) / denom)
-    return best

@@ -110,6 +110,8 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"unknown graph kind {sc.graph_kind!r}")
     if sc.graph_kind == "edges" and sc.graph_edges is None:
         raise ConfigError("graph kind 'edges' needs an edges list")
+    if sc.graph_kind == "path" and sc.graph_edges is not None:
+        raise ConfigError("graph kind 'path' does not read an edges list")
     if sc.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {sc.seed}")
     if sc.controller not in CONTROLLERS:

@@ -192,6 +192,8 @@ class TestExitCodes:
         ("serial_lti", {"disturbance_sup": 3.0}, "disturbance kind none does not read sup"),
         ("counterexample_appD", {"disturbance_sup": 3.0},
          "disturbance kind constant does not read sup"),
+        ("serial_lti", {"graph_edges": ((2, 1, 5.0), (3, 1, 1.0))},
+         "graph kind 'path' does not read an edges list"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -204,7 +206,8 @@ class TestExitCodes:
             "gains-on-inner-stage", "ref-on-delayed-relative-stage",
             "xi0-under-baseline", "preset-beside-xi0", "x0-beside-xi0",
             "xdot0-at-order-1", "scale-on-velocity-stage", "vector-under-none",
-            "vector-under-random", "sup-under-none", "sup-under-constant"])
+            "vector-under-random", "sup-under-none", "sup-under-constant",
+            "edges-under-path"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))

@@ -7,10 +7,7 @@ from consensuslab.exceptions import GraphError
 from consensuslab.graphs import (
     WeightedDigraph,
     build_laplacian,
-    communication_footprint,
-    delta_graph,
     graph_from_edges,
-    laplacian_pseudoinverse,
     path_graph,
     spanning_tree_check,
 )
@@ -127,107 +124,6 @@ class TestSpanningTree:
             eig = np.linalg.eigvals(build_laplacian(g))
             assert (np.abs(eig) < 1e-8).sum() == 1
         assert seen_tree > 20
-
-
-class TestDeltaGraph:
-    def test_keeps_edge_at_or_above_threshold(self):
-        g = WeightedDigraph(np.array([[0.0, 0.0], [0.5, 0.0]]))
-        assert np.array_equal(delta_graph(g, 0.4).weights, g.weights)
-
-    def test_drops_edge_below_threshold(self):
-        g = WeightedDigraph(np.array([[0.0, 0.0], [0.5, 0.0]]))
-        assert delta_graph(g, 0.6).weights.sum() == 0
-
-    def test_small_delta_is_identity(self):
-        rng = np.random.default_rng(1)
-        w = rng.uniform(0.2, 1.0, (4, 4)) * (rng.random((4, 4)) < 0.5)
-        np.fill_diagonal(w, 0.0)
-        g = WeightedDigraph(w)
-        positive = g.weights[g.weights > 0]
-        if positive.size:
-            kept = delta_graph(g, positive.min() / 2)
-            assert np.array_equal(kept.weights, g.weights)
-
-    def test_monotone_in_delta(self):
-        rng = np.random.default_rng(2)
-        w = rng.uniform(0, 1, (5, 5))
-        np.fill_diagonal(w, 0.0)
-        g = WeightedDigraph(w)
-        prev = (g.weights > 0).sum()
-        for delta in (0.1, 0.3, 0.5, 0.9):
-            cur = (delta_graph(g, delta).weights > 0).sum()
-            assert cur <= prev
-            prev = cur
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(GraphError):
-            delta_graph(path_graph(2), 0.0)
-
-
-class TestPseudoinverse:
-    def test_path_two_identity(self):
-        L = build_laplacian(path_graph(2))
-        Lp = laplacian_pseudoinverse(L)
-        assert np.abs(L @ Lp @ L - L).max() < 1e-12
-
-    def test_laplacian_itself_satisfies_identity_for_path_two(self):
-        # L is idempotent here, so L L L = L: any such candidate is acceptable.
-        L = build_laplacian(path_graph(2))
-        assert np.abs(L @ L @ L - L).max() < 1e-15
-
-    def test_zero_one_by_one(self):
-        assert laplacian_pseudoinverse(np.zeros((1, 1)))[0, 0] == 0.0
-
-    def test_random_tree_identity(self):
-        rng = np.random.default_rng(7)
-        found = 0
-        while found < 10:
-            w = rng.uniform(0, 1.5, (4, 4)) * (rng.random((4, 4)) < 0.5)
-            np.fill_diagonal(w, 0.0)
-            g = WeightedDigraph(w)
-            if not spanning_tree_check(g).has_spanning_tree:
-                continue
-            found += 1
-            L = build_laplacian(g)
-            Lp = laplacian_pseudoinverse(L)
-            assert np.abs(L @ Lp @ L - L).max() < 1e-9
-
-    def test_rank_deficient_rejected(self):
-        L = build_laplacian(WeightedDigraph(np.zeros((3, 3))))
-        with pytest.raises(GraphError):
-            laplacian_pseudoinverse(L)
-
-
-class TestCommunicationFootprint:
-    def test_single_stage_is_self_plus_neighbors(self):
-        w = path_graph(4).weights
-        fp = communication_footprint([w])
-        assert np.array_equal(fp, ((w + np.eye(4)) > 0).astype(int))
-
-    def test_two_stages_give_two_hops(self):
-        w = path_graph(5).weights
-        fp = communication_footprint([w, w])
-        two_hop = np.linalg.matrix_power(w + np.eye(5), 2)
-        assert np.array_equal(fp, (two_hop > 0).astype(int))
-
-    def test_zero_stages_are_identity(self):
-        z = np.zeros((3, 3))
-        assert np.array_equal(communication_footprint([z, z]), np.eye(3))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(GraphError):
-            communication_footprint([])
-
-    def test_monotone_in_stage_count(self):
-        rng = np.random.default_rng(11)
-        mats = [(rng.random((5, 5)) < 0.3).astype(int) for _ in range(3)]
-        for m in mats:
-            np.fill_diagonal(m, 0)
-        prev = communication_footprint(mats[:1])
-        for k in (2, 3):
-            cur = communication_footprint(mats[:k])
-            assert (cur >= prev).all()
-            prev = cur
 
 
 class TestEdgeListGraphs:

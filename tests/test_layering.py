@@ -81,3 +81,30 @@ def test_scipy_imported_only_inside_functions(module):
     at_import = [(name, line) for name, line, in_function in imports(parsed(module))
                  if name.split(".")[0] == "scipy" and not in_function]
     assert not at_import, f"{module} imports scipy at import time: {at_import}"
+
+
+def unused_imports(tree):
+    """(name, line) of every name an import in ``tree`` binds and no
+    expression reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((name, line) for name, line in bound.items() if name not in read)
+
+
+def test_the_unused_import_guard_sees_bound_names():
+    tree = ast.parse("import os.path\nfrom . import a as b, c\n\ndef f():\n    return os.sep, c\n")
+    assert unused_imports(tree) == [("b", 2)]
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_every_imported_name_is_read(module):
+    unused = unused_imports(parsed(module))
+    assert not unused, f"{module} imports names it never reads: {unused}"

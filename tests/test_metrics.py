@@ -14,18 +14,14 @@ from consensuslab.exceptions import ConsensusLabError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import (
     build_report,
-    check_iss_bound,
-    common_root_over_windows,
     disagreement_seminorm,
-    fit_iss_constants,
-    integrated_connectivity,
     laplacian_seminorm,
     nth_order_residuals,
     peak_disagreement,
     regime_entry_time,
+    row_disagreement,
 )
-from consensuslab.operators import LinearTimeVarying
-from consensuslab.sim import IntegratorConfig, Trajectory, integrate
+from consensuslab.sim import Trajectory
 
 L2 = build_laplacian(path_graph(2))
 L5 = build_laplacian(path_graph(5))
@@ -160,57 +156,6 @@ class TestResiduals:
         assert res[2] < 1e-8
 
 
-class TestIssBound:
-    def setup_method(self):
-        self.cfg = IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10)
-
-    def run_linear(self, L, z0, w):
-        return integrate(lambda z, t, h: -(L @ z) + w, np.asarray(z0, float), self.cfg)
-
-    def test_two_agent_decay_matches_exponential(self):
-        traj = self.run_linear(L2, [0.0, 1.0], np.zeros(2))
-        e = np.abs(traj.states @ L2.T).max(axis=1)
-        assert np.abs(e - np.exp(-traj.times) * e[0]).max() < 1e-6
-
-    def test_fitted_bound_passes_unforced(self):
-        M, alpha = fit_iss_constants(L2, horizon=10.0)
-        traj = self.run_linear(L2, [0.0, 1.0], np.zeros(2))
-        for T0 in (0.0, 0.5, 2.0, 5.0, 8.0):
-            ok, margin = check_iss_bound(traj, L2, M, alpha, 0.0, T0=T0)
-            assert ok and margin >= 0.0
-
-    def test_fitted_bound_passes_with_constant_input(self):
-        M, alpha = fit_iss_constants(L2, horizon=10.0)
-        traj = self.run_linear(L2, [0.0, 1.0], np.array([0.0, 0.1]))
-        ok, margin = check_iss_bound(traj, L2, M, alpha, 0.1, T0=0.0)
-        assert ok and margin >= 0.0
-
-    def test_unit_m_is_not_enough_with_moore_penrose(self):
-        # ||L+|| = 1/2 while the decay is exactly e^{-t}||Lz0||: M = 1 fails.
-        traj = self.run_linear(L2, [0.0, 1.0], np.zeros(2))
-        ok, margin = check_iss_bound(traj, L2, 1.0, 1.0, 0.0, T0=0.0)
-        assert not ok and margin < 0.0
-
-    def test_path_five_fitted_bound(self):
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0, 1, 5)
-        w[0] = 0.0
-        w = 0.1 * w / w.max()
-        cfg = IntegratorConfig(dt=1e-3, t_end=20.0, record_every=10)
-        traj = integrate(lambda z, t, h: -(L5 @ z) + w,
-                         rng.uniform(-1, 1, 5), cfg)
-        M, alpha = fit_iss_constants(L5, horizon=20.0)
-        ok, margin = check_iss_bound(traj, L5, M, alpha, 0.1, T0=0.0)
-        assert ok and margin >= 0.0
-
-    def test_invalid_constants_rejected(self):
-        traj = self.run_linear(L2, [0.0, 1.0], np.zeros(2))
-        with pytest.raises(ValueError):
-            check_iss_bound(traj, L2, -1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            check_iss_bound(traj, L2, 1.0, 0.0, 0.0)
-
-
 class TestRegimeEntry:
     def test_already_inside(self):
         times = np.linspace(0, 5, 51)
@@ -236,32 +181,6 @@ class TestRegimeEntry:
             regime_entry_time(traj, L2, 0.0)
 
 
-class TestIntegratedConnectivity:
-    def test_static_spanning_tree_always_connected(self):
-        gates = lambda t: np.ones(5)
-        reports = integrated_connectivity(gates, L5, window=2.0,
-                                          t_starts=np.linspace(0, 10, 6))
-        assert all(r.has_spanning_tree for r in reports)
-        assert common_root_over_windows(reports) == 0
-
-    def test_sinusoid_gates_connected_over_full_period(self):
-        rng = np.random.default_rng(3)
-        omega = rng.uniform(0.5, 2.0, 5)
-        phi = rng.uniform(0, 2 * np.pi, 5)
-        window = 2 * np.pi / omega.min()
-        reports = integrated_connectivity(
-            LinearTimeVarying(L5, omega, phi).gates, L5, window,
-            t_starts=np.linspace(0, 30, 8),
-        )
-        assert all(r.has_spanning_tree for r in reports)
-        assert common_root_over_windows(reports) is not None
-
-    def test_dead_gates_disconnect(self):
-        gates = lambda t: np.zeros(5)
-        reports = integrated_connectivity(gates, L5, window=2.0, t_starts=[0.0])
-        assert not reports[0].has_spanning_tree
-
-
 class TestReport:
     def test_converged_report(self):
         times = np.linspace(0, 10, 101)
@@ -279,6 +198,31 @@ class TestReport:
         assert not report.converged
         assert report.divergence_time == 9.0
 
+    def test_one_walk_matches_whole_record_arithmetic(self):
+        # 2,500 rows are three row blocks. The tail starts at row 1023 and
+        # the order-4 differences reach back to row 1021, both in the first
+        # block, so the block edge at row 1024 falls inside what they read.
+        rng = np.random.default_rng(5)
+        times = np.arange(2500) * 0.01
+        decay = np.exp(-times / 10.0)[:, None]  # the band is left in the third block
+        x, v = rng.normal(size=(2500, 3)) * decay, rng.normal(size=(2500, 3)) * decay
+        traj = make_traj(times, x, v, meta={"order": 4})
+        L3 = build_laplacian(path_graph(3))
+        report = build_report(traj, tail_fraction=(24.99 - 10.23) / 24.99,
+                              regime_band=0.5, L=L3)
+
+        def spread(a):
+            return (a.max(axis=1) - a.min(axis=1)).max()
+
+        want, d = [spread(x[1023:]), spread(v[1023:])], v
+        for k in (1, 2):
+            d = (d[2:] - d[:-2]) / 0.02
+            want.append(spread(d[1023 - k:]))
+        assert report.order_residuals == tuple(want)
+        assert report.peak_disagreement == row_disagreement(x).max()
+        above = np.flatnonzero(np.abs(x @ L3.T).max(axis=1) >= 0.5)
+        assert report.regime_entry == times[above[-1] + 1]
+
     def test_peak_disagreement(self):
         times = np.linspace(0, 1, 3)
         x = np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.5]])
@@ -286,7 +230,8 @@ class TestReport:
 
 
 def test_package_import_loads_no_scipy():
-    # scipy.linalg is imported by fit_iss_constants only; the CLI never fits.
+    # No module imports scipy.linalg; scipy.sparse, which spanning_tree_check
+    # needs, is imported inside that function.
     src = str(Path(consensuslab.__file__).resolve().parents[1])
     code = ("import sys, consensuslab; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

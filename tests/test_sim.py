@@ -76,6 +76,13 @@ class TestIntegrator:
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.1, t_end=0.01)
 
+    def test_two_agent_decay_matches_exponential(self):
+        L = build_laplacian(path_graph(2))
+        cfg = IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10)
+        traj = integrate(lambda z, t, h: -(L @ z), np.array([0.0, 1.0]), cfg)
+        e = np.abs(traj.states @ L.T).max(axis=1)
+        assert np.abs(e - np.exp(-traj.times) * e[0]).max() < 1e-6
+
     def test_horizon_must_be_whole_steps(self):
         # 1.0 / 0.003 = 333.33 steps would silently stop at t = 0.999
         with pytest.raises(ConfigError):
