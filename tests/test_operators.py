@@ -180,9 +180,31 @@ class TestAeDerivative:
 
 
 class TestRelativeInvariance:
-    """The delayed kinds are not translation invariant: adding the ramp a * s
-    to every agent's history changes their output. The inner kinds are
-    (tests/test_properties.py::test_inner_kinds_are_translation_invariant)."""
+    """Adding a * 1 to every agent leaves an inner kind's output as it was
+    (on random digraphs: tests/test_properties.py::
+    test_inner_kinds_are_translation_invariant). The delayed kinds are not
+    invariant: adding the ramp a * s to every agent's history changes their
+    output."""
+
+    @staticmethod
+    def constant_shift(op, seed):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(200):
+            z = rng.uniform(-5.0, 5.0, op.n)
+            t, a = rng.uniform(0.0, 10.0), rng.uniform(-10.0, 10.0)
+            worst = max(worst, np.abs(op.evaluate(z + a, t) - op.evaluate(z, t)).max())
+        return worst
+
+    def test_linear_static_invariant(self):
+        assert self.constant_shift(LinearStatic(L3), seed=0) < 1e-12
+
+    def test_saturated_invariant(self):
+        assert self.constant_shift(Saturated(L3), seed=1) < 1e-12
+
+    def test_time_varying_invariant(self):
+        op = LinearTimeVarying(L3, omega=[1.0, 2.0, 0.5], phi=[0.0, 1.0, 2.0])
+        assert self.constant_shift(op, seed=2) < 1e-12
 
     @staticmethod
     def ramp_shift(op, z, t, a):
