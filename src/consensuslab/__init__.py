@@ -63,6 +63,6 @@ from .sim import (
 )
 from .config import emit_scenario, parse_scenario
 from .presets import PRESETS, preset
-from .scenario import Scenario, StageSpec, simulate_scenario, with_controller
+from .scenario import Scenario, StageSpec, simulate_scenario
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .config import emit_scenario, parse_scenario, scenario_hash
 from .exceptions import ConfigError, DivergenceError
 from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
-from .scenario import simulate_scenario, with_controller
+from .scenario import simulate_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,18 +55,9 @@ def _load_scenario(args):
         if not path.exists():
             raise ConfigError(f"scenario file not found: {path}")
         sc = parse_scenario(path.read_text())
-    overrides = {}
-    if args.controller is not None:
-        overrides["controller"] = args.controller
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if overrides:
-        sc = dataclasses.replace(sc, **overrides)
-    return sc
+    overrides = {key: getattr(args, key) for key in ("controller", "seed", "dt", "t_end")
+                 if getattr(args, key) is not None}
+    return dataclasses.replace(sc, **overrides)
 
 
 def _fmt12(v) -> str:
@@ -215,7 +206,7 @@ def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
     rows = []
     worst = 0
     for kind in controllers:
-        code, report = run(with_controller(sc, kind), out / kind,
+        code, report = run(dataclasses.replace(sc, controller=kind), out / kind,
                            quiet=quiet, gnuplot=gnuplot)
         if code in (1, 3):
             return code

@@ -14,13 +14,13 @@ controller, as a cross-check.
 Both routes are compiled: ``cascade_rhs`` and ``plant_rhs`` make one block
 product per call (naive-serial's nested op_2(op_1(x)) adds a second), then
 apply the gated and saturated operators' ``finish`` map once per run of
-adjacent blocks that share one operator. They call the operators' unchecked
-``apply``/``finish`` and run inside ``sim.integrate``, which rejects a
-non-finite or blown-up state after every step. Plant reconstruction and
-matched initialization go through the checked ``evaluate``. Reconstruction
-takes a whole block of recorded rows in one call and runs where a record is
-read, not after integration: the scenario layer makes it the plant map of a
-cascade record, which ``Trajectory.plant_blocks`` applies block by block.
+adjacent blocks that share one operator. They call only ``finish`` and a
+delayed outer stage's unchecked ``apply``, inside ``sim.integrate``, which
+rejects a non-finite or blown-up state after every step. The other callers
+of an operator use its checked ``evaluate``. Reconstruction takes a whole
+block of recorded rows in one call and runs where a record is read, not
+after integration: the scenario layer makes it the plant map of a cascade
+record, which ``Trajectory.plant_blocks`` applies block by block.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     return field
 
 
-def matched_cascade_state(cascade: Cascade, x0, xdot0, t0=0.0) -> np.ndarray:
+def matched_cascade_state(cascade: Cascade, x0, xdot0) -> np.ndarray:
     """Cascade initial state matching plant initial conditions (order 2 only):
-    xi_1(0) = x(0), xi_2(0) = xdot(0) + op_1(x(0), t0)."""
+    xi_1(0) = x(0), xi_2(0) = xdot(0) + op_1(x(0), 0)."""
     if cascade.order != 2:
         raise OperatorError("matched initialization is defined for order 2 only")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
-    return np.concatenate((x0, xdot0 + cascade.stages[0].evaluate(x0, t0)))
+    return np.concatenate((x0, xdot0 + cascade.stages[0].evaluate(x0, 0.0)))
 
 
 def reconstruct_plant(cascade: Cascade, xi, t):
@@ -219,8 +219,8 @@ def compositional_controller(l1, l2):
     _require_inner(l1, "inner stage")
 
     def control(x, xdot, t, hist=None):
-        z2 = xdot + l1.apply(x, t)
-        return -l2.apply(z2, t, hist) - l1.ae_derivative(x, xdot, t)
+        z2 = xdot + l1.evaluate(x, t)
+        return -l2.evaluate(z2, t, hist) - l1.ae_derivative(x, xdot, t)
 
     return control
 
@@ -315,8 +315,10 @@ def plant_rhs(law: PlantLaw, w=None):
     finished = _finish_runs([None] + [op for op, _ in terms], n)
 
     naive = law.controller == "naive-serial"
-    doubled = naive and first is second  # -(op + op)(xdot) from one term
-    summed = slice(2 * n, 3 * n) if len(terms) > 1 and not doubled else None
+    # Blocks added to u = y[V], in order; a shared naive-serial operator doubles u.
+    added = [slice(2 * n, 3 * n)] if len(terms) > 1 else []
+    if naive and first is second:
+        added = [V]
     nested = _block_operator(second.L) if naive else None
     nested_finish = None if not naive or isinstance(second, LinearStatic) else second.finish
     gains = v_ref = reads = None
@@ -332,10 +334,8 @@ def plant_rhs(law: PlantLaw, w=None):
         for finish, sl, m in finished:
             finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
         u = y[V]
-        if summed is not None:
-            u += y[summed]
-        elif doubled:
-            u += u
+        for sl in added:
+            u += y[sl]
         if nested is not None:
             z = nested @ y[inner]
             if nested_finish is not None:

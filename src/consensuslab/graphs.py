@@ -7,7 +7,7 @@ L = D - W then has zero row sums and encodes relative feedback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,13 @@ class WeightedDigraph:
 
 @dataclass(frozen=True)
 class ReachabilityReport:
-    """Spanning-tree verdict plus every node that reaches all others."""
+    """Every node that reaches all others: none without a spanning tree."""
 
-    has_spanning_tree: bool
-    roots: tuple = field(default_factory=tuple)
+    roots: tuple = ()
 
-    def __post_init__(self):
-        if self.has_spanning_tree != (len(self.roots) > 0):
-            raise GraphError("has_spanning_tree must match roots being nonempty")
+    @property
+    def has_spanning_tree(self) -> bool:
+        return bool(self.roots)
 
 
 def build_laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -124,4 +123,4 @@ def spanning_tree_check(g: WeightedDigraph) -> ReachabilityReport:
     entered[labels[heads][labels[heads] != labels[tails]]] = True
     sources = np.flatnonzero(~entered)
     roots = tuple(np.flatnonzero(labels == sources[0]).tolist()) if len(sources) == 1 else ()
-    return ReachabilityReport(bool(roots), roots)
+    return ReachabilityReport(roots)

@@ -148,15 +148,15 @@ class ConsensusReport:
 
     order_residuals: tuple
     peak_disagreement: float
-    converged: bool
     tolerance: float
-    tail_fraction: float
     regime_entry: float | None = None
     divergence_time: float | None = None
 
-    def __post_init__(self):
-        if self.converged and any(r >= self.tolerance for r in self.order_residuals):
-            raise ConsensusLabError("converged report with residuals over tolerance")
+    @property
+    def converged(self) -> bool:
+        """No divergence, and every residual below the tolerance."""
+        return self.divergence_time is None and all(
+            r < self.tolerance for r in self.order_residuals)
 
 
 def build_report(traj: Trajectory, tolerance: float = 1e-6,
@@ -164,14 +164,10 @@ def build_report(traj: Trajectory, tolerance: float = 1e-6,
                  L=None) -> ConsensusReport:
     residuals, peak, regime = _walk(
         traj, tail_fraction, None if regime_band is None else L, regime_band)
-    diverged = traj.meta.get("divergence_time")
-    converged = diverged is None and all(r < tolerance for r in residuals)
     return ConsensusReport(
         order_residuals=tuple(residuals),
         peak_disagreement=peak,
-        converged=converged,
         tolerance=tolerance,
-        tail_fraction=tail_fraction,
         regime_entry=regime,
-        divergence_time=diverged,
+        divergence_time=traj.meta.get("divergence_time"),
     )

@@ -6,19 +6,22 @@ expose an almost-everywhere time derivative so they can appear at any stage
 of a composition. The two delayed kinds break that invariance and are only
 admissible as the outermost stage.
 
-Every kind has two entry points. ``evaluate`` is the checked public call:
-it rejects NaN/Inf input with NumericError, then runs ``apply``. ``apply``
-is the same map without the check, for hot paths whose caller guarantees
-finite input (the compiled cascade and plant fields, run by
-``sim.integrate``, which tests the state after every step). The gated and
-saturated kinds compute ``apply(z, t) = finish(L z, t)``, where ``finish``
-works in place on its argument, an (N,) block or m such blocks as (m, N):
-the gate product D(t) y or the clamp to [-1, 1]. Both maps are odd, so
+Each kind computes its map once, in ``evaluate``, the checked public
+call: it rejects NaN/Inf input with NumericError, then maps. The compiled
+cascade and plant fields (``dynamics``), run by ``sim.integrate``, which
+tests the state after every step, do not call it: they take the inner
+kinds' ``L`` into one block product, apply the gated and saturated kinds'
+``finish`` to it, and fold the velocity-tracking kind in as an affine map.
+``finish`` works in place on its argument, an (N,) block or m such blocks
+as (m, N): the gate product D(t) y or the clamp to [-1, 1], so those kinds
+evaluate to ``finish(L z, t)``. Both maps are odd, so
 ``finish(-L z) = -finish(L z)`` exactly and the compiled fields apply them
-to their negated block products. The inner kinds also take a block of
-states: ``evaluate(z, t)`` of an (m, N) array z with an (m,) array t of
-its rows' times is one product z L^T, one finite check and, for the gated
-kind, row r gated by D(t[r]).
+to their negated block products. Only ``DelayedRelative`` also has an
+unchecked ``apply``: the cascade field runs it inside the integrator,
+where a NaN in an RK stage must end as a divergence. The inner kinds also
+take a block of states: ``evaluate(z, t)`` of an (m, N) array z with an
+(m,) array t of its rows' times is one product z L^T, one finite check
+and, for the gated kind, row r gated by D(t[r]).
 
 ``DelayedRelative`` reads its neighbours' past states through a *history
 view*: an object whose ``components(ts, idx)`` returns, for each m,
@@ -85,10 +88,6 @@ class ConsensusOperator:
         also takes an (m, N) block z with an (m,) array t of row times."""
         raise NotImplementedError
 
-    def apply(self, z, t, hist=None) -> np.ndarray:
-        """op(z, t) without the input check; for callers with finite input."""
-        raise NotImplementedError
-
     def ae_derivative(self, z, zdot, t) -> np.ndarray:
         """Almost-everywhere time derivative of t -> op(z(t), t)."""
         raise OperatorError(
@@ -99,10 +98,8 @@ class ConsensusOperator:
         return f"<{type(self).__name__} n={self.n}>"
 
 
-class LinearStatic(ConsensusOperator):
-    """z -> L z for a fixed graph Laplacian L."""
-
-    kind = "linear_static"
+class _LaplacianOperator(ConsensusOperator):
+    """Base of the inner kinds: relative feedback through a Laplacian L."""
 
     def __init__(self, L):
         self.L = _as_laplacian(L)
@@ -111,18 +108,21 @@ class LinearStatic(ConsensusOperator):
     def n(self):
         return self.L.shape[0]
 
+
+class LinearStatic(_LaplacianOperator):
+    """z -> L z for a fixed graph Laplacian L."""
+
+    kind = "linear_static"
+
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.apply(z, t, hist)
-
-    def apply(self, z, t, hist=None):
         return _laplacian_product(self.L, z)
 
     def ae_derivative(self, z, zdot, t):
         return self.L @ zdot
 
 
-class LinearTimeVarying(ConsensusOperator):
+class LinearTimeVarying(_LaplacianOperator):
     """z -> D(t) L z with per-agent gates D_ii(t) = max(sin(w_i t + phi_i), 0).
 
     Each agent's feedback switches off for half of its own sine period, so
@@ -133,7 +133,7 @@ class LinearTimeVarying(ConsensusOperator):
     kind = "linear_time_varying"
 
     def __init__(self, L, omega, phi):
-        self.L = _as_laplacian(L)
+        super().__init__(L)
         self.omega = np.asarray(omega, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
         if self.omega.shape != (self.n,) or self.phi.shape != (self.n,):
@@ -141,10 +141,6 @@ class LinearTimeVarying(ConsensusOperator):
         if np.any(self.omega == 0):
             raise OperatorError("gate frequencies must be nonzero")
         self._gate_memo = (None, None)
-
-    @property
-    def n(self):
-        return self.L.shape[0]
 
     def gates(self, t) -> np.ndarray:
         """Gate vector D(t), read-only. The last time point is memoized: an
@@ -166,9 +162,6 @@ class LinearTimeVarying(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.apply(z, t, hist)
-
-    def apply(self, z, t, hist=None):
         return self.finish(_laplacian_product(self.L, z), t)
 
     def finish(self, y, t):
@@ -179,7 +172,7 @@ class LinearTimeVarying(ConsensusOperator):
         return self.gate_rates(t) * (self.L @ z) + self.gates(t) * (self.L @ zdot)
 
 
-class Saturated(ConsensusOperator):
+class Saturated(_LaplacianOperator):
     """z -> sat(L z), elementwise clamp to [-1, 1].
 
     The saturation level is fixed at 1; scale L itself for other levels.
@@ -189,18 +182,8 @@ class Saturated(ConsensusOperator):
 
     kind = "saturated"
 
-    def __init__(self, L):
-        self.L = _as_laplacian(L)
-
-    @property
-    def n(self):
-        return self.L.shape[0]
-
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.apply(z, t, hist)
-
-    def apply(self, z, t, hist=None):
         return self.finish(_laplacian_product(self.L, z), t)
 
     def finish(self, y, t):
@@ -258,6 +241,7 @@ class DelayedRelative(ConsensusOperator):
         return self.apply(z, t, hist)
 
     def apply(self, z, t, hist=None):
+        """``evaluate`` without the input check, for the cascade field."""
         if hist is None:
             raise InsufficientHistoryError(
                 "delayed_relative needs a history view covering [t - tau_max, t]"
@@ -299,7 +283,4 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.apply(z, t, hist)
-
-    def apply(self, z, t, hist=None):
         return self.gains * (z - self.ref)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,7 +382,3 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
         raise
     traj.plant, traj.meta = plant, meta
     return traj
-
-
-def with_controller(sc: Scenario, controller: str) -> Scenario:
-    return replace(sc, controller=controller)

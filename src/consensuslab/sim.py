@@ -11,18 +11,22 @@ Every history view handed to an operator or controller answers
 ``components(ts, idx)``: entry m is component idx[m] of the state at time
 ts[m]. A view also reports ``t_last``, the end of its committed samples,
 and ``source``, the history it reads. ``FunctionView`` adapts a plain
-function s -> state to that protocol; its committed end is +inf.
+function s -> state to that protocol; its committed end is +inf. The
+interpolation rule is written once, in ``HistoryBuffer.components``, and
+the read past the committed end once, in ``StepView.components``; the
+whole-state reads ``HistoryBuffer.state_at`` and ``StepView(s)`` go
+through them.
 
 Delayed reads go through one sample-and-hold reader, ``HeldReads``. An
 arrival-based delay reads the state at the agent's last arrival, so the
 read times stay fixed on a window [lo, hi) between arrivals
 (``ArrivalBank.window``). A ramp delay min(t, cap) reads the state at time
-0 exactly on its window [0, cap). Once every read time lies before the
-committed end, the values read are fixed as well: the reader keeps them and
-returns them until t leaves the window. Reads whose arrival lies inside the
-current step still go through the view, and its provisional segment, at
-every stage. Other delays, and a ramp from its cap on, look up and read
-afresh on every call.
+0 exactly on its window [0, cap). Once every read time lies at or before
+the committed end, the values read are fixed as well: the reader keeps
+them and returns them until t leaves the window. Reads whose arrival lies
+inside the current step still go through the view, and its provisional
+segment, at every stage. Other delays, and a ramp from its cap on, look up
+and read afresh on every call.
 
 Everything here is deterministic: identical inputs (including seeds) give
 bit-identical trajectories within one environment.
@@ -140,23 +144,20 @@ class HistoryBuffer:
         return (self.count - 1) * self.dt
 
     def state_at(self, s) -> np.ndarray:
-        """Linear interpolation, clamped to [0, t_last]."""
-        pos = s / self.dt
-        last = self.count - 1
-        if pos <= 0.0:
-            return self.values[0]
-        if pos >= last:
-            return self.values[last]
-        k = int(pos)
-        frac = pos - k
-        return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
+        """The whole state at time s, read as ``components`` reads it."""
+        n = self.values.shape[1]
+        return self.components(np.full(n, s), np.arange(n))
 
     def components(self, ts, idx) -> np.ndarray:
-        """Vectorized clamped reads of single components at per-entry times."""
+        """Linear interpolation of single components at per-entry times,
+        clamped to [0, t_last]. A time within rounding of grid index k
+        reads sample k exactly, however many samples are committed."""
         last = self.count - 1
         if last == 0:
             return self.values[0, idx]
-        pos = np.clip(np.asarray(ts, dtype=float) / self.dt, 0.0, last)
+        pos = np.asarray(ts, dtype=float) / self.dt
+        near = np.rint(pos)
+        pos = np.clip(np.where(np.abs(pos - near) <= 1e-12 * pos, near, pos), 0.0, last)
         k = np.minimum(pos.astype(np.int64), last - 1)
         frac = pos - k
         return (1.0 - frac) * self.values[k, idx] + frac * self.values[k + 1, idx]
@@ -181,12 +182,8 @@ class StepView:
         self.t_last = buf.t_last
 
     def __call__(self, s) -> np.ndarray:
-        if s <= self.t_last or self.t_stage <= self.t_last:
-            return self.buf.state_at(s)
-        if s >= self.t_stage:
-            return self.z_stage
-        frac = (s - self.t_last) / (self.t_stage - self.t_last)
-        return (1.0 - frac) * self.buf.values[self.buf.count - 1] + frac * self.z_stage
+        n = len(self.z_stage)
+        return self.components(np.full(n, s), np.arange(n))
 
     def components(self, ts, idx) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -241,12 +238,10 @@ class HeldReads:
     read time of delays[m] at t; ``delays`` is one delay per read, or one
     delay that every read shares. The read times hold on the window [lo, hi)
     of ``read_window(delays)``, and lo bounds them from above. When lo lies
-    strictly before the view's committed end, the values read are kept and
+    at or before the view's committed end, the values read are kept and
     returned as they are, read-only, until t leaves the window or another
     history is read. They equal a fresh read: interpolation between
-    committed samples never changes. (A read exactly at the committed end
-    clamps there, and a later read may interpolate an ulp past it, so that
-    one is not kept.)
+    committed samples never changes.
     """
 
     __slots__ = ("window", "idx", "times", "lo", "hi", "source", "held")
@@ -265,7 +260,7 @@ class HeldReads:
         elif self.held is not None and view.source == self.source:
             return self.held
         vals = view.components(self.times, self.idx)
-        if self.lo < view.t_last:
+        if self.lo <= view.t_last:
             vals.flags.writeable = False
             self.source, self.held = view.source, vals
         return vals
@@ -304,22 +299,13 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             t = k * dt
-            if use_hist:
-                k1 = field(x, t, StepView(buf, t, x))
-                z = x + half * k1
-                k2 = field(z, t + half, StepView(buf, t + half, z))
-                z = x + half * k2
-                k3 = field(z, t + half, StepView(buf, t + half, z))
-                z = x + dt * k3
-                k4 = field(z, t + dt, StepView(buf, t + dt, z))
-            else:
-                k1 = field(x, t, None)
-                z = x + half * k1
-                k2 = field(z, t + half, None)
-                z = x + half * k2
-                k3 = field(z, t + half, None)
-                z = x + dt * k3
-                k4 = field(z, t + dt, None)
+            k1 = field(x, t, StepView(buf, t, x) if use_hist else None)
+            z = x + half * k1
+            k2 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
+            z = x + half * k2
+            k3 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
+            z = x + dt * k3
+            k4 = field(z, t + dt, StepView(buf, t + dt, z) if use_hist else None)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
             # False for NaN as well as for +-inf and finite blow-ups.

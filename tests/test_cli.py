@@ -343,6 +343,13 @@ class TestPresetVerdicts:
             assert report["converged"] == converged, kind
             assert "divergence_time" not in report, kind
 
+    def test_saturated_regime_enters_the_band_and_converges(self, tmp_path):
+        assert run_cli("--preset", "saturated_regime", "--out", str(tmp_path)) == 0
+        report = read_report(tmp_path / "report.txt")
+        assert report["converged"] == "true"
+        assert report["regime_entry_time"] == "4.04"
+        assert "divergence_time" not in report
+
     def test_appendix_d_drift_matches_closed_form(self, tmp_path):
         assert run_cli("--preset", "counterexample_appD", "--out", str(tmp_path)) == 0
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)

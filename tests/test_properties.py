@@ -255,6 +255,27 @@ def test_csr_field_matches_definition_above_threshold():
             assert np.abs(field(xi, t, None) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6),
+       kinds=st.lists(st.sampled_from(INNER), max_size=1),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_zero_delay_equals_no_delay(n, kinds, seed):
+    """A delayed_relative outer stage with delay 0 reads its neighbours at
+    the RK stage point, through the history view's provisional segment, so
+    it runs the linear_static cascade on the same digraph."""
+    rng = np.random.default_rng(seed)
+    inner = tuple(random_operator(kind, n, rng) for kind in kinds)
+    w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(w, 0.0)
+    delayed = Cascade((*inner, DelayedRelative(w, ConstantDelay(0.0), tau_max=0.0)))
+    static = Cascade((*inner, LinearStatic(np.diag(w.sum(axis=1)) - w)))
+    xi0 = rng.uniform(-2.0, 2.0, static.order * n)
+    cfg = IntegratorConfig(0.01, 2.0)
+    a = integrate(cascade_rhs(delayed), xi0, cfg, tau_max=0.0).states
+    b = integrate(cascade_rhs(static), xi0, cfg).states
+    assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+
+
 def reference_plant(law, w, s, t, hist):
     """The plant field [xdot; u + w] by each baseline's definition, one
     checked evaluate per operator term."""

@@ -129,6 +129,8 @@ class TestHistory:
         assert view(1.5)[0] == 2.0
 
     def test_components_match_scalar_reads(self):
+        # Reference: np.interp on the committed grid extended by the stage
+        # point, clamped to the initial state before t = 0.
         rng = np.random.default_rng(0)
         buf = HistoryBuffer(dt=0.1, nsteps=50, x0=rng.normal(size=4))
         for _ in range(50):
@@ -137,8 +139,24 @@ class TestHistory:
         ts = rng.uniform(-0.5, 5.03, size=40)
         idx = rng.integers(0, 4, size=40)
         vec = view.components(ts, idx)
-        scalar = np.array([view(s)[i] for s, i in zip(ts, idx)])
-        assert np.abs(vec - scalar).max() < 1e-14
+        grid = np.append(np.arange(51) * 0.1, 5.03)
+        samples = np.vstack((buf.values[:51], view.z_stage))
+        ref = np.array([np.interp(s, grid, samples[:, i]) for s, i in zip(ts, idx)])
+        assert np.abs(vec - ref).max() < 1e-14
+
+    @pytest.mark.parametrize("dt", [0.01, 0.025, 0.1, 1e-3, 4e-3])
+    def test_a_grid_time_reads_its_sample(self, dt):
+        """A read at k * dt gives sample k exactly while sample k is the
+        committed end and after the next one is committed."""
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(200, 3))
+        buf = HistoryBuffer(dt, 199, values[0])
+        idx = np.arange(3)
+        for k in range(1, 200):
+            buf.commit(values[k])
+            for j in (k - 1, k):
+                got = buf.components(np.full(3, j * dt), idx)
+                assert np.array_equal(got, values[j]), (j, got - values[j])
 
 
 class TestDelayProcesses:
@@ -239,6 +257,13 @@ class TestHeldReads:
         assert view.reads == 2
         with pytest.raises(ValueError):
             reads(3.5, view)[0] = 0.0  # the held values are read-only
+
+    def test_reads_at_the_committed_end_are_held(self):
+        reads = HeldReads(self.delays(), [0, 1])
+        view = CountingView(lambda s: np.array([s, -s]), t_last=2.0)
+        for t in (2.0, 2.5, 2.999):  # the latest arrival, 2.0, is the committed end
+            assert np.array_equal(reads(t, view), [1.0, -2.0])
+        assert view.reads == 1
 
     def test_uncommitted_reads_are_not_held(self):
         reads = HeldReads(self.delays(), [0, 1])
