@@ -39,9 +39,6 @@ from .metrics import (
     build_report,
     disagreement_seminorm,
     laplacian_seminorm,
-    nth_order_residuals,
-    peak_disagreement,
-    regime_entry_time,
 )
 from .operators import (
     ConsensusOperator,

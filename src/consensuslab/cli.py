@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import emit_scenario, parse_scenario, scenario_hash
 from .exceptions import ConfigError, DivergenceError
-from .metrics import build_report, laplacian_seminorm, row_disagreement, row_laplacian_seminorm
+from .metrics import build_report, row_disagreement, row_laplacian_seminorm
 from .presets import PRESETS, preset
-from .scenario import simulate_scenario
+from .scenario import simulate_scenario, validate_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +65,11 @@ def _fmt12(v) -> str:
 
 
 def write_trajectory_csv(traj, path: Path) -> None:
-    """Write ``traj`` as CSV: t, the plant positions x_i, from order 2 on
-    the velocities xdot_i, on the cascade route of order >= 2 the cascade
-    states xi_k_i, then each row's disagreement and Laplacian seminorm of
-    the offset-free positions x - d_ref. Values print as "%.12g".
+    """Write ``traj`` as CSV: t, the plant positions x_i with their formation
+    offsets added, from order 2 on the velocities xdot_i, on the cascade
+    route of order >= 2 the cascade states xi_k_i, then each row's
+    disagreement and Laplacian seminorm of the simulated, offset-free
+    positions. Values print as "%.12g".
 
     The rows go out one block of ``traj.plant_blocks()`` at a time: each
     block is copied into one array sized by the first block, its two
@@ -102,24 +103,17 @@ def write_trajectory_csv(traj, path: Path) -> None:
             rows = slice(first, first + len(x))
             columns = (traj.times[rows, None], x, xdot, traj.states[rows])
             np.concatenate(columns[:2 + velocity + cascade], axis=1, out=out[:, :-2])
-            x_rel = x - d_ref
-            out[:, -2] = row_disagreement(x_rel)
-            out[:, -1] = row_laplacian_seminorm(L, x_rel)
+            out[:, 1:n + 1] += d_ref
+            out[:, -2] = row_disagreement(x)
+            out[:, -1] = row_laplacian_seminorm(L, x)
             fh.writelines(row_format % tuple(row) for row in out.tolist())
 
 
 def write_report(traj, sc, path: Path, config_hash: str):
     """Build the run's ConsensusReport, write it as report.txt and return it."""
     regime_band = 1.0 if any(st.kind == "saturated" for st in sc.stages) else None
-    report = build_report(
-        traj,
-        tolerance=sc.tolerance,
-        tail_fraction=sc.tail_fraction,
-        regime_band=regime_band,
-        L=traj.meta["laplacian"],
-    )
-    _, x, _ = next(traj.plant_blocks(len(traj) - 1))
-    last = x[0] - np.asarray(traj.meta["d_ref"])
+    report = build_report(traj, tolerance=sc.tolerance, tail_fraction=sc.tail_fraction,
+                          regime_band=regime_band, L=traj.meta["laplacian"])
     lines = [
         f"name = {sc.name}",
         f"controller = {sc.controller}",
@@ -134,9 +128,7 @@ def write_report(traj, sc, path: Path, config_hash: str):
     for k, res in enumerate(report.order_residuals):
         lines.append(f"order{k}_residual = {_fmt12(res)}")
     lines.append(f"peak_disagreement = {_fmt12(report.peak_disagreement)}")
-    lines.append(
-        f"final_lap_seminorm = {_fmt12(laplacian_seminorm(traj.meta['laplacian'], last))}"
-    )
+    lines.append(f"final_lap_seminorm = {_fmt12(report.final_lap_seminorm)}")
     if report.regime_entry is not None:
         lines.append(f"regime_entry_time = {_fmt12(report.regime_entry)}")
     elif regime_band is not None:
@@ -201,13 +193,22 @@ def run(sc, out_dir, quiet=False, gnuplot=False):
 
 def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
     """Run the same physical setup under each controller (identical seed,
-    initial conditions, and RNG streams) and write a side-by-side table."""
+    initial conditions, and RNG streams) and write a side-by-side table.
+    A repeated or rejected controller exits 1 before anything runs."""
+    runs = [dataclasses.replace(sc, controller=kind) for kind in controllers]
+    try:
+        if len(set(controllers)) < len(runs):
+            raise ConfigError(f"--compare names a controller twice: {','.join(controllers)}")
+        for each in runs:
+            validate_scenario(each)
+    except ConfigError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 1
     out = Path(out_dir)
     rows = []
     worst = 0
-    for kind in controllers:
-        code, report = run(dataclasses.replace(sc, controller=kind), out / kind,
-                           quiet=quiet, gnuplot=gnuplot)
+    for kind, each in zip(controllers, runs):
+        code, report = run(each, out / kind, quiet=quiet, gnuplot=gnuplot)
         if code in (1, 3):
             return code
         worst = max(worst, code)

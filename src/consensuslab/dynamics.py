@@ -275,6 +275,8 @@ class PlantLaw:
             raise ShapeError(f"need {first.n} agents in stage 2, got {second.n}")
         if (self.controller == "conventional-delayed") != (self.delays is not None):
             raise OperatorError("delays go with conventional-delayed, and only with it")
+        if (self.delays is None) != (self.tau_max is None):
+            raise OperatorError("delays and their bound tau_max go together")
 
     @property
     def n(self) -> int:
@@ -302,8 +304,7 @@ def plant_rhs(law: PlantLaw, w=None):
     if law.controller == "conventional":
         terms = [(first, V), (second, X)]
     elif law.controller == "naive-serial":
-        terms = [(second, V), (first, X)] if first is second else \
-            [(second, V), (first, V), (first, X)]
+        terms = [(second, V), (first, V), (first, X)]
     else:
         terms = [(first, X)]
 
@@ -315,10 +316,8 @@ def plant_rhs(law: PlantLaw, w=None):
     finished = _finish_runs([None] + [op for op, _ in terms], n)
 
     naive = law.controller == "naive-serial"
-    # Blocks added to u = y[V], in order; a shared naive-serial operator doubles u.
+    # Blocks added to u = y[V], in order.
     added = [slice(2 * n, 3 * n)] if len(terms) > 1 else []
-    if naive and first is second:
-        added = [V]
     nested = _block_operator(second.L) if naive else None
     nested_finish = None if not naive or isinstance(second, LinearStatic) else second.finish
     gains = v_ref = reads = None

@@ -6,11 +6,12 @@ span(1): the disagreement seminorm exactly, the Laplacian seminorm only up
 to rounding (with non-integer weights the products in L (c 1) need not
 cancel exactly; random 6-node digraphs give up to ~1e-14).
 
-The run metrics come from one walk over a record's plant states, one block
-at a time as ``Trajectory.plant_blocks`` derives them: formation offsets are
-removed per block, so their memory beyond the record is one block of
-positions plus at most one value per row (the residuals also join the
-velocities of the tail).
+``build_report`` computes every run metric in one walk over a record's
+plant states, one block at a time as ``Trajectory.plant_blocks`` derives
+them, in simulation coordinates: positions without their formation
+offsets, which agree once the formation is reached. Its memory beyond the
+record is one block of positions plus at most one value per row (the
+residuals also join the velocities of the tail).
 """
 
 from __future__ import annotations
@@ -67,17 +68,46 @@ def _spread(values) -> float:
     return float((values.max(axis=1) - values.min(axis=1)).max())
 
 
-def _walk(traj: Trajectory, tail_fraction: float = 0.1, L=None, r=None):
-    """(order residuals, peak disagreement, regime entry) as the functions
-    below define them, from one walk over ``traj.plant_blocks()``: each block
-    is derived once, however many metrics read it. No regime entry without L.
+@dataclass(frozen=True)
+class ConsensusReport:
+    """Flat summary of one run, serialized into report.txt by the CLI."""
+
+    order_residuals: tuple
+    peak_disagreement: float
+    tolerance: float
+    regime_entry: float | None = None
+    divergence_time: float | None = None
+    final_lap_seminorm: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        """No divergence, and every residual below the tolerance."""
+        return self.divergence_time is None and all(
+            r < self.tolerance for r in self.order_residuals)
+
+
+def build_report(traj: Trajectory, tolerance: float = 1e-6,
+                 tail_fraction: float = 0.1, regime_band=None,
+                 L=None) -> ConsensusReport:
+    """The run metrics of ``traj`` from one walk over ``traj.plant_blocks()``,
+    which derives each block once however many metrics read it.
+
+    ``order_residuals`` holds, per derivative order, the max pairwise gap
+    over the tail, the suffix of the record from t_end - tail_fraction *
+    (t_end - t_0) on: of the positions, the recorded velocities, then
+    central finite differences of the velocities (endpoints excluded), as
+    many orders as the record supports. ``peak_disagreement`` is the sup of
+    the disagreement seminorm over the run. Given ``L``,
+    ``final_lap_seminorm`` is ||L x||_inf of the last row (else None); given
+    ``regime_band`` r too, ``regime_entry`` is the earliest recorded t* with
+    ||L x(t)||_inf < r for all t >= t*, None if the last row is outside.
     """
     if len(traj) == 0:
         raise ConsensusLabError("empty trajectory has no run metrics")
     if not 0 < tail_fraction <= 1:
         raise ConsensusLabError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    if L is not None and not 0 < r <= 1:
-        raise ConsensusLabError(f"band radius must be in (0, 1], got {r}")
+    if regime_band is not None and (L is None or not 0 < regime_band <= 1):
+        raise ConsensusLabError(f"regime band needs L and a radius in (0, 1], got {regime_band}")
     times = traj.times
     t_cut = times[-1] - tail_fraction * (times[-1] - times[0])
     start = int(np.searchsorted(times, t_cut - 1e-12))
@@ -85,14 +115,11 @@ def _walk(traj: Trajectory, tail_fraction: float = 0.1, L=None, r=None):
     # Row i of the k-th difference is recorded row lo + i + k; the last one
     # taken (k = order - 2) reaches back to row start.
     lo = max(start - max(order - 2, 0), 0)
-    d_ref = traj.meta.get("d_ref")
-    d_ref = 0.0 if d_ref is None else np.asarray(d_ref, dtype=float)
     peaks, gaps, velocities, last = [], [], [], None
     for first, x, xdot in traj.plant_blocks():
-        x = x - d_ref
         peaks.append(float(row_disagreement(x).max()))
-        if L is not None:
-            above = np.flatnonzero(row_laplacian_seminorm(L, x) >= r)
+        if regime_band is not None:
+            above = np.flatnonzero(row_laplacian_seminorm(L, x) >= regime_band)
             if len(above):
                 last = first + int(above[-1])
         if first + len(x) > start:
@@ -112,62 +139,14 @@ def _walk(traj: Trajectory, tail_fraction: float = 0.1, L=None, r=None):
                 break
             residuals.append(_spread(deriv[first:]))
     entry = None
-    if L is not None and last != len(traj) - 1:
+    if regime_band is not None and last != len(traj) - 1:
         entry = float(times[0 if last is None else last + 1])
-    return residuals, max(peaks), entry
-
-
-def nth_order_residuals(traj: Trajectory, tail_fraction: float = 0.1) -> list[float]:
-    """Per-derivative-order max pairwise gaps over the trajectory tail.
-
-    Order 0 uses positions with formation offsets removed; order 1 uses the
-    recorded velocities; orders >= 2 come from central finite differences of
-    the recorded velocities (endpoints excluded). The list length equals the
-    number of derivative orders the trajectory supports. The tail is a
-    suffix of the record.
-    """
-    return _walk(traj, tail_fraction)[0]
-
-
-def peak_disagreement(traj: Trajectory) -> float:
-    """Sup over the run of the disagreement seminorm of offset-free positions."""
-    return _walk(traj)[1]
-
-
-def regime_entry_time(traj: Trajectory, L, r: float):
-    """Earliest recorded t* with ||L x(t)||_inf < r for every t >= t*.
-
-    None when the trajectory never settles inside the band through t_end.
-    """
-    return _walk(traj, L=L, r=r)[2]
-
-
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Flat summary of one run, serialized into report.txt by the CLI."""
-
-    order_residuals: tuple
-    peak_disagreement: float
-    tolerance: float
-    regime_entry: float | None = None
-    divergence_time: float | None = None
-
-    @property
-    def converged(self) -> bool:
-        """No divergence, and every residual below the tolerance."""
-        return self.divergence_time is None and all(
-            r < self.tolerance for r in self.order_residuals)
-
-
-def build_report(traj: Trajectory, tolerance: float = 1e-6,
-                 tail_fraction: float = 0.1, regime_band=None,
-                 L=None) -> ConsensusReport:
-    residuals, peak, regime = _walk(
-        traj, tail_fraction, None if regime_band is None else L, regime_band)
     return ConsensusReport(
         order_residuals=tuple(residuals),
-        peak_disagreement=peak,
+        peak_disagreement=max(peaks),
         tolerance=tolerance,
-        regime_entry=regime,
+        regime_entry=entry,
         divergence_time=traj.meta.get("divergence_time"),
+        # x is the last block.
+        final_lap_seminorm=None if L is None else laplacian_seminorm(L, x[-1]),
     )

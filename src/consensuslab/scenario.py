@@ -164,8 +164,8 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read sup")
     # The grid rules live in IntegratorConfig; reading nsteps applies the last.
     sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every).nsteps
-    if not sc.tolerance > 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0 < sc.tolerance < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
     if not 0 < sc.tail_fraction <= 1:
         raise ConfigError("tail_fraction must be in (0, 1]")
 
@@ -340,7 +340,8 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     The compositional controller runs in the cascade state space, and its
     plant map reconstructs x and xdot from each block of cascade states;
     the baselines run on the double-integrator plant [x; xdot], whose map
-    slices the states. Either map adds the formation offsets d_ref to x.
+    slices the states. Either map returns the simulated, offset-free
+    positions x - d_ref; meta["d_ref"] keeps the formation offsets.
     Divergence raises DivergenceError whose ``trajectory`` carries the
     partial record, annotated the same way (the blow-up time sits in
     meta["divergence_time"]).
@@ -355,15 +356,14 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
         field = dynamics.cascade_rhs(system, w)
 
         def plant(states, times):
-            x, xdot = dynamics.reconstruct_plant(system, states, times)
-            return x + d_ref, xdot
+            return dynamics.reconstruct_plant(system, states, times)
     else:
         route = "plant"
         state0, d_ref = _initial_conditions(sc)
         field = dynamics.plant_rhs(system, w)
 
         def plant(states, times):
-            return states[:, :n] + d_ref, states[:, n:]
+            return states[:, :n], states[:, n:]
 
     meta = {
         "order": sc.order,

@@ -96,11 +96,11 @@ class Trajectory:
 
     ``states`` holds the raw integrated vectors (stacked cascade states or
     plant [x; xdot]). ``plant`` maps a block of recorded states and the
-    block's times to the plant (x, xdot) of those rows: x the positions with
-    their formation offsets, xdot None at order 1. The scenario layer sets
-    it by route; the default reads the states as positions. Plant states are
-    derived where they are read, one block at a time (``plant_blocks``), and
-    are never stored.
+    block's times to the plant (x, xdot) of those rows: x the positions in
+    the simulated, offset-free coordinates x - d_ref, xdot None at order 1.
+    The scenario layer sets it by route; the default reads the states as
+    positions. Plant states are derived where they are read, one block at
+    a time (``plant_blocks``), and are never stored.
     """
 
     times: np.ndarray

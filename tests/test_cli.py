@@ -194,6 +194,7 @@ class TestExitCodes:
          "disturbance kind constant does not read sup"),
         ("serial_lti", {"graph_edges": ((2, 1, 5.0), (3, 1, 1.0))},
          "graph kind 'path' does not read an edges list"),
+        ("serial_lti", {"tolerance": math.inf}, "tolerance must be positive and finite"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -207,7 +208,7 @@ class TestExitCodes:
             "xi0-under-baseline", "preset-beside-xi0", "x0-beside-xi0",
             "xdot0-at-order-1", "scale-on-velocity-stage", "vector-under-none",
             "vector-under-random", "sup-under-none", "sup-under-constant",
-            "edges-under-path"])
+            "edges-under-path", "tolerance-inf"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))
@@ -236,6 +237,21 @@ class TestCompare:
                      report.get("divergence_time", "-"))
             assert row.split() == list(cells)
 
+    @pytest.mark.parametrize("preset_name, kinds, says", [
+        ("serial_lti", "compositional,bogus", "unknown controller 'bogus'"),
+        ("serial_lti", "compositional,compositional", "names a controller twice"),
+        ("serial_lti", "compositional,conventional-delayed",
+         "delayed_absolute_velocity outer stage"),
+    ], ids=["unknown", "repeated", "rejected-scenario"])
+    def test_whole_list_checked_before_any_run(self, preset_name, kinds, says, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        assert run_cli("--preset", preset_name, "--t-end", "1", "--compare", kinds,
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and says in err, err
+        assert not out.exists()
+
 
 class TestTrajectoryCsv:
     @staticmethod
@@ -245,9 +261,9 @@ class TestTrajectoryCsv:
         states = rng.standard_normal((rows, 2 * n)) * 10.0 ** rng.integers(-300, 300, (rows, 2 * n))
         states[:7, 0] = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1]
         d_ref = np.array([0.25, -1.5, 3.0])
-        # Positions apart from the states' extreme values, derived from each
-        # block's times.
-        positions = lambda t: np.sin(np.outer(t, [700.0, 1300.0, 2900.0])) + d_ref
+        # Offset-free positions apart from the states' extreme values,
+        # derived from each block's times.
+        positions = lambda t: np.sin(np.outer(t, [700.0, 1300.0, 2900.0]))
         L = build_laplacian(path_graph(n))
         traj = Trajectory(np.arange(rows) * 1e-3, states,
                           meta={"n_agents": n, "laplacian": L, "d_ref": tuple(d_ref),
@@ -257,11 +273,11 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, path)
         plant_x = positions(traj.times)
 
-        # The seminorm columns by their whole-record formulas.
-        x_rel = plant_x - d_ref
-        derived = np.column_stack((row_disagreement(x_rel), np.abs(x_rel @ L.T).max(axis=1)))
+        # The seminorm columns by their whole-record formulas; the x columns
+        # carry the offsets.
+        derived = np.column_stack((row_disagreement(plant_x), np.abs(plant_x @ L.T).max(axis=1)))
         header = ([f"x_{i}" for i in range(1, n + 1)] + [f"xdot_{i}" for i in range(1, n + 1)])
-        columns = [traj.times, plant_x, states[:, n:]]
+        columns = [traj.times, plant_x + d_ref, states[:, n:]]
         if route == "cascade":
             header += [f"xi_{k}_{i}" for k in (1, 2) for i in range(1, n + 1)]
             columns.append(states)
@@ -279,6 +295,33 @@ class TestTrajectoryCsv:
             self.check_format(route, tmp_path)
 
 
+class TestReportFile:
+    def test_report_lines_match_the_csv(self, tmp_path):
+        """gps_fig3 sets formation offsets: the report's peak disagreement and
+        final Laplacian seminorm read the same offset-free positions as the
+        CSV's seminorm columns."""
+        assert run_cli("--preset", "gps_fig3", "--t-end", "2", "--out", str(tmp_path)) == 0
+        report = read_report(tmp_path / "report.txt")
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        column = header.index("disagreement")
+        peak = max(rows, key=lambda row: float(row[column]))[column]
+        assert report["peak_disagreement"] == peak
+        assert report["final_lap_seminorm"] == rows[-1][header.index("lap_seminorm")]
+
+    def test_gnuplot_script(self, tmp_path):
+        assert run_cli("--preset", "counterexample_appD", "--gnuplot",
+                       "--out", str(tmp_path / "plot")) == 0
+        script = (tmp_path / "plot" / "plot.gp").read_text()
+        assert "set title 'counterexample_appD (compositional)'" in script
+        n = preset("counterexample_appD").graph_n
+        series = re.findall(r"using 1:(\d+) with lines title 'x_(\d+)'", script)
+        assert series == [(str(i + 2), str(i + 1)) for i in range(n)]
+        assert run_cli("--preset", "counterexample_appD", "--out", str(tmp_path / "bare")) == 0
+        assert not (tmp_path / "bare" / "plot.gp").exists()
+
+
 class TestOutputMemory:
     """The output stage takes the record one row block at a time, so beyond
     its inputs it allocates about one block, not a copy of the record. An
@@ -292,11 +335,10 @@ class TestOutputMemory:
         n, rows = 2, 48_001
         rng = np.random.default_rng(11)
         states = rng.uniform(-1.0, 1.0, (rows, 2 * n))
-        d_ref = np.array([0.5, -0.5])
         return Trajectory(np.arange(rows) * 1e-3, states,
                           meta={"n_agents": n, "laplacian": build_laplacian(path_graph(n)),
-                                "d_ref": tuple(d_ref), "route": "plant", "order": 2},
-                          plant=lambda s, t: (s[:, :n] + d_ref, s[:, n:]))
+                                "d_ref": (0.5, -0.5), "route": "plant", "order": 2},
+                          plant=lambda s, t: (s[:, :n], s[:, n:]))
 
     def test_csv_writer(self, record, tmp_path):
         peak = peak_allocated(lambda: write_trajectory_csv(record, tmp_path / "t.csv"))

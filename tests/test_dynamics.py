@@ -19,7 +19,7 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import FunctionView
+from consensuslab.sim import ConstantDelay, FunctionView
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))
@@ -262,3 +262,11 @@ class TestGpsController:
         with pytest.raises(ShapeError):
             PlantLaw("conventional-ideal",
                      (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(4), 10.0)))
+
+    def test_delays_need_their_bound(self):
+        stages = (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0))
+        with pytest.raises(OperatorError, match="tau_max"):
+            PlantLaw("conventional-delayed", stages, ConstantDelay(0.5))
+        with pytest.raises(OperatorError, match="tau_max"):
+            PlantLaw("conventional-ideal", stages, tau_max=0.5)
+        assert PlantLaw("conventional-delayed", stages, ConstantDelay(0.5), 0.5).tau_max == 0.5

@@ -16,9 +16,6 @@ from consensuslab.metrics import (
     build_report,
     disagreement_seminorm,
     laplacian_seminorm,
-    nth_order_residuals,
-    peak_disagreement,
-    regime_entry_time,
     row_disagreement,
 )
 from consensuslab.sim import Trajectory
@@ -104,7 +101,7 @@ class TestFlatTrajectory:
         return make_traj(times, np.full((11, 7), 3.2))
 
     def test_peak_disagreement_exactly_zero(self):
-        assert peak_disagreement(self.flat_traj()) == 0.0
+        assert build_report(self.flat_traj()).peak_disagreement == 0.0
 
     def test_csv_disagreement_column_exactly_zero(self, tmp_path):
         traj = self.flat_traj()
@@ -123,26 +120,39 @@ class TestResiduals:
         times = np.linspace(0, 10, 101)
         x = np.tile(np.sin(times)[:, None], (1, 4))
         v = np.tile(np.cos(times)[:, None], (1, 4))
-        res = nth_order_residuals(make_traj(times, x, v))
+        res = build_report(make_traj(times, x, v)).order_residuals
         assert all(r == 0.0 for r in res)
 
-    def test_offsets_removed_at_order_zero(self):
+    def test_offsets_enter_only_the_csv_positions(self, tmp_path):
+        # Agents in consensus in simulation coordinates x - d_ref: the CSV's
+        # x columns add the offsets, its seminorm columns and the report do
+        # not.
         times = np.linspace(0, 1, 11)
         d_ref = np.array([0.0, -10.0, -20.0])
-        x = np.tile(d_ref, (11, 1)) + 5.0
-        res = nth_order_residuals(make_traj(times, x, meta={"d_ref": tuple(d_ref)}))
-        assert res[0] == 0.0
+        x = np.tile(5.0 + np.sin(times)[:, None], (1, 3))
+        traj = make_traj(times, x, np.zeros((11, 3)), meta={
+            "d_ref": tuple(d_ref), "n_agents": 3, "laplacian": build_laplacian(path_graph(3)),
+            "route": "plant", "order": 2})
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        with path.open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:4] for row in rows] == [[f"{v:.12g}" for v in r] for r in x + d_ref]
+        assert all(row[-2:] == ["0", "0"] for row in rows)
+        report = build_report(traj, L=traj.meta["laplacian"])
+        assert report.order_residuals == (0.0, 0.0)
+        assert report.peak_disagreement == report.final_lap_seminorm == 0.0
 
     def test_empty_trajectory_rejected(self):
         traj = Trajectory(np.array([]), np.zeros((0, 3)))
         with pytest.raises(ConsensusLabError):
-            nth_order_residuals(traj)
+            build_report(traj)
 
     def test_bad_tail_fraction_rejected(self):
         times = np.linspace(0, 1, 11)
         traj = make_traj(times, np.zeros((11, 2)))
         with pytest.raises(ConsensusLabError):
-            nth_order_residuals(traj, tail_fraction=0.0)
+            build_report(traj, tail_fraction=0.0)
 
     def test_second_order_residual_by_finite_difference(self):
         # agents share acceleration 2.0; one has a transient velocity offset
@@ -151,7 +161,7 @@ class TestResiduals:
         v[:, 2] += np.exp(-3 * times)
         x = np.cumsum(v, axis=0) * (times[1] - times[0])
         traj = make_traj(times, x, v, meta={"order": 3})
-        res = nth_order_residuals(traj, tail_fraction=0.1)
+        res = build_report(traj, tail_fraction=0.1).order_residuals
         assert len(res) == 3
         assert res[2] < 1e-8
 
@@ -160,25 +170,31 @@ class TestRegimeEntry:
     def test_already_inside(self):
         times = np.linspace(0, 5, 51)
         x = np.tile([0.0, 0.2], (51, 1))
-        assert regime_entry_time(make_traj(times, x), L2, 1.0) == 0.0
+        assert build_report(make_traj(times, x), regime_band=1.0, L=L2).regime_entry == 0.0
 
     def test_entry_mid_run(self):
         times = np.linspace(0, 10, 101)
         gap = 3.0 * np.exp(-times)      # ||L x|| = gap, drops below 1 at ln 3
         x = np.column_stack((np.zeros(101), gap))
-        t_star = regime_entry_time(make_traj(times, x), L2, 1.0)
+        t_star = build_report(make_traj(times, x), regime_band=1.0, L=L2).regime_entry
         assert abs(t_star - 1.1) < 0.11  # first grid point past ln 3 = 1.0986
 
     def test_never_inside(self):
         times = np.linspace(0, 5, 51)
         x = np.tile([0.0, 2.0], (51, 1))
-        assert regime_entry_time(make_traj(times, x), L2, 1.0) is None
+        assert build_report(make_traj(times, x), regime_band=1.0, L=L2).regime_entry is None
 
     def test_band_validation(self):
         times = np.linspace(0, 5, 6)
         traj = make_traj(times, np.zeros((6, 2)))
         with pytest.raises(ConsensusLabError):
-            regime_entry_time(traj, L2, 0.0)
+            build_report(traj, regime_band=0.0, L=L2)
+
+    def test_band_without_laplacian_rejected(self):
+        times = np.linspace(0, 5, 6)
+        traj = make_traj(times, np.zeros((6, 2)))
+        with pytest.raises(ConsensusLabError, match="regime band needs L"):
+            build_report(traj, regime_band=1.0)
 
 
 class TestReport:
@@ -226,7 +242,16 @@ class TestReport:
     def test_peak_disagreement(self):
         times = np.linspace(0, 1, 3)
         x = np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.5]])
-        assert peak_disagreement(make_traj(times, x)) == 1.0
+        assert build_report(make_traj(times, x)).peak_disagreement == 1.0
+
+    def test_final_lap_seminorm_reads_the_last_row(self):
+        # 1,500 rows: the last row sits in a partial second row block.
+        rng = np.random.default_rng(7)
+        times = np.arange(1500) * 0.01
+        x = rng.normal(size=(1500, 5))
+        report = build_report(make_traj(times, x), L=L5)
+        assert report.final_lap_seminorm == laplacian_seminorm(L5, x[-1])
+        assert build_report(make_traj(times, x)).final_lap_seminorm is None
 
 
 def test_package_import_loads_no_scipy():
