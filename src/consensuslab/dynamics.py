@@ -11,16 +11,20 @@ form runs the second-order baselines (``PlantLaw``) on the plant
 s = [x; xdot]; ``compositional_controller`` writes the cascade as such a
 controller, as a cross-check.
 
-Both routes are compiled: ``cascade_rhs`` and ``plant_rhs`` make one block
-product per call (naive-serial's nested op_2(op_1(x)) adds a second), then
-apply the gated and saturated operators' ``finish`` map once per run of
-adjacent blocks that share one operator. They call only ``finish`` and a
-delayed outer stage's unchecked ``apply``, inside ``sim.integrate``, which
-rejects a non-finite or blown-up state after every step. The other callers
-of an operator use its checked ``evaluate``. Reconstruction takes a whole
-block of recorded rows in one call and runs where a record is read, not
-after integration: the scenario layer makes it the plant map of a cascade
-record, which ``Trajectory.plant_blocks`` applies block by block.
+Both routes compile to one block program (``_compile``). Each field call
+runs, in this order: y = M s, the one block product; the gated and
+saturated operators' ``finish`` once over each run of adjacent blocks that
+share one operator; ordered in-place adds y[dst] += s[src] or y[src] (the
+cascade's shifts xi_{k+1}, the plant's term sums into u); then the steps
+that write the tail block, the outer stage or u: naive-serial's nested
+op_2(op_1(x)), a delayed outer stage's unchecked ``apply``, an affine
+constant, velocity tracking and the input. The field calls nothing else
+of an operator, inside ``sim.integrate``, which rejects a non-finite or
+blown-up state after every step; the other callers of an operator use its
+checked ``evaluate``. Reconstruction takes a whole block of recorded rows
+in one call and runs where a record is read, not after integration: the
+scenario layer makes it the plant map of a cascade record, which
+``Trajectory.plant_blocks`` applies block by block.
 """
 
 from __future__ import annotations
@@ -92,10 +96,22 @@ def _block_operator(A):
     return A
 
 
-def _finish_runs(block_ops, n):
-    """(finish, rows, m) for each run of m adjacent N-row blocks whose
-    operator, block_ops[k] for block k, is one and the same gated or
-    saturated operator. Other blocks have no ``finish``."""
+def _compile(M, n, block_ops, adds, tail, *, nested=None, delayed=None, const=None,
+             track=None, feed=None):
+    """The vector field ``field(s, t, hist)`` of one block program, run in
+    the order the module docstring gives. M is a constant matrix of N-row
+    blocks; block k is owned by block_ops[k] or None, and each run of
+    adjacent blocks owned by one gated or saturated operator takes one
+    ``finish``. ``adds`` holds (dst, src, own): y[dst] += y[src] if own
+    else s[src]. The tail steps write y[tail]: ``nested`` (op, src) adds
+    op's map of y[src], ``delayed`` sets -apply(s[tail]), ``const`` and
+    ``feed``(t) add, and ``track`` (gains, ref, reads) subtracts
+    gains * (v - ref), v being s[tail] or, with reads, its held reads of
+    hist. Each step adds in place, so a law keeps its own summation order.
+    Returns y when M is square, else its first len(s) entries.
+    """
+    width = M.shape[1]
+    square = M.shape[0] == width
     runs = []
     for k, op in enumerate(block_ops):
         if op is None or isinstance(op, LinearStatic) or not op.relative_feedback:
@@ -104,7 +120,50 @@ def _finish_runs(block_ops, n):
             runs[-1][2] += 1
         else:
             runs.append([op.finish, k, 1])
-    return [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
+    runs = [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
+    M = _block_operator(M)
+    stepped = any(step is not None for step in (nested, delayed, const, track, feed))
+    product = product_finish = product_src = None
+    if nested is not None:
+        op, product_src = nested
+        product = _block_operator(op.L)
+        product_finish = None if isinstance(op, LinearStatic) else op.finish
+    gains, ref, reads = track if track is not None else (None, None, None)
+
+    def field(s, t, hist):
+        if len(s) != width:
+            raise ShapeError(f"state length {len(s)} != {width}")
+        y = M @ s
+        for finish, sl, m in runs:
+            finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
+        for dst, src, own in adds:
+            block = y[dst]
+            block += y[src] if own else s[src]
+        if stepped:
+            out = y[tail]
+            if product is not None:
+                z = product @ y[product_src]
+                if product_finish is not None:
+                    product_finish(z, t)
+                out += z
+            if delayed is not None:
+                view = SliceView(hist, tail.start) if hist is not None else None
+                out[:] = -delayed.apply(s[tail], t, view)
+            if const is not None:
+                out += const
+            if gains is not None:
+                if reads is None:
+                    vel = s[tail]
+                elif hist is None:
+                    raise OperatorError("delayed velocity tracking needs a velocity history")
+                else:
+                    vel = reads(t, hist)
+                out -= gains * (vel - ref)
+            if feed is not None:
+                out += feed(t)
+        return y if square else y[:width]
+
+    return field
 
 
 def cascade_rhs(cascade: Cascade, u_ref=None):
@@ -112,64 +171,36 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
 
     ``u_ref`` is None or a callable t -> N-vector feeding the outer stage.
     ``hist`` is a history view of the stacked state, read only by a delayed
-    outer stage. The field is compiled into one block product per call: A
-    holds -L_k on the diagonal block of every inner stage and the identity
-    shift xi_{k+1} of every linear-static stage. Gated and saturated stages
-    then apply their odd ``finish`` map in place to their block of A xi,
-    once over the joined (m, N) block of m adjacent stages that share one
-    operator, and add their shift; a delayed outer stage runs its unchecked
-    ``apply``. A ``DelayedAbsoluteVelocity`` outer stage with a numeric
+    outer stage. The block program's matrix A holds -L_k on the diagonal
+    block of every relative stage and the identity shift xi_{k+1} of every
+    linear-static one; a gated or saturated stage adds its shift after its
+    ``finish``. A ``DelayedAbsoluteVelocity`` outer stage with a numeric
     reference v is affine, -op(z) = -diag(gains) z + gains v: it is folded
-    into A plus a constant shift and reads no history. No operator input is
-    checked here: ``sim.integrate`` tests the state after every step.
+    into A plus a constant and reads no history.
     """
     stages = cascade.stages
-    order = cascade.order
     n = cascade.n
-    dim = order * n
-    slices = [slice(k * n, (k + 1) * n) for k in range(order)]
-    tail = slices[-1]
-
+    dim = cascade.order * n
+    blocks = [slice(k * n, (k + 1) * n) for k in range(cascade.order)]
+    tail = blocks[-1]
     A = np.zeros((dim, dim))
-    shifted = []
-    for k, op in enumerate(stages):
-        sl = slices[k]
-        if not op.relative_feedback:
-            continue  # a delayed outer stage writes its block itself
-        A[sl, sl] = -op.L
-        nxt = slices[k + 1] if k + 1 < order else None
+    shifts = []
+    for k, op in enumerate(stages[:-1]):
+        A[blocks[k], blocks[k]] = -op.L
         if isinstance(op, LinearStatic):
-            if nxt is not None:
-                A[sl, nxt] = np.eye(n)
-        elif nxt is not None:
-            shifted.append((sl, nxt))
-    finished = _finish_runs(stages, n)
-    delayed = None if stages[-1].relative_feedback else stages[-1]
-    ref_shift = None
-    if isinstance(delayed, DelayedAbsoluteVelocity):
-        A[tail, tail] = -np.diag(delayed.gains)
-        ref_shift = delayed.gains * delayed.ref
-        delayed = None
-    A = _block_operator(A)
-
-    def field(xi, t, hist):
-        if len(xi) != dim:
-            raise ShapeError(f"state length {len(xi)} != order*N = {dim}")
-        out = A @ xi
-        for finish, sl, m in finished:
-            finish(out[sl] if m == 1 else out[sl].reshape(m, n), t)
-        for sl, nxt in shifted:
-            out[sl] += xi[nxt]
-        if delayed is not None:
-            view = SliceView(hist, tail.start) if hist is not None else None
-            out[tail] = -delayed.apply(xi[tail], t, view)
-        if ref_shift is not None:
-            out[tail] += ref_shift
-        if u_ref is not None:
-            out[tail] += u_ref(t)
-        return out
-
-    return field
+            A[blocks[k], blocks[k + 1]] = np.eye(n)
+        else:
+            shifts.append((blocks[k], blocks[k + 1], False))
+    outer = stages[-1]
+    delayed = const = None
+    if isinstance(outer, DelayedAbsoluteVelocity):
+        A[tail, tail] = -np.diag(outer.gains)
+        const = outer.gains * outer.ref
+    elif outer.relative_feedback:
+        A[tail, tail] = -outer.L
+    else:
+        delayed = outer
+    return _compile(A, n, stages, shifts, tail, delayed=delayed, const=const, feed=u_ref)
 
 
 def matched_cascade_state(cascade: Cascade, x0, xdot0) -> np.ndarray:
@@ -288,15 +319,11 @@ def plant_rhs(law: PlantLaw, w=None):
 
     ``w`` is None or a callable t -> N-vector disturbance added to u.
     ``hist`` is a history view of s, read only by conventional-delayed. The
-    field is compiled like ``cascade_rhs``: one block product y = P s per
-    call. The first block of y is xdot, copied by an identity block; each
-    further block is -L xdot or -L x, one per operator term of u. Adjacent
-    terms of one gated or saturated operator then take a single ``finish``
-    over their joined (m, N) block, and naive-serial's nested
-    op_2(op_1(x)) makes the one further product. The terms are summed in
-    place into the second block, in the order the law is written: the sum
+    block program's first block is xdot, copied by an identity block, and
+    its second, u, sums the terms after it in the order the law is written:
     (-a) + (-b) rounds exactly as -a - b, so every law keeps its rounding.
-    The field returns the first two blocks, [xdot; u].
+    Each term block is -L xdot or -L x; naive-serial's last one, -op_1(x),
+    feeds its nested product op_2(op_1(x)). The field returns [xdot; u].
     """
     n = law.n
     first, second = law.stages
@@ -307,49 +334,16 @@ def plant_rhs(law: PlantLaw, w=None):
         terms = [(second, V), (first, V), (first, X)]
     else:
         terms = [(first, X)]
-
     P = np.zeros(((1 + len(terms)) * n, 2 * n))
     P[X, V] = np.eye(n)
     for k, (op, cols) in enumerate(terms, start=1):
         P[k * n:(k + 1) * n, cols] = -op.L
-    P = _block_operator(P)
-    finished = _finish_runs([None] + [op for op, _ in terms], n)
-
-    naive = law.controller == "naive-serial"
-    # Blocks added to u = y[V], in order.
-    added = [slice(2 * n, 3 * n)] if len(terms) > 1 else []
-    nested = _block_operator(second.L) if naive else None
-    nested_finish = None if not naive or isinstance(second, LinearStatic) else second.finish
-    gains = v_ref = reads = None
-    if law.controller.startswith("conventional-"):
-        gains, v_ref = second.gains, second.ref
-    if law.delays is not None:
-        reads = HeldReads(law.delays, n + np.arange(n))
-    head = slice(0, 2 * n)
-    inner = slice(len(terms) * n, (len(terms) + 1) * n)  # -op_1(x) for naive-serial
-
-    def field(s, t, hist):
-        y = P @ s
-        for finish, sl, m in finished:
-            finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
-        u = y[V]
-        for sl in added:
-            u += y[sl]
-        if nested is not None:
-            z = nested @ y[inner]
-            if nested_finish is not None:
-                nested_finish(z, t)
-            u += z
-        if gains is not None:
-            if reads is None:
-                vel = s[V]
-            elif hist is None:
-                raise OperatorError("delayed velocity tracking needs a velocity history")
-            else:
-                vel = reads(t, hist)
-            u -= gains * (vel - v_ref)
-        if w is not None:
-            u += w(t)
-        return y[head]
-
-    return field
+    sums = [(V, slice(2 * n, 3 * n), True)] if len(terms) > 1 else []
+    nested = track = None
+    if law.controller == "naive-serial":
+        nested = (second, slice(3 * n, 4 * n))
+    elif law.controller != "conventional":
+        reads = None if law.delays is None else HeldReads(law.delays, n + np.arange(n))
+        track = (second.gains, second.ref, reads)
+    return _compile(P, n, [None] + [op for op, _ in terms], sums, V, nested=nested,
+                    track=track, feed=w)

@@ -7,16 +7,17 @@ of a composition. The two delayed kinds break that invariance and are only
 admissible as the outermost stage.
 
 Each kind computes its map once, in ``evaluate``, the checked public
-call: it rejects NaN/Inf input with NumericError, then maps. The compiled
-cascade and plant fields (``dynamics``), run by ``sim.integrate``, which
-tests the state after every step, do not call it: they take the inner
-kinds' ``L`` into one block product, apply the gated and saturated kinds'
-``finish`` to it, and fold the velocity-tracking kind in as an affine map.
+call: it rejects NaN/Inf input with NumericError, then maps. The block
+program that both vector fields compile to (``dynamics``), run by
+``sim.integrate``, which tests the state after every step, does not call
+it: it takes the inner kinds' ``L`` into one block product, applies the
+gated and saturated kinds' ``finish`` to it, and takes the
+velocity-tracking kind as an affine map or a tracking step.
 ``finish`` works in place on its argument, an (N,) block or m such blocks
 as (m, N): the gate product D(t) y or the clamp to [-1, 1], so those kinds
 evaluate to ``finish(L z, t)``. Both maps are odd, so
-``finish(-L z) = -finish(L z)`` exactly and the compiled fields apply them
-to their negated block products. Only ``DelayedRelative`` also has an
+``finish(-L z) = -finish(L z)`` exactly and the block program applies
+them to its negated block products. Only ``DelayedRelative`` also has an
 unchecked ``apply``: the cascade field runs it inside the integrator,
 where a NaN in an RK stage must end as a divergence. The inner kinds also
 take a block of states: ``evaluate(z, t)`` of an (m, N) array z with an

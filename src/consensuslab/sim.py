@@ -111,10 +111,9 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def plant_blocks(self, start=0):
-        """(first row, x, xdot) of each block of ``ROW_BLOCK`` recorded rows
-        from row ``start`` on."""
-        for first in range(start, len(self), ROW_BLOCK):
+    def plant_blocks(self):
+        """(first row, x, xdot) of each block of ``ROW_BLOCK`` recorded rows."""
+        for first in range(0, len(self), ROW_BLOCK):
             rows = slice(first, first + ROW_BLOCK)
             yield (first, *self.plant(self.states[rows], self.times[rows]))
 

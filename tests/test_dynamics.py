@@ -76,6 +76,12 @@ class TestCascadeField:
         with pytest.raises(ShapeError):
             cascade_rhs(lti_cascade(2))(np.zeros(7), 0.0, None)
 
+    @pytest.mark.parametrize("controller", ["conventional", "naive-serial"])
+    def test_plant_shape_mismatch(self, controller):
+        op = LinearStatic(L5)
+        with pytest.raises(ShapeError):
+            plant_rhs(PlantLaw(controller, (op, op)))(np.zeros(11), 0.0, None)
+
     def test_u_ref_feeds_outer_stage(self):
         casc = lti_cascade(2)
         xi = np.zeros(10)

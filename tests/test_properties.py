@@ -253,6 +253,23 @@ def test_csr_field_matches_definition_above_threshold():
             xi = rng.uniform(-5.0, 5.0, dim)
             want = reference_field(cascade, lambda s: u, xi, t, None)
             assert np.abs(field(xi, t, None) - want).max() <= 1e-12 * np.abs(want).max()
+    # Every plant matrix has at least 2N = 300 rows and goes through CSR too.
+    gated, saturated = stages[0], Saturated(L)
+    velocity = DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), 1.5)
+    laws = (PlantLaw("conventional", (gated, saturated)),
+            PlantLaw("conventional", (gated, gated)),
+            PlantLaw("naive-serial", (gated, saturated)),
+            PlantLaw("naive-serial", (LinearStatic(L), stages[1])),
+            PlantLaw("conventional-ideal", (gated, velocity)),
+            PlantLaw("conventional-delayed", (gated, velocity), ConstantDelay(0.5), 0.5))
+    base, slope = rng.uniform(-5.0, 5.0, dim), rng.uniform(-1.0, 1.0, dim)
+    hist = FunctionView(lambda s: base + slope * s)
+    for law in laws:
+        field = plant_rhs(law, lambda s: u)
+        for t in (0.0, 0.4, 7.3):
+            state = rng.uniform(-5.0, 5.0, dim)
+            want = reference_plant(law, lambda s: u, state, t, hist)
+            assert np.array_equal(field(state, t, hist), want), law.controller
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,32 +353,28 @@ def test_plant_field_matches_definition(n, controller, kinds, shared, path, with
        order=st.integers(min_value=1, max_value=4),
        full_blocks=st.integers(min_value=0, max_value=2),
        partial=st.integers(min_value=1, max_value=sim.ROW_BLOCK - 1),
-       start=st.integers(min_value=0, max_value=3 * sim.ROW_BLOCK),
        path=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial, start,
-                                           path, seed):
-    """Plant reconstruction one row block per call, from a first row that
-    need not start a block (the residuals' tail starts anywhere) and with
-    the last block partial, equals reconstruction row by row at each row's
-    own time: bit for bit on a unit-weight path graph, where every product
-    is exact and every row sums at most two of them; on weighted digraphs
-    the block product may sum a row in another order, and so may the
-    subtraction from xi_2 round the other way."""
+def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial, path, seed):
+    """Plant reconstruction one row block per call, with the last block
+    partial, equals reconstruction row by row at each row's own time: bit
+    for bit on a unit-weight path graph, where every product is exact and
+    every row sums at most two of them; on weighted digraphs the block
+    product may sum a row in another order, and so may the subtraction
+    from xi_2 round the other way."""
     rng = np.random.default_rng(seed)
     first = random_operator(kind, n, rng, build_laplacian(path_graph(n)) if path else None)
     cascade = Cascade((first,) + tuple(LinearStatic(first.L) for _ in range(order - 1)))
     rows = full_blocks * sim.ROW_BLOCK + partial
-    start %= rows
     times = rng.uniform(0.0, 100.0, rows)
     states = rng.uniform(-5.0, 5.0, (rows, order * n))
 
     plant = lambda xi, t: dynamics.reconstruct_plant(cascade, xi, t)
-    blocks = list(sim.Trajectory(times, states, plant=plant).plant_blocks(start))
-    assert [b for b, _, _ in blocks] == list(range(start, rows, sim.ROW_BLOCK))
+    blocks = list(sim.Trajectory(times, states, plant=plant).plant_blocks())
+    assert [b for b, _, _ in blocks] == list(range(0, rows, sim.ROW_BLOCK))
     plant_x = np.concatenate([x for _, x, _ in blocks])
     by_row = [dynamics.reconstruct_plant(cascade, xi, t)
-              for xi, t in zip(states[start:], times[start:])]
+              for xi, t in zip(states, times)]
     assert np.array_equal(plant_x, [x for x, _ in by_row])
     if order == 1:
         assert all(xdot is None for _, _, xdot in blocks)
@@ -371,7 +384,7 @@ def test_block_reconstruction_matches_rows(n, kind, order, full_blocks, partial,
     if path:
         assert np.array_equal(plant_xdot, want)
     else:
-        x, xi_2 = states[start:, :n], states[start:, n:2 * n]
+        x, xi_2 = states[:, :n], states[:, n:2 * n]
         scale = np.abs(first.L).sum(axis=1).max() * np.abs(x).max() + np.abs(xi_2).max()
         assert np.abs(plant_xdot - want).max() <= 1e-14 * scale
 

@@ -31,10 +31,14 @@ def test_tracer_installs_and_removes_every_wrapper(tracing):
 @pytest.mark.parametrize("name, controllers", [
     ("timevarying_fig1", ("compositional", "conventional", "naive-serial")),
     ("gps_fig3", ("conventional-ideal", "conventional-delayed")),
+    ("serial_lti", ("compositional",)),
+    ("counterexample_appD", ("compositional",)),
 ])
 def test_traced_counts(tracing, name, controllers):
     """Four field calls per RK4 step on the cascade and on every plant
-    baseline; the fig1 runs make more than one gate call per field call."""
+    baseline; the fig1 runs make more than one gate call per field call,
+    an all-linear cascade is charged one dense product per field call, and
+    a delayed outer stage reads the history."""
     runs = [dataclasses.replace(preset(name), controller=c, t_end=1.0) for c in controllers]
     with tracing.Tracer() as tracer:
         for sc in runs:
@@ -45,3 +49,8 @@ def test_traced_counts(tracing, name, controllers):
     assert m["dynamics.field_calls"] == 4 * m["sim.steps"]
     if name == "timevarying_fig1":
         assert m["operators.gates_per_field"] > 1
+    if name == "serial_lti":
+        dim = runs[0].order * runs[0].graph_n
+        assert m["dynamics.field_flops"] == 2 * dim * dim * m["dynamics.field_calls"]
+    if name == "counterexample_appD":
+        assert m["sim.history_reads"] > 0
