@@ -172,8 +172,6 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return json.dumps([list(v) if isinstance(v, tuple) else v for v in value])
     if isinstance(value, float):

@@ -29,13 +29,13 @@ scenario layer makes it the plant map of a cascade record, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import OperatorError, ShapeError
 from .operators import ConsensusOperator, DelayedAbsoluteVelocity, LinearStatic
-from .sim import HeldReads, SliceView
+from .sim import HeldReads, SliceView, delay_bound
 
 MAX_ORDER = 4
 
@@ -147,17 +147,11 @@ def _compile(M, n, block_ops, adds, tail, *, nested=None, delayed=None, const=No
                     product_finish(z, t)
                 out += z
             if delayed is not None:
-                view = SliceView(hist, tail.start) if hist is not None else None
-                out[:] = -delayed.apply(s[tail], t, view)
+                out[:] = -delayed.apply(s[tail], t, hist and SliceView(hist, tail.start))
             if const is not None:
                 out += const
             if gains is not None:
-                if reads is None:
-                    vel = s[tail]
-                elif hist is None:
-                    raise OperatorError("delayed velocity tracking needs a velocity history")
-                else:
-                    vel = reads(t, hist)
+                vel = s[tail] if reads is None else reads(t, hist)
                 out -= gains * (vel - ref)
             if feed is not None:
                 out += feed(t)
@@ -276,16 +270,17 @@ class PlantLaw:
     v from their ``DelayedAbsoluteVelocity`` outer stage. The delayed form
     consumes the raw held measurement of each agent's own velocity
     (zero-order hold of the last sample), as an implementation without
-    local velocity-history correction would; ``delays`` is one delay per
-    agent or one shared by all, built by the scenario from the outer
-    stage's delay spec, and ``tau_max`` bounds them. Construction is the
+    local velocity-history correction would; ``delays`` is one ``sim``
+    delay object per agent or one shared by all, built by the scenario from
+    the outer stage's delay spec. ``tau_max``, the largest of their bounds,
+    is derived from them, and is None without delays. Construction is the
     one check of the stage layout each baseline takes.
     """
 
     controller: str
     stages: tuple
     delays: object = None
-    tau_max: float | None = None
+    tau_max: float | None = field(init=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -304,10 +299,13 @@ class PlantLaw:
             )
         if second.n != first.n:
             raise ShapeError(f"need {first.n} agents in stage 2, got {second.n}")
+        per_agent = self.delays is not None and not callable(self.delays)
+        if per_agent and len(self.delays) != first.n:
+            raise ShapeError(f"need {first.n} delays, got {len(self.delays)}")
         if (self.controller == "conventional-delayed") != (self.delays is not None):
             raise OperatorError("delays go with conventional-delayed, and only with it")
-        if (self.delays is None) != (self.tau_max is None):
-            raise OperatorError("delays and their bound tau_max go together")
+        tau_max = None if self.delays is None else delay_bound(self.delays)
+        object.__setattr__(self, "tau_max", tau_max)
 
     @property
     def n(self) -> int:

@@ -29,10 +29,11 @@ view*: an object whose ``components(ts, idx)`` returns, for each m,
 component idx[m] of the operator's state vector at the past time ts[m].
 Simulation code supplies interpolating views backed by the integrator's
 committed samples; ``sim.FunctionView`` adapts a plain function s -> state
-vector. The reads go through a ``sim.HeldReads``, which holds
-arrival-based samples between arrivals. ``DelayedAbsoluteVelocity`` takes
-a numeric reference, which reads the same at every delayed time, so it
-reads no history.
+vector. Its delays are ``sim`` delay objects, whose bounds give its
+``tau_max``, and its reads go through a ``sim.HeldReads``, which holds
+arrival-based samples between arrivals and rejects a read without a view.
+``DelayedAbsoluteVelocity`` takes a numeric reference, which reads the
+same at every delayed time, so it reads no history.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ import math
 
 import numpy as np
 
-from .exceptions import (
-    InsufficientHistoryError,
-    NumericError,
-    OperatorError,
-)
-from .sim import HeldReads
+from .exceptions import NumericError, OperatorError
+from .sim import HeldReads, delay_bound
 
 INNER_KINDS = ("linear_static", "linear_time_varying", "saturated")
 DELAYED_KINDS = ("delayed_relative", "delayed_absolute_velocity")
@@ -206,28 +203,32 @@ class DelayedRelative(ConsensusOperator):
     to all agents no longer cancels), which is why this kind is restricted
     to the outermost stage of a composition.
 
-    ``delays`` is either a single callable tau(t) shared by every edge or a
-    dict {(i, j): tau_fn} with 0-indexed edges j -> i.
+    ``delays`` is one ``sim`` delay shared by every edge or a dict
+    {(i, j): delay} keyed by exactly the 0-indexed edges j -> i; the largest
+    of their bounds is ``tau_max``. Without edges it reads no history.
     """
 
     kind = "delayed_relative"
     relative_feedback = False
 
-    def __init__(self, weights, delays, tau_max):
+    def __init__(self, weights, delays):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise OperatorError("weights must be a square matrix")
         if np.any(w < 0) or np.any(np.diag(w) != 0):
             raise OperatorError("weights must be nonnegative with zero diagonal")
         self.weights = w
-        self.tau_max = float(tau_max)
         heads, tails = np.nonzero(w)
         self.edges = [(int(i), int(j)) for i, j in zip(heads, tails)]
         if not callable(delays):
             missing = [e for e in self.edges if e not in delays]
             if missing:
-                raise OperatorError(f"no delay function for edges {missing}")
+                raise OperatorError(f"no delay for edges {missing}")
+            extra = [e for e in delays if e not in self.edges]
+            if extra:
+                raise OperatorError(f"delays given for non-edges {extra}")
             delays = [delays[e] for e in self.edges]
+        self.tau_max = delay_bound(delays)
         self._heads = heads.astype(np.int64)
         self._edge_weights = w[heads, tails]
         self._row_sums = w.sum(axis=1)
@@ -243,10 +244,6 @@ class DelayedRelative(ConsensusOperator):
 
     def apply(self, z, t, hist=None):
         """``evaluate`` without the input check, for the cascade field."""
-        if hist is None:
-            raise InsufficientHistoryError(
-                "delayed_relative needs a history view covering [t - tau_max, t]"
-            )
         out = self._row_sums * z
         if self._reads is not None:
             # Unbuffered, in edge order: out[i] -= w_ij * z_j(t - tau_ij(t)).

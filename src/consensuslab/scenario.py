@@ -221,18 +221,15 @@ def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
 
 
 def _build_delays(delay, sc: Scenario, edges=None):
-    """(delays, tau_max) of a parsed delay spec: one constant or ramp delay
-    for all, or Poisson streams per agent or, given ``edges``, per edge.
-    The delay classes check the value's range."""
+    """The delays of a parsed delay spec: one constant or ramp delay for
+    all, or Poisson streams per agent or, given ``edges``, per edge. The
+    delay classes check the value's range; each carries its bound."""
     tag, value = delay
     if tag != "poisson":
-        return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value), value
+        return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value)
     if edges is None:
-        streams = sim.poisson_delay_bank(value, sc.seed, sc.t_end, sc.graph_n)
-    else:
-        streams = [sim.sample_poisson_delays(value, (sc.seed, *e), sc.t_end) for e in edges]
-    tau_max = max((d.tau_max for d in streams), default=0.0)
-    return (streams if edges is None else dict(zip(edges, streams))), tau_max
+        return sim.poisson_delay_bank(value, sc.seed, sc.t_end, sc.graph_n)
+    return {e: sim.sample_poisson_delays(value, (sc.seed, *e), sc.t_end) for e in edges}
 
 
 def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
@@ -248,8 +245,7 @@ def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
     if stage.kind == "delayed_relative":
         weights = stage.scale * graph.weights
         edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(weights))]
-        delays, tau_max = _build_delays(delay, sc, edges)
-        return operators.DelayedRelative(weights, delays, tau_max)
+        return operators.DelayedRelative(weights, _build_delays(delay, sc, edges))
     return operators.DelayedAbsoluteVelocity(stage.gains, ref)
 
 
@@ -276,15 +272,14 @@ def _build(sc: Scenario):
             ref = _parse_tagged(stage.ref, ("constant",))
             op = build_operator(stage, graph, sc, delay, ref and ref[1])
             absolute = stage.kind == "delayed_absolute_velocity"
-            built[stage] = op, _build_delays(delay, sc) if absolute else (None, None)
+            built[stage] = op, _build_delays(delay, sc) if absolute else None
     ops = tuple(built[stage][0] for stage in sc.stages)
     with _config_errors():
         if sc.controller == "compositional":
             return graph, dynamics.Cascade(ops)
-        delays = (None, None)
-        if sc.controller == "conventional-delayed":
-            delays = built[sc.stages[-1]][1]
-        return graph, dynamics.PlantLaw(sc.controller, ops, *delays)
+        delayed = sc.controller == "conventional-delayed"
+        return graph, dynamics.PlantLaw(sc.controller, ops,
+                                        built[sc.stages[-1]][1] if delayed else None)
 
 
 def _initial_conditions(sc: Scenario, cascade=None):

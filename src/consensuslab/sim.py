@@ -26,7 +26,9 @@ the committed end, the values read are fixed as well: the reader keeps
 them and returns them until t leaves the window. Reads whose arrival lies
 inside the current step still go through the view, and its provisional
 segment, at every stage. Other delays, and a ramp from its cap on, look up
-and read afresh on every call.
+and read afresh on every call. ``HeldReads`` is the one place that rejects a
+read without a history view. Each delay carries its bound ``tau_max``, and
+a delayed system derives its own with ``delay_bound``; no caller states one.
 
 Everything here is deterministic: identical inputs (including seeds) give
 bit-identical trajectories within one environment.
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import ConfigError, DivergenceError, InsufficientHistoryError, OperatorError
 
 BLOWUP_LIMIT = 1e9
 
@@ -240,7 +242,8 @@ class HeldReads:
     at or before the view's committed end, the values read are kept and
     returned as they are, read-only, until t leaves the window or another
     history is read. They equal a fresh read: interpolation between
-    committed samples never changes.
+    committed samples never changes. A call without a view raises
+    InsufficientHistoryError.
     """
 
     __slots__ = ("window", "idx", "times", "lo", "hi", "source", "held")
@@ -253,6 +256,8 @@ class HeldReads:
         self.source = self.held = None
 
     def __call__(self, t, view):
+        if view is None:
+            raise InsufficientHistoryError("a delayed read needs a history view")
         if not self.lo <= t < self.hi:
             self.times, self.lo, self.hi = self.window(t)
             self.held = None
@@ -268,9 +273,10 @@ class HeldReads:
 def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     """Integrate ``xdot = field(x, t, hist)`` over [0, t_end] with RK4.
 
-    ``tau_max = None`` disables the history machinery entirely (hist is
-    passed as None); any ``tau_max >= 0`` enables it, including 0 for
-    delayed fields whose delays happen to vanish. Raises DivergenceError
+    ``tau_max``, the bound a delayed system derives from its delays, only
+    switches the history: None disables it entirely (hist is passed as
+    None); any ``tau_max >= 0`` enables it, including 0 for delayed fields
+    whose delays happen to vanish. Raises DivergenceError
     (carrying the partial trajectory) if the state leaves |x| <= 1e9 or
     turns non-finite.
     """
@@ -382,6 +388,16 @@ class PoissonSampledDelay:
         if idx < 0:
             return t
         return t - self.arrivals[idx]
+
+
+def delay_bound(delays) -> float:
+    """The largest ``tau_max`` of one delay or a sequence of delays, 0.0 for none."""
+    try:
+        return float(max((d.tau_max for d in ([delays] if callable(delays) else delays)),
+                         default=0.0))
+    except AttributeError:
+        raise OperatorError("a delay must be a ConstantDelay, RampDelay or "
+                            "PoissonSampledDelay, which carry their bound") from None
 
 
 class ArrivalBank:

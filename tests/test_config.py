@@ -1,12 +1,15 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from consensuslab import dynamics
+from consensuslab import dynamics, scenario
+from consensuslab.cli import main
 from consensuslab.config import _SCHEMA, emit_scenario, parse_scenario
 from consensuslab.exceptions import ConfigError
 from consensuslab.presets import PRESETS, preset
 from consensuslab.scenario import Scenario, StageSpec, validate_scenario
+from consensuslab.sim import FunctionView, poisson_delay_bank, sample_poisson_delays
 
 MINIMAL = """
 [cascade]
@@ -188,3 +191,44 @@ class TestRoundTrip:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
             preset("does_not_exist")
+
+
+class TestDelayBounds:
+    """Each delayed system takes its bound from the delays it is built with."""
+
+    def test_per_edge_poisson_streams(self, tmp_path):
+        edges = "edges = [[2, 1, 1.0], [3, 2, 1.0], [1, 3, 0.5]]"
+        text = MINIMAL.replace("kind = path", f"kind = edges\n{edges}")
+        text = text.replace("[stage.2]\nkind = linear_static",
+                            "[stage.2]\nkind = delayed_relative\ndelay = poisson:0.5")
+        text = text.replace("dt = 0.001\nt_end = 1.0", "dt = 0.01\nt_end = 10.0")
+        sc = parse_scenario(text)
+        _, cascade = scenario._build(sc)
+        outer = cascade.stages[-1]
+        assert outer.edges == [(0, 2), (1, 0), (2, 1)]
+        want = {(i, j): sample_poisson_delays(0.5, (4, i, j), 10.0) for i, j in outer.edges}
+        built = scenario._build_delays(("poisson", 0.5), sc, outer.edges)
+        assert built.keys() == want.keys()
+        for e, delay in want.items():
+            assert np.array_equal(built[e].arrivals, delay.arrivals), e
+        assert cascade.tau_max == max(d.tau_max for d in want.values())
+        # Each edge j -> i reads z_j at its own stream's last arrival.
+        hist = FunctionView(lambda s: np.array([s, 10.0 * s, 100.0 * s]))
+        z = np.array([1.0, 2.0, 3.0])
+        for t in (0.3, 2.0, 7.5):
+            out = outer.weights.sum(axis=1) * z
+            for (i, j), delay in want.items():
+                last = delay.arrivals[delay.arrivals <= t].max(initial=0.0)
+                out[i] -= outer.weights[i, j] * hist.fn(last)[j]
+            assert np.array_equal(outer.evaluate(z, t, hist), out), t
+        cfg = tmp_path / "edges.cfg"
+        cfg.write_text(text)
+        assert main(["--scenario", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    def test_preset_bounds(self):
+        sc = dataclasses.replace(preset("gps_fig3"), controller="conventional-delayed")
+        _, law = scenario._build(sc)
+        bank = poisson_delay_bank(1.0, sc.seed, sc.t_end, sc.graph_n)
+        assert law.tau_max == max(d.tau_max for d in bank) == 6.793724666099802
+        _, cascade = scenario._build(preset("counterexample_appD"))
+        assert cascade.tau_max == 5.0

@@ -10,7 +10,7 @@ from consensuslab.dynamics import (
     plant_rhs,
     reconstruct_plant,
 )
-from consensuslab.exceptions import OperatorError, ShapeError
+from consensuslab.exceptions import InsufficientHistoryError, OperatorError, ShapeError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.operators import (
     DelayedAbsoluteVelocity,
@@ -19,7 +19,7 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import ConstantDelay, FunctionView
+from consensuslab.sim import ConstantDelay, FunctionView, RampDelay
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))
@@ -32,7 +32,7 @@ def lti_cascade(n_stages, L=L5):
 
 def control(controller, l1, l2, x, v, t, hist=None, delays=None):
     """u of a baseline: the velocity block of its plant field at [x; v]."""
-    law = PlantLaw(controller, (l1, l2), delays, None if delays is None else 1.0)
+    law = PlantLaw(controller, (l1, l2), delays)
     return plant_rhs(law)(np.concatenate((x, v)), t, hist)[len(x):]
 
 
@@ -121,15 +121,17 @@ class TestNumericReferenceFold:
 
 class TestCascadeValidation:
     def test_delayed_inner_stage_rejected(self):
-        delayed = DelayedRelative(path_graph(5).weights, lambda t: 0.1, tau_max=0.1)
+        delayed = DelayedRelative(path_graph(5).weights, ConstantDelay(0.1))
         with pytest.raises(OperatorError):
             Cascade((delayed, LinearStatic(L5)))
 
     def test_delayed_outer_stage_allowed(self):
-        delayed = DelayedRelative(path_graph(5).weights, lambda t: 0.1, tau_max=0.1)
+        delayed = DelayedRelative(path_graph(5).weights, ConstantDelay(0.1))
         casc = Cascade((LinearStatic(L5), delayed))
         assert casc.order == 2
         assert casc.tau_max == 0.1
+        with pytest.raises(InsufficientHistoryError):
+            cascade_rhs(casc)(np.zeros(10), 0.0, None)
 
     def test_numeric_reference_needs_no_history(self):
         delayed = DelayedAbsoluteVelocity(np.ones(5), 10.0)
@@ -251,9 +253,9 @@ class TestGpsController:
     def test_delayed_needs_history(self):
         op = LinearStatic(L5)
         outer = DelayedAbsoluteVelocity(np.ones(5), 10.0)
-        with pytest.raises(OperatorError):
+        with pytest.raises(InsufficientHistoryError):
             control("conventional-delayed", op, outer, np.zeros(5), np.zeros(5), 1.0,
-                    delays=lambda t: 0.5)
+                    delays=ConstantDelay(0.5))
 
     def test_delayed_reads_velocity_history(self):
         op = LinearStatic(L2)
@@ -261,7 +263,7 @@ class TestGpsController:
         # The view holds the plant state [x; xdot]; only xdot is read.
         hist = FunctionView(lambda s: np.array([0.0, 0.0, 2.0 * s, -s]))
         u = control("conventional-delayed", op, outer, np.zeros(2), np.zeros(2), 3.0,
-                    hist, delays=lambda t: 1.0)
+                    hist, delays=ConstantDelay(1.0))
         assert np.allclose(u, [-4.0, 2.0])
 
     def test_gains_length_rejected(self):
@@ -271,8 +273,17 @@ class TestGpsController:
 
     def test_delays_need_their_bound(self):
         stages = (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0))
-        with pytest.raises(OperatorError, match="tau_max"):
-            PlantLaw("conventional-delayed", stages, ConstantDelay(0.5))
-        with pytest.raises(OperatorError, match="tau_max"):
-            PlantLaw("conventional-ideal", stages, tau_max=0.5)
-        assert PlantLaw("conventional-delayed", stages, ConstantDelay(0.5), 0.5).tau_max == 0.5
+        assert PlantLaw("conventional-delayed", stages, ConstantDelay(0.5)).tau_max == 0.5
+        ramps = [RampDelay(cap) for cap in (1.0, 3.0, 2.0, 0.5, 1.5)]
+        assert PlantLaw("conventional-delayed", stages, ramps).tau_max == 3.0
+        assert PlantLaw("conventional-ideal", stages).tau_max is None
+        for unbounded in (lambda t: 0.5, [ConstantDelay(0.5)] * 4 + [lambda t: 0.5]):
+            with pytest.raises(OperatorError, match="PoissonSampledDelay"):
+                PlantLaw("conventional-delayed", stages, unbounded)
+        with pytest.raises(OperatorError, match="only with it"):
+            PlantLaw("conventional-ideal", stages, ConstantDelay(0.5))
+
+    def test_delays_length_rejected(self):
+        stages = (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0))
+        with pytest.raises(ShapeError, match="5 delays, got 3"):
+            PlantLaw("conventional-delayed", stages, [ConstantDelay(0.5)] * 3)

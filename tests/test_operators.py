@@ -14,7 +14,7 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import FunctionView, PoissonSampledDelay
+from consensuslab.sim import ConstantDelay, FunctionView, PoissonSampledDelay, RampDelay
 
 L2 = build_laplacian(path_graph(2))
 L3 = build_laplacian(path_graph(3))
@@ -66,7 +66,7 @@ class TestEvaluate:
 
     def test_delayed_relative_zero_delay_matches_static(self):
         w = path_graph(4).weights
-        op = DelayedRelative(w, lambda t: 0.0, tau_max=0.0)
+        op = DelayedRelative(w, ConstantDelay(0.0))
         static = LinearStatic(build_laplacian(path_graph(4)))
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -76,22 +76,25 @@ class TestEvaluate:
 
     def test_delayed_relative_reads_history(self):
         w = path_graph(2).weights
-        op = DelayedRelative(w, lambda t: 1.0, tau_max=1.0)
+        op = DelayedRelative(w, ConstantDelay(1.0))
         hist = FunctionView(lambda s: np.array([s, 0.0]))  # leader trajectory z0(s) = s
         out = op.evaluate(np.array([3.0, 7.0]), 3.0, hist)
         # component 1: z1(3) - z0(3 - 1) = 7 - 2
         assert np.allclose(out, [0.0, 5.0])
 
     def test_delayed_relative_without_edges_is_zero(self):
-        op = DelayedRelative(np.zeros((3, 3)), lambda t: 1.0, tau_max=1.0)
+        op = DelayedRelative(np.zeros((3, 3)), ConstantDelay(1.0))
         out = op.evaluate(np.array([1.0, -2.0, 3.0]), 2.0, constant_history(np.ones(3)))
         assert np.array_equal(out, np.zeros(3))
+        # It reads nothing, so it needs no history either.
+        assert np.array_equal(op.evaluate(np.array([1.0, -2.0, 3.0]), 2.0, None), np.zeros(3))
 
     def test_delayed_relative_poisson_edges_read_last_arrival(self):
         w = np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 1.0], [0.0, 3.0, 0.0]])
         arrivals = {(0, 1): [0.5, 1.5], (1, 0): [], (1, 2): [1.25], (2, 1): [0.75]}
         delays = {e: PoissonSampledDelay(a, 10.0) for e, a in arrivals.items()}
-        op = DelayedRelative(w, delays, tau_max=10.0)
+        op = DelayedRelative(w, delays)
+        assert op.tau_max == 10.0  # edge (1, 0) receives nothing on [0, 10]
         hist = FunctionView(lambda s: np.array([s, 10.0 * s, 100.0 * s]))
         z = np.array([1.0, 2.0, 3.0])
         out = op.evaluate(z, 1.4, hist)
@@ -110,7 +113,7 @@ class TestEvaluate:
             DelayedAbsoluteVelocity([1.0, 1.0], lambda s: 10.0)
 
     def test_missing_history_raises(self):
-        op = DelayedRelative(path_graph(2).weights, lambda t: 0.1, tau_max=0.1)
+        op = DelayedRelative(path_graph(2).weights, ConstantDelay(0.1))
         with pytest.raises(InsufficientHistoryError):
             op.evaluate(np.zeros(2), 0.0, None)
 
@@ -148,7 +151,7 @@ class TestAeDerivative:
         assert np.array_equal(out, np.zeros(2))
 
     def test_delayed_kinds_unsupported(self):
-        op = DelayedRelative(path_graph(2).weights, lambda t: 0.0, tau_max=0.0)
+        op = DelayedRelative(path_graph(2).weights, ConstantDelay(0.0))
         with pytest.raises(OperatorError):
             op.ae_derivative(np.zeros(2), np.zeros(2), 0.0)
 
@@ -213,8 +216,7 @@ class TestRelativeInvariance:
         return np.abs(shifted - base).max()
 
     def test_delayed_relative_ramp_breaks_invariance(self):
-        op = DelayedRelative(path_graph(3).weights, lambda t: min(t, 5.0),
-                             tau_max=5.0)
+        op = DelayedRelative(path_graph(3).weights, RampDelay(5.0))
         assert self.ramp_shift(op, np.array([0.5, -1.0, 2.0]), 3.0, 2.0) > 1e-3
 
     def test_delayed_absolute_velocity_breaks_invariance(self):
@@ -247,4 +249,21 @@ class TestConstruction:
     def test_delayed_relative_needs_all_edge_delays(self):
         w = path_graph(3).weights
         with pytest.raises(OperatorError):
-            DelayedRelative(w, {(1, 0): lambda t: 0.0}, tau_max=0.0)
+            DelayedRelative(w, {(1, 0): ConstantDelay(0.0)})
+
+    def test_delayed_relative_rejects_delays_for_non_edges(self):
+        w = path_graph(3).weights
+        delays = {(1, 0): ConstantDelay(0.5), (2, 1): ConstantDelay(0.5),
+                  (0, 2): ConstantDelay(9.0)}
+        with pytest.raises(OperatorError, match=r"\(0, 2\)"):
+            DelayedRelative(w, delays)
+        del delays[(0, 2)]
+        assert DelayedRelative(w, delays).tau_max == 0.5
+
+    def test_delayed_relative_derives_its_bound(self):
+        w = path_graph(3).weights
+        assert DelayedRelative(w, RampDelay(5.0)).tau_max == 5.0
+        delays = {(1, 0): RampDelay(2.0), (2, 1): ConstantDelay(1.5)}
+        assert DelayedRelative(w, delays).tau_max == 2.0
+        with pytest.raises(OperatorError, match="PoissonSampledDelay"):
+            DelayedRelative(w, lambda t: 0.5)

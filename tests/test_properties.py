@@ -197,7 +197,7 @@ def random_operator(kind, n, rng, L=None):
     if kind == "saturated":
         return Saturated(L)
     if kind == "delayed_relative":
-        return DelayedRelative(w, lambda t: 0.3, tau_max=0.3)
+        return DelayedRelative(w, ConstantDelay(0.3))
     return DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), rng.uniform(-5.0, 5.0))
 
 
@@ -261,7 +261,7 @@ def test_csr_field_matches_definition_above_threshold():
             PlantLaw("naive-serial", (gated, saturated)),
             PlantLaw("naive-serial", (LinearStatic(L), stages[1])),
             PlantLaw("conventional-ideal", (gated, velocity)),
-            PlantLaw("conventional-delayed", (gated, velocity), ConstantDelay(0.5), 0.5))
+            PlantLaw("conventional-delayed", (gated, velocity), ConstantDelay(0.5)))
     base, slope = rng.uniform(-5.0, 5.0, dim), rng.uniform(-1.0, 1.0, dim)
     hist = FunctionView(lambda s: base + slope * s)
     for law in laws:
@@ -284,7 +284,7 @@ def test_zero_delay_equals_no_delay(n, kinds, seed):
     inner = tuple(random_operator(kind, n, rng) for kind in kinds)
     w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
-    delayed = Cascade((*inner, DelayedRelative(w, ConstantDelay(0.0), tau_max=0.0)))
+    delayed = Cascade((*inner, DelayedRelative(w, ConstantDelay(0.0))))
     static = Cascade((*inner, LinearStatic(np.diag(w.sum(axis=1)) - w)))
     xi0 = rng.uniform(-2.0, 2.0, static.order * n)
     cfg = IntegratorConfig(0.01, 2.0)
@@ -333,7 +333,7 @@ def test_plant_field_matches_definition(n, controller, kinds, shared, path, with
         second = DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), rng.uniform(-5.0, 5.0))
         if controller == "conventional-delayed":
             delays = ConstantDelay(rng.uniform(0.0, 2.0))
-    law = PlantLaw(controller, (first, second), delays, None if delays is None else delays.tau)
+    law = PlantLaw(controller, (first, second), delays)
     d = rng.uniform(-3.0, 3.0, n)
     w = (lambda s: d * np.cos(s)) if with_w else None
     base, slope = rng.uniform(-5.0, 5.0, 2 * n), rng.uniform(-1.0, 1.0, 2 * n)
@@ -438,7 +438,7 @@ def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     # ideal law evaluated at freshly read velocities.
     stages = (LinearStatic(L), DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), 10.0))
     delays = data.draw(delay_draws(n, dt, nsteps))
-    held_plant = plant_rhs(PlantLaw("conventional-delayed", stages, delays, t_end))
+    held_plant = plant_rhs(PlantLaw("conventional-delayed", stages, delays))
     ideal = plant_rhs(PlantLaw("conventional-ideal", stages))
     velocities = np.arange(n) + n
 
@@ -456,7 +456,7 @@ def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(w))]
     edge_delays = dict(zip(edges, data.draw(delay_draws(len(edges), dt, nsteps))))
     u = rng.uniform(-1.0, 1.0, n)
-    cascade = Cascade((DelayedRelative(w, edge_delays, tau_max=t_end),))
+    cascade = Cascade((DelayedRelative(w, edge_delays),))
 
     def fresh_cascade(z, t, hist):
         out = w.sum(axis=1) * z

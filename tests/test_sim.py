@@ -104,7 +104,7 @@ class TestHistory:
 
     def test_zero_delay_reproduces_undelayed_path(self):
         g = path_graph(5)
-        delayed = Cascade((DelayedRelative(g.weights, lambda t: 0.0, 0.0),))
+        delayed = Cascade((DelayedRelative(g.weights, ConstantDelay(0.0)),))
         static = Cascade((LinearStatic(build_laplacian(g)),))
         x0 = np.array([0.3, -1.2, 0.8, 2.0, -0.5])
         cfg = IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10)
