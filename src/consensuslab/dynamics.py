@@ -40,9 +40,24 @@ from .sim import HeldReads, SliceView, delay_bound
 MAX_ORDER = 4
 
 
+def _check_stages(stages, inner):
+    """The stage layout rules: every stage a consensus operator with stage 1's
+    agent count, the first ``inner`` stages relative feedback (not delayed)."""
+    for k, op in enumerate(stages, start=1):
+        if not isinstance(op, ConsensusOperator):
+            raise OperatorError(f"stage {k} is not a consensus operator")
+    n = stages[0].n
+    for k, op in enumerate(stages, start=1):
+        if op.n != n:
+            raise ShapeError(f"stage {k} has {op.n} agents, stage 1 has {n}")
+        if k <= inner and not op.relative_feedback:
+            raise OperatorError(f"stage {k} ({op.kind}) is not relative feedback; delayed "
+                                "kinds are admissible only as the outermost stage")
+
+
 @dataclass(frozen=True)
 class Cascade:
-    """Ordered composition stages, innermost first."""
+    """Ordered composition stages, innermost first; only the outermost may be delayed."""
 
     stages: tuple
 
@@ -51,17 +66,7 @@ class Cascade:
         object.__setattr__(self, "stages", stages)
         if not 1 <= len(stages) <= MAX_ORDER:
             raise OperatorError(f"cascade order must be 1..{MAX_ORDER}")
-        n = stages[0].n
-        for k, op in enumerate(stages):
-            if not isinstance(op, ConsensusOperator):
-                raise OperatorError(f"stage {k + 1} is not a consensus operator")
-            if op.n != n:
-                raise ShapeError(f"stage {k + 1} has {op.n} agents, stage 1 has {n}")
-            if k < len(stages) - 1 and not op.relative_feedback:
-                raise OperatorError(
-                    f"stage {k + 1} ({op.kind}) is not relative feedback; "
-                    "delayed kinds are admissible only as the outermost stage"
-                )
+        _check_stages(stages, len(stages) - 1)
 
     @property
     def order(self) -> int:
@@ -226,14 +231,6 @@ def reconstruct_plant(cascade: Cascade, xi, t):
     return x, xdot
 
 
-def _require_inner(op: ConsensusOperator, role: str):
-    if not op.relative_feedback:
-        raise OperatorError(
-            f"{role} must be an inner-admissible (relative, undelayed) operator, "
-            f"got {op.kind}"
-        )
-
-
 def compositional_controller(l1, l2):
     """u(x, xdot, t, hist=None) = -op_2(xdot + op_1(x, t), t) - d/dt op_1(x, t).
 
@@ -241,7 +238,7 @@ def compositional_controller(l1, l2):
     ``hist`` is a history view of the composite signal xdot + op_1(x), needed
     only when the outer stage is delayed.
     """
-    _require_inner(l1, "inner stage")
+    _check_stages((l1, l2), 1)
 
     def control(x, xdot, t, hist=None):
         z2 = xdot + l1.evaluate(x, t)
@@ -273,8 +270,9 @@ class PlantLaw:
     local velocity-history correction would; ``delays`` is one ``sim``
     delay object per agent or one shared by all, built by the scenario from
     the outer stage's delay spec. ``tau_max``, the largest of their bounds,
-    is derived from them, and is None without delays. Construction is the
-    one check of the stage layout each baseline takes.
+    is derived from them, and is None without delays. Construction checks
+    the stage layout: both stages relative feedback in conventional and
+    naive-serial, else stage 1 under a velocity-tracking outer stage.
     """
 
     controller: str
@@ -289,19 +287,15 @@ class PlantLaw:
             raise OperatorError(f"unknown baseline {self.controller!r}")
         if len(stages) != 2:
             raise OperatorError(f"{self.controller} is second order only")
-        first, second = stages
-        _require_inner(first, "stage 1")
-        if self.controller in ("conventional", "naive-serial"):
-            _require_inner(second, "stage 2")
-        elif not isinstance(second, DelayedAbsoluteVelocity):
+        serial = self.controller in ("conventional", "naive-serial")
+        _check_stages(stages, 2 if serial else 1)
+        if not serial and not isinstance(stages[1], DelayedAbsoluteVelocity):
             raise OperatorError(
                 f"{self.controller} needs a delayed_absolute_velocity outer stage"
             )
-        if second.n != first.n:
-            raise ShapeError(f"need {first.n} agents in stage 2, got {second.n}")
         per_agent = self.delays is not None and not callable(self.delays)
-        if per_agent and len(self.delays) != first.n:
-            raise ShapeError(f"need {first.n} delays, got {len(self.delays)}")
+        if per_agent and len(self.delays) != self.n:
+            raise ShapeError(f"need {self.n} delays, got {len(self.delays)}")
         if (self.controller == "conventional-delayed") != (self.delays is not None):
             raise OperatorError("delays go with conventional-delayed, and only with it")
         tau_max = None if self.delays is None else delay_bound(self.delays)

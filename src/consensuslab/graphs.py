@@ -29,8 +29,8 @@ class WeightedDigraph:
             raise GraphError(f"adjacency must be square, got shape {w.shape}")
         if w.shape[0] < 1:
             raise GraphError("graph needs at least one node")
-        if np.any(w < 0):
-            raise GraphError("adjacency weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise GraphError("adjacency weights must be nonnegative and finite")
         if np.any(np.abs(np.diag(w)) > 0):
             raise GraphError("self-loops are not allowed (nonzero diagonal)")
         w = w.copy()
@@ -66,8 +66,8 @@ def path_graph(n: int) -> WeightedDigraph:
     The first Laplacian row is all zeros, so node 1 is unaffected by the
     rest of the network.
     """
-    if n < 1:
-        raise GraphError(f"path graph needs n >= 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise GraphError(f"path graph needs an integer n >= 1, got {n}")
     w = np.zeros((n, n))
     for i in range(1, n):
         w[i, i - 1] = 1.0
@@ -80,8 +80,8 @@ def graph_from_edges(n: int, edges) -> WeightedDigraph:
     Indices must be integral (2.0 is node 2; 2.7 is rejected) and each
     (i, j) pair may appear once.
     """
-    if n < 1:
-        raise GraphError(f"graph needs n >= 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise GraphError(f"graph needs an integer n >= 1, got {n}")
     w = np.zeros((n, n))
     seen = set()
     for entry in edges:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsensusLabError
+from .exceptions import ConfigError, ConsensusLabError
 from .sim import Trajectory
 
 
@@ -86,6 +86,14 @@ class ConsensusReport:
             r < self.tolerance for r in self.order_residuals)
 
 
+def _check_settings(tolerance, tail_fraction) -> None:
+    """The report settings' one check, for ``build_report`` and scenarios."""
+    if not 0 < tolerance < np.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
+    if not 0 < tail_fraction <= 1:
+        raise ConfigError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+
+
 def build_report(traj: Trajectory, tolerance: float = 1e-6,
                  tail_fraction: float = 0.1, regime_band=None,
                  L=None) -> ConsensusReport:
@@ -104,8 +112,7 @@ def build_report(traj: Trajectory, tolerance: float = 1e-6,
     """
     if len(traj) == 0:
         raise ConsensusLabError("empty trajectory has no run metrics")
-    if not 0 < tail_fraction <= 1:
-        raise ConsensusLabError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    _check_settings(tolerance, tail_fraction)
     if regime_band is not None and (L is None or not 0 < regime_band <= 1):
         raise ConsensusLabError(f"regime band needs L and a radius in (0, 1], got {regime_band}")
     times = traj.times

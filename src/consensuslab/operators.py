@@ -43,6 +43,7 @@ import math
 import numpy as np
 
 from .exceptions import NumericError, OperatorError
+from .graphs import WeightedDigraph
 from .sim import HeldReads, delay_bound
 
 INNER_KINDS = ("linear_static", "linear_time_varying", "saturated")
@@ -64,6 +65,8 @@ def _as_laplacian(L):
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise OperatorError(f"Laplacian must be square, got shape {L.shape}")
+    if not np.isfinite(L).all():
+        raise OperatorError("Laplacian entries must be finite")
     # Zero to rounding: the tolerance scales with each row's magnitude.
     row_tol = 1e-12 * np.maximum(1.0, np.abs(L).sum(axis=1))
     if not np.all(np.abs(L.sum(axis=1)) <= row_tol):
@@ -136,8 +139,8 @@ class LinearTimeVarying(_LaplacianOperator):
         self.phi = np.asarray(phi, dtype=float)
         if self.omega.shape != (self.n,) or self.phi.shape != (self.n,):
             raise OperatorError("omega and phi must have one entry per agent")
-        if np.any(self.omega == 0):
-            raise OperatorError("gate frequencies must be nonzero")
+        if np.any(self.omega == 0) or not np.isfinite([self.omega, self.phi]).all():
+            raise OperatorError("gate frequencies must be nonzero, omega and phi finite")
         self._gate_memo = (None, None)
 
     def gates(self, t) -> np.ndarray:
@@ -212,12 +215,8 @@ class DelayedRelative(ConsensusOperator):
     relative_feedback = False
 
     def __init__(self, weights, delays):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise OperatorError("weights must be a square matrix")
-        if np.any(w < 0) or np.any(np.diag(w) != 0):
-            raise OperatorError("weights must be nonnegative with zero diagonal")
-        self.weights = w
+        self.weights = w = np.asarray(weights, dtype=float)
+        WeightedDigraph(w)  # The adjacency rules of a digraph's weights.
         heads, tails = np.nonzero(w)
         self.edges = [(int(i), int(j)) for i, j in zip(heads, tails)]
         if not callable(delays):
@@ -268,12 +267,14 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def __init__(self, gains, ref):
         self.gains = np.asarray(gains, dtype=float)
-        if self.gains.ndim != 1 or np.any(self.gains <= 0):
-            raise OperatorError("gains must be a vector of positive reals")
+        if self.gains.ndim != 1 or not np.all((self.gains > 0) & (self.gains < np.inf)):
+            raise OperatorError("gains must be a vector of positive finite reals")
         try:
             self.ref = float(ref)
         except (TypeError, ValueError):
             raise OperatorError("ref must be a number") from None
+        if not math.isfinite(self.ref):
+            raise OperatorError("ref must be finite")
 
     @property
     def n(self):

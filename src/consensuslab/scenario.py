@@ -11,12 +11,12 @@ kinds and spec syntax, that no stage sets a key its kind does not read
 initial conditions (order 3 and up takes xi0 alone, xi0 excludes the plant
 keys and is read only by the compositional controller, order 1 has no
 xdot0), disturbances (a vector only under kind constant, a sup bound only
-under kind random), the grid, the metric settings and that every number
-is finite. Every other rule belongs to the object it constrains: the graph,
-the operators, the delay classes in ``sim`` (delay value ranges),
-``Cascade`` and ``PlantLaw`` (the stage layout each baseline takes). So
-validation then builds the scenario, with the same builder
-``simulate_scenario`` runs; it builds no vector field.
+under kind random) and that the config's numbers are finite. Every other
+rule, finiteness too, belongs to the object that reads the input: the graph,
+the operators (a spec's ref too), the ``sim`` delays (delay values),
+``IntegratorConfig`` (the grid), ``metrics`` (the report settings),
+``Cascade`` and ``PlantLaw`` (the stage layout). So validation then builds
+the scenario with ``simulate_scenario``'s builder; it builds no vector field.
 
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
@@ -27,20 +27,13 @@ realizations.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, graphs, operators, sim
-from .exceptions import (
-    ConfigError,
-    DivergenceError,
-    GraphError,
-    OperatorError,
-    ShapeError,
-)
+from . import dynamics, graphs, metrics, operators, sim
+from .exceptions import ConfigError, ConsensusLabError, DivergenceError
 
 CONTROLLERS = ("compositional", *dynamics.BASELINES)
 INIT_PRESETS = ("uniform_pm1", "standstill_leader_v10", "positional_error_v10")
@@ -112,7 +105,7 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError("graph kind 'edges' needs an edges list")
     if sc.graph_kind == "path" and sc.graph_edges is not None:
         raise ConfigError("graph kind 'path' does not read an edges list")
-    if sc.seed < 0:
+    if not isinstance(sc.seed, int) or sc.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {sc.seed}")
     if sc.controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {sc.controller!r}")
@@ -164,15 +157,12 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read sup")
     # The grid rules live in IntegratorConfig; reading nsteps applies the last.
     sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every).nsteps
-    if not 0 < sc.tolerance < math.inf:
-        raise ConfigError("tolerance must be positive and finite")
-    if not 0 < sc.tail_fraction <= 1:
-        raise ConfigError("tail_fraction must be in (0, 1]")
+    metrics._check_settings(sc.tolerance, sc.tail_fraction)
 
 
 def _check_finite_numbers(sc: Scenario) -> None:
-    """A config's JSON lists admit NaN and Infinity; spec values are checked
-    where they are parsed."""
+    """The config format's rule that its numbers and lists, which admit NaN
+    and Infinity, are finite; the objects check the values of tagged specs."""
     stages = [(f"stage {k}: {name}", getattr(stage, name))
               for k, stage in enumerate(sc.stages, start=1)
               for name in ("scale", "omega", "phi", "gains")]
@@ -199,8 +189,6 @@ def _parse_tagged(spec, allowed):
         raise ConfigError(f"malformed spec {spec!r}") from None
     if tag not in allowed:
         raise ConfigError(f"{tag!r} not one of {allowed}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{tag} parameter must be finite")
     return tag, value
 
 
@@ -210,7 +198,7 @@ def _config_errors(prefix=""):
     message starts with ``prefix``."""
     try:
         yield
-    except (ConfigError, GraphError, OperatorError, ShapeError) as err:
+    except ConsensusLabError as err:
         raise ConfigError(f"{prefix}{err}") from err
 
 
@@ -229,6 +217,8 @@ def _build_delays(delay, sc: Scenario, edges=None):
         return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value)
     if edges is None:
         return sim.poisson_delay_bank(value, sc.seed, sc.t_end, sc.graph_n)
+    if not edges:  # No edge reads it; one stream checks the mean.
+        return sim.sample_poisson_delays(value, sc.seed, sc.t_end)
     return {e: sim.sample_poisson_delays(value, (sc.seed, *e), sc.t_end) for e in edges}
 
 

@@ -71,7 +71,7 @@ class IntegratorConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
             raise ConfigError("t_end must be finite and at least one step")
-        if self.record_every < 1 or self.record_every != int(self.record_every):
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ConfigError("record_every must be a positive integer")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
@@ -275,16 +275,16 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
 
     ``tau_max``, the bound a delayed system derives from its delays, only
     switches the history: None disables it entirely (hist is passed as
-    None); any ``tau_max >= 0`` enables it, including 0 for delayed fields
+    None); any finite ``tau_max >= 0`` enables it, 0 too for delayed fields
     whose delays happen to vanish. Raises DivergenceError
     (carrying the partial trajectory) if the state leaves |x| <= 1e9 or
     turns non-finite.
     """
     x = np.array(x0, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError("initial state must be a vector")
-    if not np.isfinite(x).all():
-        raise ConfigError("initial state must be finite")
+    if x.ndim != 1 or len(x) == 0 or not np.isfinite(x).all():
+        raise ConfigError("initial state must be a nonempty finite vector")
+    if tau_max is not None and not 0 <= tau_max < math.inf:
+        raise ConfigError(f"tau_max must be None or finite and nonnegative, got {tau_max}")
     dt = cfg.dt
     nsteps = cfg.nsteps
 
@@ -336,8 +336,8 @@ class ConstantDelay:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ConfigError("constant delay must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ConfigError("constant delay must be nonnegative and finite")
 
     @property
     def tau_max(self):
@@ -355,8 +355,8 @@ class RampDelay:
     cap: float
 
     def __post_init__(self):
-        if not self.cap > 0:
-            raise ConfigError("ramp cap must be positive")
+        if not 0 < self.cap < math.inf:
+            raise ConfigError("ramp cap must be positive and finite")
 
     @property
     def tau_max(self):
@@ -370,11 +370,17 @@ class PoissonSampledDelay:
     """Sawtooth delay from aperiodic arrivals: tau(t) = t - latest arrival.
 
     Before the first arrival tau(t) = t (no information received yet).
-    ``tau_max`` is the largest gap realized on [0, t_end].
+    ``arrivals`` are sorted nonnegative finite times, kept up to the finite
+    ``t_end``. ``tau_max`` is the largest gap realized on [0, t_end].
     """
 
     def __init__(self, arrivals, t_end):
         arrivals = np.asarray(arrivals, dtype=float)
+        if not 0 <= t_end < math.inf:
+            raise ConfigError("the horizon t_end must be nonnegative and finite")
+        if arrivals.ndim != 1 or not (np.all((arrivals >= 0) & (arrivals < math.inf))
+                                      and np.all(np.diff(arrivals) >= 0)):
+            raise ConfigError("arrivals must be a sorted vector of nonnegative finite times")
         self.arrivals = arrivals[arrivals <= t_end]
         self.t_end = float(t_end)
         if len(self.arrivals) == 0:
@@ -467,8 +473,10 @@ def sample_poisson_delays(mean, seed, t_end) -> PoissonSampledDelay:
     PCG64 stream, so a fixed seed reproduces the identical arrival sequence
     on any platform. ``seed`` may be an int or a (seed, agent) tuple.
     """
-    if not mean > 0:
-        raise ConfigError("mean inter-arrival time must be positive")
+    if not 0 < mean < math.inf:
+        raise ConfigError("mean inter-arrival time must be positive and finite")
+    if not 0 <= t_end < math.inf:  # The sampling loop runs to t_end.
+        raise ConfigError("the horizon t_end must be nonnegative and finite")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     arrivals = []
     t = 0.0

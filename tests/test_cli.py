@@ -148,7 +148,7 @@ class TestExitCodes:
             ref="constant:10.0", delay="poisson:1.0"))}, "stage 2: gains"),
         ("gps_fig3", {"stages": (StageSpec(kind="linear_static"), StageSpec(
             kind="delayed_absolute_velocity", gains=(1.0,) * 10,
-            ref="constant:nan", delay="poisson:1.0"))}, "stage 2: constant"),
+            ref="constant:nan", delay="poisson:1.0"))}, "stage 2: ref"),
         ("serial_lti", {"x0": (math.nan,) * 10}, "x0"),
         ("serial_lti", {"x0": (math.nan,) * 10, "controller": "conventional"}, "x0"),
         ("counterexample_appD", {"disturbance_vector": (math.nan, 1.0)}, "disturbance"),
@@ -195,6 +195,17 @@ class TestExitCodes:
         ("serial_lti", {"graph_edges": ((2, 1, 5.0), (3, 1, 1.0))},
          "graph kind 'path' does not read an edges list"),
         ("serial_lti", {"tolerance": math.inf}, "tolerance must be positive and finite"),
+        ("gps_fig3", {"stages": (StageSpec(kind="linear_static"), StageSpec(
+            kind="delayed_absolute_velocity", gains=(1.0,) * 10,
+            ref="constant:inf", delay="poisson:1.0"))}, "stage 2: ref"),
+        ("counterexample_appD", with_delay("counterexample_appD", "constant:inf"),
+         "stage 1: constant delay"),
+        ("counterexample_appD", with_delay("counterexample_appD", "ramp:inf"), "stage 1: ramp"),
+        ("gps_fig3", with_delay("gps_fig3", "poisson:inf"), "stage 2: mean"),
+        ("counterexample_appD", {"graph_kind": "path", "graph_n": 1, "graph_edges": None,
+                                 "x0": (0.0,), "disturbance_vector": (1.0,),
+                                 **with_delay("counterexample_appD", "poisson:inf")},
+         "stage 1: mean"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -208,7 +219,8 @@ class TestExitCodes:
             "xi0-under-baseline", "preset-beside-xi0", "x0-beside-xi0",
             "xdot0-at-order-1", "scale-on-velocity-stage", "vector-under-none",
             "vector-under-random", "sup-under-none", "sup-under-constant",
-            "edges-under-path", "tolerance-inf"])
+            "edges-under-path", "tolerance-inf", "inf-ref", "inf-constant-delay",
+            "inf-ramp-cap", "inf-poisson-mean", "inf-poisson-mean-without-edges"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from consensuslab.dynamics import (
+    BASELINES,
     Cascade,
     PlantLaw,
     cascade_rhs,
@@ -141,6 +142,14 @@ class TestCascadeValidation:
         with pytest.raises(OperatorError):
             Cascade((LinearStatic(L5),) * 5)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_non_operator_stage_rejected(self, order):
+        for k in range(order):
+            stages = [LinearStatic(L5)] * order
+            stages[k] = L5
+            with pytest.raises(OperatorError, match=f"stage {k + 1} is not"):
+                Cascade(tuple(stages))
+
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ShapeError):
             Cascade((LinearStatic(L5), LinearStatic(L2)))
@@ -196,6 +205,19 @@ class TestControllers:
         Lt = D @ L5
         u = naive_serial(op, op)(x, v, t)
         assert np.allclose(u, -(Lt + Lt) @ v - Lt @ (Lt @ x))
+
+    @pytest.mark.parametrize("controller", BASELINES)
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_operator_stage_rejected(self, controller, k):
+        stages = [LinearStatic(L5), LinearStatic(L5)]
+        if controller.startswith("conventional-"):
+            stages[1] = DelayedAbsoluteVelocity(np.ones(5), 0.0)
+        delays = ConstantDelay(0.1) if controller == "conventional-delayed" else None
+        stages[k] = 1.0
+        with pytest.raises(OperatorError, match=f"stage {k + 1} is not"):
+            PlantLaw(controller, tuple(stages), delays)
+        with pytest.raises(OperatorError, match=f"stage {k + 1} is not"):
+            compositional_controller(*stages)
 
     def test_delayed_kinds_inadmissible_in_baselines(self):
         delayed = DelayedAbsoluteVelocity(np.ones(5), 0.0)

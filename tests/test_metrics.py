@@ -10,7 +10,7 @@ import pytest
 import consensuslab
 
 from consensuslab.cli import write_trajectory_csv
-from consensuslab.exceptions import ConsensusLabError
+from consensuslab.exceptions import ConfigError, ConsensusLabError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import (
     build_report,
@@ -153,6 +153,12 @@ class TestResiduals:
         traj = make_traj(times, np.zeros((11, 2)))
         with pytest.raises(ConsensusLabError):
             build_report(traj, tail_fraction=0.0)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tolerance):
+        traj = make_traj(np.linspace(0, 1, 11), np.zeros((11, 2)))
+        with pytest.raises(ConfigError, match="tolerance"):
+            build_report(traj, tolerance=tolerance)
 
     def test_second_order_residual_by_finite_difference(self):
         # agents share acceleration 2.0; one has a transient velocity offset

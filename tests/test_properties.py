@@ -1,5 +1,11 @@
 """Property tests for invariants the toolkit documents."""
 
+import dataclasses
+import math
+import signal
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from consensuslab import dynamics, sim
+from consensuslab.cli import main
 from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
-from consensuslab.graphs import build_laplacian, path_graph
+from consensuslab.exceptions import ConfigError, ConsensusLabError
+from consensuslab.graphs import WeightedDigraph, build_laplacian, graph_from_edges, path_graph
 from consensuslab.metrics import disagreement_seminorm
 from consensuslab.operators import (
     DelayedAbsoluteVelocity,
@@ -28,6 +36,7 @@ from consensuslab.scenario import (
     validate_scenario,
 )
 from consensuslab.sim import (
+    ArrivalBank,
     ConstantDelay,
     FunctionView,
     IntegratorConfig,
@@ -35,6 +44,7 @@ from consensuslab.sim import (
     RampDelay,
     SliceView,
     integrate,
+    sample_poisson_delays,
 )
 
 INNER = ("linear_static", "linear_time_varying", "saturated")
@@ -471,3 +481,109 @@ def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     a = integrate(cascade_rhs(cascade, lambda t: u), z0, cfg, tau_max=t_end)
     b = integrate(fresh_cascade, z0, cfg, tau_max=t_end)
     assert np.array_equal(a.states, b.states)
+
+
+@given(arrivals=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=8).map(sorted))
+def test_one_arrival_lookup(arrivals):
+    """A Poisson delay and an ArrivalBank over it read the same last arrival:
+    at each arrival, between two and before the first."""
+    d = PoissonSampledDelay(arrivals, 50.0)
+    bank = ArrivalBank([d])
+    bounds = [0.0, *arrivals, 50.0]
+    for t in [0.0, *arrivals, *((a + b) / 2 for a, b in zip(bounds, bounds[1:]))]:
+        assert d(t) == t - bank.last_arrivals(t)[0], t
+
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+def with_number(value, k, new):
+    """(``value`` with its k-th number set to ``new``, how many numbers it
+    holds). Numbers are counted depth first through tuples, lists and
+    dataclass fields; a tagged spec "<tag>:<value>" holds one."""
+    if isinstance(value, (int, float)):
+        return (new if k == 0 else value), 1
+    if isinstance(value, str):
+        tag, colon, _ = value.partition(":")
+        return (f"{tag}:{new}" if colon and k == 0 else value), int(bool(colon))
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, (tuple, list)):
+        fields = dict(enumerate(value))
+    else:
+        return value, 0
+    total = 0
+    for key, item in fields.items():
+        fields[key], count = with_number(item, k - total, new)
+        total += count
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **fields), total
+    return type(value)(fields.values()), total
+
+
+@contextmanager
+def interrupted_after(seconds):
+    """Raise TimeoutError inside the block after ``seconds``, so that a loop
+    that never ends fails the test instead of hanging it."""
+    def stop(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+L3 = build_laplacian(path_graph(3)).tolist()
+W3 = path_graph(3).weights.tolist()
+# Each constructor with valid arguments; every number in them is one the
+# constructor reads. A delay object, a seed and a field are bound.
+CONSTRUCTORS = {
+    "WeightedDigraph": (WeightedDigraph, (W3,)),
+    "graph_from_edges": (graph_from_edges, (3, ((2, 1, 1.0), (3, 2, 0.5)))),
+    "LinearStatic": (LinearStatic, (L3,)),
+    "Saturated": (Saturated, (L3,)),
+    "LinearTimeVarying": (LinearTimeVarying, (L3, [0.7, 1.3, 1.9], [0.3, 2.0, 4.0])),
+    "DelayedRelative": (lambda w: DelayedRelative(w, ConstantDelay(0.5)), (W3,)),
+    "DelayedAbsoluteVelocity": (DelayedAbsoluteVelocity, ([1.0, 2.0, 3.0], 10.0)),
+    "ConstantDelay": (ConstantDelay, (0.5,)),
+    "RampDelay": (RampDelay, (2.0,)),
+    "PoissonSampledDelay": (PoissonSampledDelay, ([1.0, 2.5, 4.0], 10.0)),
+    "sample_poisson_delays": (lambda mean, t_end: sample_poisson_delays(mean, 7, t_end),
+                              (1.5, 10.0)),
+    "IntegratorConfig": (IntegratorConfig, (0.1, 1.0, 2)),
+    "integrate": (lambda x0, tau_max: integrate(lambda x, t, h: -x, x0,
+                                                IntegratorConfig(0.1, 0.2), tau_max),
+                  ([1.0, -2.0], 0.5)),
+}
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(CONSTRUCTORS)), data=st.data(), bad=NON_FINITE)
+def test_constructors_reject_non_finite_numbers(name, data, bad):
+    """A NaN or infinity in any one number a constructor reads raises a
+    toolkit error, never numpy's or Python's."""
+    make, args = CONSTRUCTORS[name]
+    make(*args)
+    _, count = with_number(args, -1, bad)
+    args, _ = with_number(args, data.draw(st.integers(0, count - 1)), bad)
+    # An unbounded horizon would keep a sampler drawing arrivals forever.
+    with pytest.raises(ConsensusLabError), interrupted_after(2.0):
+        make(*args)
+
+
+@settings(deadline=None)
+@given(sc=scenarios(), data=st.data(), bad=NON_FINITE)
+def test_config_route_rejects_non_finite_numbers(sc, data, bad):
+    """A NaN or infinity in any number or tagged spec of a valid scenario is
+    a ConfigError, and a config file holding it exits 1."""
+    _, count = with_number(sc, -1, bad)
+    sc, _ = with_number(sc, data.draw(st.integers(0, count - 1)), bad)
+    with pytest.raises(ConfigError):
+        validate_scenario(sc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.cfg"
+        cfg.write_text(emit_scenario(sc))
+        assert main(["--scenario", str(cfg), "--out", str(Path(tmp) / "out"), "--quiet"]) == 1

@@ -76,6 +76,17 @@ class TestIntegrator:
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.1, t_end=0.01)
 
+    def test_empty_initial_state_rejected(self):
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+        with pytest.raises(ConfigError, match="nonempty"):
+            integrate(lambda x, t, h: -x, np.array([]), cfg)
+
+    @pytest.mark.parametrize("every", [2.0, np.float64(5.0)])
+    def test_record_every_must_be_an_integer(self, every):
+        with pytest.raises(ConfigError, match="record_every"):
+            IntegratorConfig(dt=0.1, t_end=1.0, record_every=every)
+        assert IntegratorConfig(dt=0.1, t_end=1.0, record_every=np.int64(5)).nsteps == 10
+
     def test_two_agent_decay_matches_exponential(self):
         L = build_laplacian(path_graph(2))
         cfg = IntegratorConfig(dt=1e-3, t_end=10.0, record_every=10)
@@ -165,6 +176,15 @@ class TestDelayProcesses:
         assert c(10.0) == 0.4 and c.tau_max == 0.4
         r = RampDelay(5.0)
         assert r(2.0) == 2.0 and r(7.0) == 5.0 and r.tau_max == 5.0
+
+    @pytest.mark.parametrize("arrivals, t_end", [
+        ([3.0, 1.0, 2.0], 5.0), ([-1.0, 2.0], 5.0), ([1.0, np.nan, 2.0], 5.0),
+        ([1.0, np.inf], 5.0), ([1.0, 2.0], np.inf), ([1.0, 2.0], np.nan),
+    ], ids=["unsorted", "negative", "nan-arrival", "inf-arrival", "inf-horizon",
+            "nan-horizon"])
+    def test_poisson_delay_rejects_streams_it_cannot_read(self, arrivals, t_end):
+        with pytest.raises(ConfigError):
+            PoissonSampledDelay(arrivals, t_end)
 
     def test_poisson_determinism(self):
         a = sample_poisson_delays(1.0, 123, 100.0)
