@@ -2,8 +2,9 @@
 
 Outputs per run: trajectory.csv, report.txt, config.echo, and optionally
 plot.gp (a plain gnuplot script; no graphics dependency). Exit codes are
-the machine contract: 0 run completed, 2 divergence recorded, 1 bad
-configuration or arguments, 3 output I/O failure.
+the machine contract, mapped in ``main`` alone: 0 run completed, 2
+divergence recorded, 1 bad arguments, an unreadable scenario file or a
+rejected scenario (ConfigError), 3 output I/O failure (OSError).
 """
 
 from __future__ import annotations
@@ -22,8 +23,16 @@ from .presets import PRESETS, preset
 from .scenario import simulate_scenario, validate_scenario
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints the usage line and raises ConfigError on a bad argument."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="consensuslab",
         description="Simulate cascaded high-order consensus scenarios.",
     )
@@ -51,10 +60,11 @@ def _load_scenario(args):
     if args.preset is not None:
         sc = preset(args.preset)
     else:
-        path = Path(args.scenario)
-        if not path.exists():
-            raise ConfigError(f"scenario file not found: {path}")
-        sc = parse_scenario(path.read_text())
+        try:
+            text = Path(args.scenario).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read scenario file {args.scenario}: {err}") from None
+        sc = parse_scenario(text)
     overrides = {key: getattr(args, key) for key in ("controller", "seed", "dt", "t_end")
                  if getattr(args, key) is not None}
     return dataclasses.replace(sc, **overrides)
@@ -155,35 +165,23 @@ def write_gnuplot(sc, path: Path) -> None:
 
 
 def run(sc, out_dir, quiet=False, gnuplot=False):
-    """Simulate one scenario and write its artifacts.
-
-    Returns (exit code, ConsensusReport or None). Exit-code semantics:
-    0 completed, 2 diverged (recorded), 1 config error, 3 I/O error; the
-    report is None for codes 1 and 3.
-    """
+    """Simulate one scenario and write its artifacts. Returns (0 completed
+    or 2 diverged, ConsensusReport); raises ConfigError before any output
+    for a rejected scenario and OSError for a failed write."""
+    code = 0
     try:
-        code = 0
-        try:
-            traj = simulate_scenario(sc)
-        except DivergenceError as err:
-            traj = err.trajectory
-            code = 2
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1, None
+        traj = simulate_scenario(sc)
+    except DivergenceError as err:
+        traj, code = err.trajectory, 2
 
     config_text = emit_scenario(sc)
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(traj, out / "trajectory.csv")
-        report = write_report(traj, sc, out / "report.txt", scenario_hash(config_text))
-        (out / "config.echo").write_text(config_text)
-        if gnuplot:
-            write_gnuplot(sc, out / "plot.gp")
-    except OSError as err:
-        print(f"could not write outputs: {err}", file=sys.stderr)
-        return 3, None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "trajectory.csv")
+    report = write_report(traj, sc, out / "report.txt", scenario_hash(config_text))
+    (out / "config.echo").write_text(config_text)
+    if gnuplot:
+        write_gnuplot(sc, out / "plot.gp")
 
     if not quiet:
         tag = "diverged" if code == 2 else "completed"
@@ -194,23 +192,20 @@ def run(sc, out_dir, quiet=False, gnuplot=False):
 def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
     """Run the same physical setup under each controller (identical seed,
     initial conditions, and RNG streams) and write a side-by-side table.
-    A repeated or rejected controller exits 1 before anything runs."""
+    Returns 2 if a run diverged, else 0. An empty list, a repeated or a
+    rejected controller raises ConfigError before anything runs."""
+    if not controllers:
+        raise ConfigError("empty --compare list")
+    if len(set(controllers)) < len(controllers):
+        raise ConfigError(f"--compare names a controller twice: {','.join(controllers)}")
     runs = [dataclasses.replace(sc, controller=kind) for kind in controllers]
-    try:
-        if len(set(controllers)) < len(runs):
-            raise ConfigError(f"--compare names a controller twice: {','.join(controllers)}")
-        for each in runs:
-            validate_scenario(each)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 1
+    for each in runs:
+        validate_scenario(each)
     out = Path(out_dir)
     rows = []
     worst = 0
     for kind, each in zip(controllers, runs):
         code, report = run(each, out / kind, quiet=quiet, gnuplot=gnuplot)
-        if code in (1, 3):
-            return code
         worst = max(worst, code)
         residuals = report.order_residuals
         rows.append((
@@ -222,42 +217,36 @@ def compare(sc, controllers, out_dir, quiet=False, gnuplot=False) -> int:
             "-" if report.divergence_time is None else _fmt12(report.divergence_time),
         ))
 
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        widths = (22, 10, 16, 16, 16, 14)
-        titles = ("controller", "converged", "peak_disagree",
-                  "order0_resid", "order1_resid", "diverged_at")
-        # A space between cells keeps a value wider than its column apart
-        # from the next one, so every row splits on whitespace.
-        lines = [" ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
-                 for row in (titles, *rows)]
-        table = "\n".join(lines) + "\n"
-        (out / "comparison.txt").write_text(table)
-    except OSError as err:
-        print(f"could not write comparison: {err}", file=sys.stderr)
-        return 3
+    widths = (22, 10, 16, 16, 16, 14)
+    titles = ("controller", "converged", "peak_disagree",
+              "order0_resid", "order1_resid", "diverged_at")
+    # A space between cells keeps a value wider than its column apart
+    # from the next one, so every row splits on whitespace.
+    lines = [" ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
+             for row in (titles, *rows)]
+    table = "\n".join(lines) + "\n"
+    (out / "comparison.txt").write_text(table)
     if not quiet:
         print(table, end="")
     return worst
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The one exit-code boundary: ConfigError exits 1 and OSError exits 3,
+    each after its message on stderr."""
     try:
+        args = build_parser().parse_args(argv)
         sc = _load_scenario(args)
+        if args.compare is not None:
+            kinds = [k.strip() for k in args.compare.split(",") if k.strip()]
+            return compare(sc, kinds, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
+        return run(sc, args.out, quiet=args.quiet, gnuplot=args.gnuplot)[0]
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-
-    if args.compare:
-        kinds = [k.strip() for k in args.compare.split(",") if k.strip()]
-        if not kinds:
-            print("empty --compare list", file=sys.stderr)
-            return 1
-        return compare(sc, kinds, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
-    code, _ = run(sc, args.out, quiet=args.quiet, gnuplot=args.gnuplot)
-    return code
+    except OSError as err:
+        print(f"could not write outputs: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

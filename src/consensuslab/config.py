@@ -3,7 +3,8 @@
 Sections: [cascade], [graph], [stage.k], [init], [disturbance],
 [integrator], [metrics]. Values are scalars, strings, or JSON lists.
 Unknown sections or keys are rejected with the offending line number, and
-``parse_scenario(emit_scenario(sc))`` reproduces ``sc`` exactly.
+``parse_scenario(emit_scenario(sc))`` reproduces ``sc`` exactly. Parsing
+checks syntax alone: ``scenario.validate_scenario`` checks what will run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 
 from .exceptions import ConfigError
-from .scenario import Scenario, StageSpec, validate_scenario
+from .scenario import Scenario, StageSpec
 
 
 def _to_int(value, line):
@@ -136,7 +137,7 @@ def _convert(base, section):
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario config; ConfigError carries the line."""
+    """Parse a scenario config's syntax alone; ConfigError carries the line."""
     sections = _raw_sections(text)
 
     if "cascade" not in sections:
@@ -166,9 +167,7 @@ def parse_scenario(text: str) -> Scenario:
 
     for base, sect in sections.items():
         fields.update(_convert(base, sect))
-    sc = Scenario(stages=tuple(stages), **fields)
-    validate_scenario(sc)
-    return sc
+    return Scenario(stages=tuple(stages), **fields)
 
 
 def _fmt(value):

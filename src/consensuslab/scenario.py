@@ -4,19 +4,22 @@ A Scenario is plain data (strings, numbers, tuples) so that config round
 trips reproduce it exactly; operators, delay realizations, and disturbance
 vectors are only instantiated at simulation time from the scenario seed.
 
-Validation lives in two places, one per kind of rule. ``validate_scenario``
-checks what no object can see: controller names, the stage count, stage
-kinds and spec syntax, that no stage sets a key its kind does not read
-(a delayed_absolute_velocity stage keeps scale at its default 1),
-initial conditions (order 3 and up takes xi0 alone, xi0 excludes the plant
-keys and is read only by the compositional controller, order 1 has no
-xdot0), disturbances (a vector only under kind constant, a sup bound only
-under kind random) and that the config's numbers are finite. Every other
-rule, finiteness too, belongs to the object that reads the input: the graph,
-the operators (a spec's ref too), the ``sim`` delays (delay values),
-``IntegratorConfig`` (the grid), ``metrics`` (the report settings),
-``Cascade`` and ``PlantLaw`` (the stage layout). So validation then builds
-the scenario with ``simulate_scenario``'s builder; it builds no vector field.
+Validation lives in two places, one per kind of rule, and checks the
+scenario that will run: ``simulate_scenario`` and the CLI's ``compare`` run
+it. ``validate_scenario`` checks what no object can see: controller names,
+the stage count, stage kinds and spec syntax, that no stage sets a key its
+kind does not read (a delayed_absolute_velocity stage keeps scale at its
+default 1), initial conditions (flat vectors, order*N entries for xi0 and N
+for the rest; order 3 and up takes xi0 alone, xi0 excludes the plant keys and
+is read only by the compositional controller, order 1 has no xdot0),
+disturbances (a vector only under kind constant, a sup bound only under
+kind random), a Poisson mean of at least dt and that the config's numbers
+are finite. Every other rule, finiteness too, belongs to the object that
+reads the input: the graph, the operators (a spec's ref too), the ``sim``
+delays (delay values), ``IntegratorConfig`` (the grid), ``metrics`` (the
+report settings), ``Cascade`` and ``PlantLaw`` (the stage layout). So
+validation then builds the scenario with ``simulate_scenario``'s builder;
+it builds no vector field.
 
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
@@ -128,12 +131,11 @@ def _check_scenario(sc: Scenario) -> None:
     if sc.init_preset is not None and sc.init_preset not in INIT_PRESETS:
         raise ConfigError(f"unknown init preset {sc.init_preset!r}")
     _check_finite_numbers(sc)
-    for label, vec in (("x0", sc.x0), ("xdot0", sc.xdot0), ("d_ref", sc.d_ref),
-                       ("disturbance vector", sc.disturbance_vector)):
-        if vec is not None and len(vec) != n:
-            raise ConfigError(f"{label} must have {n} entries")
-    if sc.xi0 is not None and len(sc.xi0) != sc.order * n:
-        raise ConfigError(f"xi0 must have order*N = {sc.order * n} entries")
+    for label, vec, size in (("x0", sc.x0, n), ("xdot0", sc.xdot0, n), ("d_ref", sc.d_ref, n),
+                             ("disturbance vector", sc.disturbance_vector, n),
+                             ("xi0", sc.xi0, sc.order * n)):
+        if vec is not None and np.shape(vec) != (size,):
+            raise ConfigError(f"{label} must be a flat list of {size} numbers")
     if sc.init_preset is None and sc.x0 is None and sc.xi0 is None:
         raise ConfigError("no initial conditions: give a preset, x0, or xi0")
     if sc.order >= 3 and sc.xi0 is None:
@@ -211,10 +213,14 @@ def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
 def _build_delays(delay, sc: Scenario, edges=None):
     """The delays of a parsed delay spec: one constant or ramp delay for
     all, or Poisson streams per agent or, given ``edges``, per edge. The
-    delay classes check the value's range; each carries its bound."""
+    delay classes check the value's range; each carries its bound. A
+    Poisson mean below dt, which would draw many arrivals per step, is
+    rejected."""
     tag, value = delay
     if tag != "poisson":
         return (sim.ConstantDelay if tag == "constant" else sim.RampDelay)(value)
+    if value < sc.dt:
+        raise ConfigError(f"poisson mean {value!r} is below the step dt = {sc.dt!r}")
     if edges is None:
         return sim.poisson_delay_bank(value, sc.seed, sc.t_end, sc.graph_n)
     if not edges:  # No edge reads it; one stream checks the mean.

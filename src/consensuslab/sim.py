@@ -471,21 +471,24 @@ def sample_poisson_delays(mean, seed, t_end) -> PoissonSampledDelay:
 
     Inter-arrival times come from the inverse exponential CDF driven by a
     PCG64 stream, so a fixed seed reproduces the identical arrival sequence
-    on any platform. ``seed`` may be an int or a (seed, agent) tuple.
+    on any platform. ``seed`` may be an int or a (seed, agent) tuple. Gaps
+    are drawn 1024 at a time and summed in order, as one by one, up to the
+    first block that passes t_end.
     """
     if not 0 < mean < math.inf:
         raise ConfigError("mean inter-arrival time must be positive and finite")
     if not 0 <= t_end < math.inf:  # The sampling loop runs to t_end.
         raise ConfigError("the horizon t_end must be nonnegative and finite")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    arrivals = []
-    t = 0.0
+    blocks, size, last = [], 1024, 0.0
     while True:
-        t += -mean * np.log1p(-rng.random())
-        if t > t_end:
-            break
-        arrivals.append(t)
-    return PoissonSampledDelay(np.array(arrivals), t_end)
+        gaps = -mean * np.log1p(-rng.random(size))
+        gaps[0] += last
+        times = gaps.cumsum()
+        blocks.append(times[:times.searchsorted(t_end, "right")])
+        if len(blocks[-1]) < size:
+            return PoissonSampledDelay(np.concatenate(blocks), t_end)
+        last = times[-1]
 
 
 def poisson_delay_bank(mean, seed, t_end, n_agents) -> list[PoissonSampledDelay]:

@@ -206,6 +206,13 @@ class TestExitCodes:
                                  "x0": (0.0,), "disturbance_vector": (1.0,),
                                  **with_delay("counterexample_appD", "poisson:inf")},
          "stage 1: mean"),
+        ("serial_lti", {"x0": ((0.0,),) * 10}, "x0 must be a flat list"),
+        ("serial_lti", {"xdot0": ((0.0,),) * 10}, "xdot0 must be a flat list"),
+        ("serial_lti", {"d_ref": ((0.0,),) * 10}, "d_ref must be a flat list"),
+        ("serial_lti", {"disturbance_kind": "constant", "disturbance_vector": ((1.0,),) * 10},
+         "disturbance vector must be a flat list"),
+        ("serial_lti", {"init_preset": None, "xi0": ((0.0,),) * 20}, "xi0 must be a flat list"),
+        ("gps_fig3", with_delay("gps_fig3", "poisson:0.001"), "stage 2: poisson mean"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -220,13 +227,58 @@ class TestExitCodes:
             "xdot0-at-order-1", "scale-on-velocity-stage", "vector-under-none",
             "vector-under-random", "sup-under-none", "sup-under-constant",
             "edges-under-path", "tolerance-inf", "inf-ref", "inf-constant-delay",
-            "inf-ramp-cap", "inf-poisson-mean", "inf-poisson-mean-without-edges"])
+            "inf-ramp-cap", "inf-poisson-mean", "inf-poisson-mean-without-edges",
+            "nested-x0", "nested-xdot0", "nested-d-ref", "nested-disturbance-vector",
+            "nested-xi0", "poisson-mean-below-dt"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))
         assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and says in err, err
+
+    @pytest.mark.parametrize("args", [
+        ["--preset", "serial_lti", "--dt", "abc"],
+        ["--preset", "serial_lti", "--no-such-flag"],
+        [],
+        ["--preset", "serial_lti", "--scenario", "serial_lti.cfg"],
+    ], ids=["bad-number", "unknown-flag", "no-source", "two-sources"])
+    def test_argument_error(self, args, tmp_path, capsys):
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: consensuslab") and "\nconfiguration error:" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: consensuslab")
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(emit_scenario(preset("serial_lti")).encode() + b"# \xff\n"),
+    ], ids=["missing", "directory", "not-utf-8"])
+    def test_unreadable_scenario_file(self, make, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        make(cfg)
+        assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read scenario file {cfg}: "), err
+
+    def test_overrides_apply_before_validation(self, tmp_path, capsys):
+        """The scenario that runs is the one validated: a horizon off the
+        record grid is rejected, and the --t-end that puts it on the grid
+        runs."""
+        cfg = tmp_path / "off_grid.cfg"
+        cfg.write_text(emit_scenario(dataclasses.replace(preset("serial_lti"), t_end=1.005)))
+        assert run_cli("--scenario", str(cfg), "--out", str(tmp_path / "rejected")) == 1
+        assert "record_every must divide" in capsys.readouterr().err
+        assert not (tmp_path / "rejected").exists()
+        assert run_cli("--scenario", str(cfg), "--t-end", "1.0",
+                       "--out", str(tmp_path / "out")) == 0
+        assert read_report(tmp_path / "out" / "report.txt")["t_end"] == "1"
 
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "file"
@@ -254,7 +306,9 @@ class TestCompare:
         ("serial_lti", "compositional,compositional", "names a controller twice"),
         ("serial_lti", "compositional,conventional-delayed",
          "delayed_absolute_velocity outer stage"),
-    ], ids=["unknown", "repeated", "rejected-scenario"])
+        ("serial_lti", "", "empty --compare list"),
+        ("serial_lti", ",", "empty --compare list"),
+    ], ids=["unknown", "repeated", "rejected-scenario", "empty", "only-commas"])
     def test_whole_list_checked_before_any_run(self, preset_name, kinds, says, tmp_path,
                                                capsys):
         out = tmp_path / "out"
@@ -263,6 +317,15 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and says in err, err
         assert not out.exists()
+
+
+    def test_unwritable_comparison(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "comparison.txt").mkdir(parents=True)
+        assert run_cli("--preset", "serial_lti", "--t-end", "1", "--compare", "compositional",
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith("could not write outputs:")
+        assert (out / "compositional" / "report.txt").exists()
 
 
 class TestTrajectoryCsv:

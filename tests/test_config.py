@@ -85,6 +85,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_scenario(text)
 
+    def test_parse_checks_syntax_alone(self):
+        """A scenario parses whatever its rules say; they are checked on the
+        scenario that will run, after any override."""
+        sc = parse_scenario(MINIMAL.replace("record_every = 10", "record_every = 7"))
+        assert sc.record_every == 7
+        with pytest.raises(ConfigError, match="record_every must divide"):
+            validate_scenario(sc)
+
 
 class TestValidation:
     def test_delayed_inner_stage_rejected(self):
@@ -93,13 +101,13 @@ class TestValidation:
             "[stage.1]\nkind = delayed_relative\ndelay = constant:0.5",
         )
         with pytest.raises(ConfigError) as err:
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
         assert "outermost" in str(err.value)
 
     def test_negative_dt_rejected(self):
         text = MINIMAL.replace("dt = 0.001", "dt = -0.001")
         with pytest.raises(ConfigError):
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
 
     def test_conventional_with_delayed_stage_rejected(self):
         text = MINIMAL.replace("controller = compositional",
@@ -110,18 +118,18 @@ class TestValidation:
             "gains = [1.0, 1.0, 1.0]\nref = constant:10.0\ndelay = poisson:1.0",
         )
         with pytest.raises(ConfigError):
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
 
     def test_wrong_vector_length_rejected(self):
         text = MINIMAL.replace("preset = uniform_pm1", "x0 = [1.0, 2.0]")
         with pytest.raises(ConfigError):
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
 
     def test_time_varying_needs_gates(self):
         text = MINIMAL.replace("[stage.1]\nkind = linear_static",
                                "[stage.1]\nkind = linear_time_varying")
         with pytest.raises(ConfigError):
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
 
     def test_unknown_controller_rejected(self):
         bad = dataclasses.replace(preset("serial_lti"), controller="magic")
@@ -131,7 +139,7 @@ class TestValidation:
     def test_record_every_must_divide_steps(self):
         text = MINIMAL.replace("record_every = 10", "record_every = 7")
         with pytest.raises(ConfigError):
-            parse_scenario(text)
+            validate_scenario(parse_scenario(text))
 
     @pytest.mark.parametrize("name, controller", [
         ("serial_lti", "conventional-ideal"), ("serial_lti", "conventional-delayed"),

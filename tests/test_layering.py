@@ -2,7 +2,7 @@
 at module level or inside functions, so there are no import cycles; and
 scipy is imported only inside functions, so ``import consensuslab`` stays
 free of it. No module of the package or of its tests imports a name it
-never reads."""
+never reads. In ``cli`` only ``main`` turns a failure into an exit code."""
 
 import ast
 from pathlib import Path
@@ -111,3 +111,38 @@ def test_the_unused_import_guard_sees_bound_names():
 def test_every_imported_name_is_read(path):
     unused = unused_imports(ast.parse(path.read_text()))
     assert not unused, f"{path.stem} imports names it never reads: {unused}"
+
+
+EXIT_MESSAGES = ("configuration error:", "could not write outputs:")
+
+
+def exit_mappings(tree):
+    """Name of the enclosing function, once per occurrence, of every return
+    of exit code 1 or 3 (alone or first in a tuple) and every string that
+    holds an exit message; a nested function counts for each enclosing one."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            value = node.value if isinstance(node, ast.Return) else None
+            if isinstance(value, ast.Tuple) and value.elts:
+                value = value.elts[0]
+            if isinstance(value, ast.Constant) and type(value.value) is int:
+                if value.value in (1, 3):
+                    found.append(func.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if any(text in node.value for text in EXIT_MESSAGES):
+                    found.append(func.name)
+    return found
+
+
+def test_the_exit_code_guard_sees_returns_and_messages():
+    tree = ast.parse("def run():\n    return 3, None\n\ndef check():\n"
+                     "    print(f'configuration error: {1}')\n    return True\n")
+    assert exit_mappings(tree) == ["run", "check"]
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    found = exit_mappings(parsed("cli"))
+    assert set(found) == {"main"}, f"cli functions besides main map exit codes: {found}"

@@ -536,6 +536,30 @@ def interrupted_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def poisson_arrivals_one_by_one(mean, seed, t_end):
+    """Reference for ``sample_poisson_delays``: each gap drawn and summed
+    on its own."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    arrivals, t = [], 0.0
+    while True:
+        t += -mean * np.log1p(-rng.random())
+        if t > t_end:
+            return np.array(arrivals)
+        arrivals.append(t)
+
+
+@settings(deadline=None)
+@given(mean=st.floats(min_value=5e-3, max_value=5.0),
+       seed=st.integers(0, 2**32) | st.tuples(st.integers(0, 99), st.integers(0, 99)),
+       t_end=st.floats(min_value=0.0, max_value=20.0))
+@example(mean=5e-3, seed=3, t_end=20.0)  # about four blocks of gaps
+def test_poisson_block_draw_matches_one_by_one(mean, seed, t_end):
+    got = sample_poisson_delays(mean, seed, t_end)
+    want = PoissonSampledDelay(poisson_arrivals_one_by_one(mean, seed, t_end), t_end)
+    assert np.array_equal(got.arrivals, want.arrivals)
+    assert got.tau_max == want.tau_max
+
+
 L3 = build_laplacian(path_graph(3)).tolist()
 W3 = path_graph(3).weights.tolist()
 # Each constructor with valid arguments; every number in them is one the
