@@ -12,7 +12,6 @@ from .dynamics import (
     PlantLaw,
     cascade_rhs,
     compositional_controller,
-    matched_cascade_state,
     plant_rhs,
     reconstruct_plant,
 )

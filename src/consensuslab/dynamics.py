@@ -21,10 +21,10 @@ op_2(op_1(x)), a delayed outer stage's unchecked ``apply``, an affine
 constant, velocity tracking and the input. The field calls nothing else
 of an operator, inside ``sim.integrate``, which rejects a non-finite or
 blown-up state after every step; the other callers of an operator use its
-checked ``evaluate``. Reconstruction takes a whole block of recorded rows
-in one call and runs where a record is read, not after integration: the
-scenario layer makes it the plant map of a cascade record, which
-``Trajectory.plant_blocks`` applies block by block.
+checked ``evaluate``. Each system owns its state's layout: ``Cascade`` and
+``PlantLaw`` give their ``route``, field (``rhs``), ``initial_state`` from
+plant initial conditions and ``plant`` map, which ``Trajectory.plant_blocks``
+applies to one block of recorded rows at a time, where a record is read.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class Cascade:
     """Ordered composition stages, innermost first; only the outermost may be delayed."""
 
     stages: tuple
+    route = "cascade"
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -81,6 +82,24 @@ class Cascade:
         """Delay bound of a history-reading outer stage (only the outer
         stage may be delayed); None when no stage reads a history."""
         return getattr(self.stages[-1], "tau_max", None)
+
+    def rhs(self, w=None):
+        """The field of the stacked cascade state (``cascade_rhs``)."""
+        return cascade_rhs(self, w)
+
+    def initial_state(self, x0, xdot0) -> np.ndarray:
+        """Cascade state matching plant initial conditions: xi_1(0) = x(0),
+        and at order 2 xi_2(0) = xdot(0) + op_1(x(0), 0). Order 1 ignores
+        xdot0; order 3 and up must be given xi(0) itself."""
+        if self.order == 1:
+            return x0
+        if self.order > 2:
+            raise OperatorError(f"order {self.order} takes its initial state from xi0 alone")
+        return np.concatenate((x0, xdot0 + self.stages[0].evaluate(x0, 0.0)))
+
+    def plant(self, states, times):
+        """Plant map of a record block (``reconstruct_plant``)."""
+        return reconstruct_plant(self, states, times)
 
 
 # Block products at or above this state size go through CSR when at most
@@ -202,16 +221,6 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     return _compile(A, n, stages, shifts, tail, delayed=delayed, const=const, feed=u_ref)
 
 
-def matched_cascade_state(cascade: Cascade, x0, xdot0) -> np.ndarray:
-    """Cascade initial state matching plant initial conditions (order 2 only):
-    xi_1(0) = x(0), xi_2(0) = xdot(0) + op_1(x(0), 0)."""
-    if cascade.order != 2:
-        raise OperatorError("matched initialization is defined for order 2 only")
-    x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
-    return np.concatenate((x0, xdot0 + cascade.stages[0].evaluate(x0, 0.0)))
-
-
 def reconstruct_plant(cascade: Cascade, xi, t):
     """Plant states from cascade states: x = xi_1, xdot = xi_2 - op_1(xi_1, t).
 
@@ -279,6 +288,7 @@ class PlantLaw:
     stages: tuple
     delays: object = None
     tau_max: float | None = field(init=False)
+    route = "plant"
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -304,6 +314,18 @@ class PlantLaw:
     @property
     def n(self) -> int:
         return self.stages[0].n
+
+    def rhs(self, w=None):
+        """The field of the plant state [x; xdot] (``plant_rhs``)."""
+        return plant_rhs(self, w)
+
+    def initial_state(self, x0, xdot0) -> np.ndarray:
+        """The plant state [x(0); xdot(0)]."""
+        return np.concatenate((x0, xdot0))
+
+    def plant(self, states, times):
+        """Plant map of a record block: its x and xdot columns."""
+        return states[:, :self.n], states[:, self.n:]
 
 
 def plant_rhs(law: PlantLaw, w=None):

@@ -16,6 +16,10 @@ from .exceptions import GraphError
 # Entries smaller than this are treated as absent edges.
 EDGE_EPS = 1e-15
 
+# The largest agent count a graph builder accepts: an order-4 cascade's dense
+# block matrix holds (4n)^2 floats, 128 MB at n = 1,000.
+MAX_AGENTS = 1000
+
 
 @dataclass(frozen=True)
 class WeightedDigraph:
@@ -60,14 +64,19 @@ def build_laplacian(g: WeightedDigraph) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
+def _check_agent_count(n):
+    """Reject an agent count outside the integers 1..MAX_AGENTS, allocating nothing."""
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_AGENTS:
+        raise GraphError(f"a graph needs an integer n in 1..{MAX_AGENTS}, got {n}")
+
+
 def path_graph(n: int) -> WeightedDigraph:
     """Unit-weight directed chain 1 -> 2 -> ... -> n; node 1 is the leader.
 
     The first Laplacian row is all zeros, so node 1 is unaffected by the
     rest of the network.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise GraphError(f"path graph needs an integer n >= 1, got {n}")
+    _check_agent_count(n)
     w = np.zeros((n, n))
     for i in range(1, n):
         w[i, i - 1] = 1.0
@@ -80,8 +89,7 @@ def graph_from_edges(n: int, edges) -> WeightedDigraph:
     Indices must be integral (2.0 is node 2; 2.7 is rejected) and each
     (i, j) pair may appear once.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise GraphError(f"graph needs an integer n >= 1, got {n}")
+    _check_agent_count(n)
     w = np.zeros((n, n))
     seen = set()
     for entry in edges:

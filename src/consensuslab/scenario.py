@@ -10,16 +10,15 @@ it. ``validate_scenario`` checks what no object can see: controller names,
 the stage count, stage kinds and spec syntax, that no stage sets a key its
 kind does not read (a delayed_absolute_velocity stage keeps scale at its
 default 1), initial conditions (flat vectors, order*N entries for xi0 and N
-for the rest; order 3 and up takes xi0 alone, xi0 excludes the plant keys and
-is read only by the compositional controller, order 1 has no xdot0),
-disturbances (a vector only under kind constant, a sup bound only under
-kind random), a Poisson mean of at least dt and that the config's numbers
-are finite. Every other rule, finiteness too, belongs to the object that
-reads the input: the graph, the operators (a spec's ref too), the ``sim``
-delays (delay values), ``IntegratorConfig`` (the grid), ``metrics`` (the
-report settings), ``Cascade`` and ``PlantLaw`` (the stage layout). So
-validation then builds the scenario with ``simulate_scenario``'s builder;
-it builds no vector field.
+for the rest; xi0 excludes the plant keys and is read only by the
+compositional controller, order 1 has no xdot0), disturbances (a vector only
+under kind constant, a sup bound only under kind random), a Poisson mean of
+at least dt and that the config's numbers are finite. Every other rule
+belongs to the object that reads the input: the graph (the agent count), the
+operators (a spec's ref too), the ``sim`` delays, ``IntegratorConfig`` (the
+grid), ``metrics`` (the report settings), ``Cascade`` and ``PlantLaw`` (the
+stage layout, and the initial state: order 3 and up takes xi0 alone). So
+validation then builds the scenario and its initial state, not its field.
 
 Seeding scheme: initial conditions draw from SeedSequence((seed, 101)),
 random disturbances from SeedSequence((seed, 202)), per-agent delay streams
@@ -92,11 +91,13 @@ _STAGE_KEY_READERS = {
 }
 
 
-def validate_scenario(sc: Scenario) -> None:
-    """Reject a scenario the toolkit cannot run; raises ConfigError with the
-    reason. Checks the scenario-level rules, then builds the scenario."""
+def validate_scenario(sc: Scenario):
+    """(graph, system, initial state, d_ref) of a runnable scenario, built
+    after the scenario-level rules; raises ConfigError with the reason."""
     _check_scenario(sc)
-    _build(sc)
+    graph, system = _build(sc)
+    with _config_errors():
+        return (graph, system, *_initial_conditions(sc, system))
 
 
 def _check_scenario(sc: Scenario) -> None:
@@ -138,8 +139,6 @@ def _check_scenario(sc: Scenario) -> None:
             raise ConfigError(f"{label} must be a flat list of {size} numbers")
     if sc.init_preset is None and sc.x0 is None and sc.xi0 is None:
         raise ConfigError("no initial conditions: give a preset, x0, or xi0")
-    if sc.order >= 3 and sc.xi0 is None:
-        raise ConfigError(f"order {sc.order} takes its initial state from xi0 alone")
     if sc.xi0 is not None and sc.controller != "compositional":
         raise ConfigError(f"{sc.controller} starts from plant states and does not read xi0")
     if sc.xi0 is not None and (sc.init_preset, sc.x0, sc.xdot0) != (None,) * 3:
@@ -157,8 +156,7 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read a vector")
     if sc.disturbance_kind != "random" and sc.disturbance_sup is not None:
         raise ConfigError(f"disturbance kind {sc.disturbance_kind} does not read sup")
-    # The grid rules live in IntegratorConfig; reading nsteps applies the last.
-    sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every).nsteps
+    sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
     metrics._check_settings(sc.tolerance, sc.tail_fraction)
 
 
@@ -278,10 +276,10 @@ def _build(sc: Scenario):
                                         built[sc.stages[-1]][1] if delayed else None)
 
 
-def _initial_conditions(sc: Scenario, cascade=None):
+def _initial_conditions(sc: Scenario, system):
     """(initial state, d_ref) in transformed coordinates x_tilde = x - d_ref:
-    the cascade state xi(0) when ``cascade`` is supplied (cascade route),
-    else the plant state [x_tilde(0); xdot(0)]."""
+    xi0 when the scenario gives it, else ``system.initial_state`` of the
+    plant initial conditions x_tilde(0) and xdot(0)."""
     n = sc.graph_n
     rng = np.random.default_rng(np.random.SeedSequence((sc.seed, 101)))
     d_ref = np.asarray(sc.d_ref, dtype=float) if sc.d_ref is not None else np.zeros(n)
@@ -302,15 +300,9 @@ def _initial_conditions(sc: Scenario, cascade=None):
     else:
         xdot0 = rng.uniform(-1.0, 1.0, size=n) if sc.order >= 2 else np.zeros(n)
 
-    if cascade is None:
-        return np.concatenate((x0, xdot0)), d_ref
     if sc.xi0 is not None:
-        xi0 = np.asarray(sc.xi0, dtype=float)
-    elif sc.order == 1:
-        xi0 = x0
-    else:
-        xi0 = dynamics.matched_cascade_state(cascade, x0, xdot0)
-    return xi0, d_ref
+        return np.asarray(sc.xi0, dtype=float), d_ref
+    return system.initial_state(x0, xdot0), d_ref
 
 
 def _build_disturbance(sc: Scenario):
@@ -328,38 +320,20 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     """Run one scenario and return its record with the plant map and meta
     attached.
 
-    The compositional controller runs in the cascade state space, and its
-    plant map reconstructs x and xdot from each block of cascade states;
-    the baselines run on the double-integrator plant [x; xdot], whose map
-    slices the states. Either map returns the simulated, offset-free
-    positions x - d_ref; meta["d_ref"] keeps the formation offsets.
+    The system that ``validate_scenario`` builds (the compositional Cascade
+    or a baseline's PlantLaw) runs its own field from its initial state, and
+    its ``plant`` map, which returns the offset-free positions x - d_ref,
+    becomes the record's; meta["d_ref"] keeps the formation offsets.
     Divergence raises DivergenceError whose ``trajectory`` carries the
     partial record, annotated the same way (the blow-up time sits in
     meta["divergence_time"]).
     """
-    _check_scenario(sc)
-    graph, system = _build(sc)
-    n = sc.graph_n
-    w = _build_disturbance(sc)
-    if sc.controller == "compositional":
-        route = "cascade"
-        state0, d_ref = _initial_conditions(sc, system)
-        field = dynamics.cascade_rhs(system, w)
-
-        def plant(states, times):
-            return dynamics.reconstruct_plant(system, states, times)
-    else:
-        route = "plant"
-        state0, d_ref = _initial_conditions(sc)
-        field = dynamics.plant_rhs(system, w)
-
-        def plant(states, times):
-            return states[:, :n], states[:, n:]
-
+    graph, system, state0, d_ref = validate_scenario(sc)
+    field = system.rhs(_build_disturbance(sc))
     meta = {
         "order": sc.order,
-        "n_agents": n,
-        "route": route,
+        "n_agents": sc.graph_n,
+        "route": system.route,
         "d_ref": tuple(float(v) for v in d_ref),
         "laplacian": graphs.build_laplacian(graph),
         "divergence_time": None,
@@ -369,7 +343,7 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
         traj = sim.integrate(field, state0, cfg, system.tau_max)
     except DivergenceError as err:
         meta["divergence_time"] = err.time
-        err.trajectory.plant, err.trajectory.meta = plant, meta
+        err.trajectory.plant, err.trajectory.meta = system.plant, meta
         raise
-    traj.plant, traj.meta = plant, meta
+    traj.plant, traj.meta = system.plant, meta
     return traj

@@ -55,12 +55,9 @@ ROW_BLOCK = 1024
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings and the rules of the integration grid.
-
-    The horizon must be a whole number of steps (to a relative 1e-9) and
-    ``record_every`` must divide the step count; the latter is checked when
-    ``nsteps`` is read.
-    """
+    """Fixed-step RK4 settings and the rules of the integration grid,
+    checked on construction: the horizon must be a whole number of steps (to
+    a relative 1e-9) and ``record_every`` must divide the step count."""
 
     dt: float
     t_end: float
@@ -78,13 +75,12 @@ class IntegratorConfig:
             raise ConfigError(
                 f"t_end = {self.t_end} is not a whole number of steps of dt = {self.dt}"
             )
+        if self.nsteps % self.record_every != 0:
+            raise ConfigError("record_every must divide the step count")
 
     @property
     def nsteps(self) -> int:
-        nsteps = int(round(self.t_end / self.dt))
-        if nsteps % self.record_every != 0:
-            raise ConfigError("record_every must divide the step count")
-        return nsteps
+        return int(round(self.t_end / self.dt))
 
 
 def _positions(states, times):
@@ -100,9 +96,9 @@ class Trajectory:
     plant [x; xdot]). ``plant`` maps a block of recorded states and the
     block's times to the plant (x, xdot) of those rows: x the positions in
     the simulated, offset-free coordinates x - d_ref, xdot None at order 1.
-    The scenario layer sets it by route; the default reads the states as
-    positions. Plant states are derived where they are read, one block at
-    a time (``plant_blocks``), and are never stored.
+    The scenario layer sets it to the system's plant map; the default reads
+    the states as positions. Plant states are derived where they are read,
+    one block at a time (``plant_blocks``), and are never stored.
     """
 
     times: np.ndarray

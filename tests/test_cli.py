@@ -213,6 +213,9 @@ class TestExitCodes:
          "disturbance vector must be a flat list"),
         ("serial_lti", {"init_preset": None, "xi0": ((0.0,),) * 20}, "xi0 must be a flat list"),
         ("gps_fig3", with_delay("gps_fig3", "poisson:0.001"), "stage 2: poisson mean"),
+        ("serial_lti", {"graph_n": 10**9}, "n in 1..1000, got 1000000000"),
+        ("serial_lti", {**THIRD_ORDER, "controller": "conventional"},
+         "conventional is second order only"),
     ], ids=["self-loop", "out-of-range", "negative-weight", "two-entry-edge",
             "repeated-edge", "fractional-index",
             "zero-gain", "nan-ref", "nan-x0-compositional", "nan-x0-conventional",
@@ -229,7 +232,7 @@ class TestExitCodes:
             "edges-under-path", "tolerance-inf", "inf-ref", "inf-constant-delay",
             "inf-ramp-cap", "inf-poisson-mean", "inf-poisson-mean-without-edges",
             "nested-x0", "nested-xdot0", "nested-d-ref", "nested-disturbance-vector",
-            "nested-xi0", "poisson-mean-below-dt"])
+            "nested-xi0", "poisson-mean-below-dt", "agent-count", "order-3-baseline"])
     def test_rejected_scenario_file(self, preset_name, changes, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(emit_scenario(dataclasses.replace(preset(preset_name), **changes)))

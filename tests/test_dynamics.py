@@ -7,7 +7,6 @@ from consensuslab.dynamics import (
     PlantLaw,
     cascade_rhs,
     compositional_controller,
-    matched_cascade_state,
     plant_rhs,
     reconstruct_plant,
 )
@@ -249,18 +248,33 @@ class TestReconstruction:
         x, xdot = reconstruct_plant(lti_cascade(1), np.ones(5), 0.0)
         assert xdot is None
 
-    def test_matched_state_roundtrip(self):
-        casc = lti_cascade(2)
+    @pytest.mark.parametrize("system", [
+        lambda: lti_cascade(1),
+        lambda: lti_cascade(2),
+        *(lambda c=c: PlantLaw(c, (LinearStatic(L5), LinearStatic(L5)))
+          for c in ("conventional", "naive-serial")),
+        lambda: PlantLaw("conventional-ideal",
+                         (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0))),
+        lambda: PlantLaw("conventional-delayed",
+                         (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0)),
+                         ConstantDelay(0.5)),
+    ], ids=["cascade-1", "cascade-2", *BASELINES])
+    def test_matched_state_roundtrip(self, system):
+        """A system's plant map reads back the plant initial conditions its
+        initial state was built from; order 1 has no velocity."""
+        system = system()
         rng = np.random.default_rng(5)
         x0, v0 = rng.normal(size=5), rng.normal(size=5)
-        xi0 = matched_cascade_state(casc, x0, v0)
-        x, v = reconstruct_plant(casc, xi0, 0.0)
-        assert np.allclose(x, x0)
-        assert np.allclose(v, v0)
+        x, v = system.plant(system.initial_state(x0, v0)[None], np.zeros(1))
+        assert np.array_equal(x, x0[None])
+        if isinstance(system, Cascade) and system.order == 1:
+            assert v is None
+        else:
+            assert np.abs(v - v0).max() < 1e-14
 
     def test_matched_state_requires_order_two(self):
-        with pytest.raises(OperatorError):
-            matched_cascade_state(lti_cascade(3), np.zeros(5), np.zeros(5))
+        with pytest.raises(OperatorError, match="xi0 alone"):
+            lti_cascade(3).initial_state(np.zeros(5), np.zeros(5))
 
 
 class TestGpsController:

@@ -5,6 +5,7 @@ import pytest
 
 from consensuslab.exceptions import GraphError
 from consensuslab.graphs import (
+    MAX_AGENTS,
     WeightedDigraph,
     build_laplacian,
     graph_from_edges,
@@ -83,6 +84,14 @@ class TestPathGraph:
     def test_rejects_zero_size(self):
         with pytest.raises(GraphError):
             path_graph(0)
+
+    def test_agent_count_bounded(self):
+        """An agent count above MAX_AGENTS is refused before the n x n
+        weights are allocated; MAX_AGENTS itself builds."""
+        for build in (path_graph, lambda n: graph_from_edges(n, [])):
+            with pytest.raises(GraphError, match=rf"n in 1\.\.{MAX_AGENTS}, got"):
+                build(10**9)
+        assert path_graph(MAX_AGENTS).n == MAX_AGENTS
 
 
 class TestSpanningTree:

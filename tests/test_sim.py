@@ -51,8 +51,8 @@ class TestIntegrator:
         assert np.allclose(np.diff(traj.times), 0.05)
 
     def test_record_every_must_divide(self):
-        cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=7)
         with pytest.raises(ConfigError):
+            cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=7)
             integrate(lambda x, t, h: -x, np.array([1.0]), cfg)
 
     def test_divergence_carries_time_and_partial(self):
