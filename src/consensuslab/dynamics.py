@@ -18,8 +18,10 @@ share one operator; ordered in-place adds y[dst] += s[src] or y[src] (the
 cascade's shifts xi_{k+1}, the plant's term sums into u); then the steps
 that write the tail block, the outer stage or u: naive-serial's nested
 op_2(op_1(x)), a delayed outer stage's unchecked ``apply``, an affine
-constant, velocity tracking and the input. The field calls nothing else
-of an operator, inside ``sim.integrate``, which rejects a non-finite or
+constant, velocity tracking and the input. M is dense when small or full,
+else its nonzeros alone (``_block_operator``): no field imports scipy or
+builds a dense matrix above the sparse threshold. The field calls nothing
+else of an operator, inside ``sim.integrate``, which rejects a non-finite or
 blown-up state after every step; the other callers of an operator use its
 checked ``evaluate``. Each system owns its state's layout: ``Cascade`` and
 ``PlantLaw`` give their ``route``, field (``rhs``), ``initial_state`` from
@@ -102,40 +104,64 @@ class Cascade:
         return reconstruct_plant(self, states, times)
 
 
-# Block products at or above this state size go through CSR when at most
-# _CSR_MAX_DENSITY of A is nonzero. Measured per product with one BLAS
-# thread (2-vCPU Xeon): a path-graph cascade costs dense 9 us / CSR 7 us at
-# dim 200, dense 1.9 us / CSR 6.3 us at dim 20 and dense 250 us / CSR 9 us
-# at dim 800; at dim 400 CSR still wins at 5% fill and loses at 20%.
-_CSR_MIN_DIM = 200
-_CSR_MAX_DENSITY = 0.05
+# Products at or above _SPARSE_MIN_DIM rows use the row-sparse product when at
+# most _SPARSE_MAX_DENSITY of the matrix is nonzero. Dense / row-sparse us per
+# product (one BLAS thread, 2-vCPU Xeon, best of 9 x 1000): path-graph cascade
+# 11 / 4.5 at dim 200, 32 / 8.5 at 400, 251 / 14 at 800, even at dim 100;
+# random fill even near 3% at dims 200-400 and 6% at 800, either side of 5%.
+_SPARSE_MIN_DIM = 200
+_SPARSE_MAX_DENSITY = 0.05
 
 
-def _block_operator(A):
-    """A itself, or A as a CSR array when it is large and sparse."""
-    if A.shape[0] >= _CSR_MIN_DIM and np.count_nonzero(A) <= _CSR_MAX_DENSITY * A.size:
-        from scipy.sparse import csr_array
+class _RowSparse:
+    """A matrix as its nonzeros in row-major order: ``M @ s`` sums each row
+    in column order from 0.0, as a CSR product does."""
 
-        return csr_array(A)
-    return A
+    def __init__(self, rows, cols, vals, height):
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
+        self.height = height
+
+    def __matmul__(self, s):
+        if not len(self.rows):  # bincount would return integer zeros
+            return np.zeros(self.height)
+        return np.bincount(self.rows, self.vals * s[self.cols], self.height)
 
 
-def _compile(M, n, block_ops, adds, tail, *, nested=None, delayed=None, const=None,
-             track=None, feed=None):
-    """The vector field ``field(s, t, hist)`` of one block program, run in
-    the order the module docstring gives. M is a constant matrix of N-row
-    blocks; block k is owned by block_ops[k] or None, and each run of
-    adjacent blocks owned by one gated or saturated operator takes one
-    ``finish``. ``adds`` holds (dst, src, own): y[dst] += y[src] if own
-    else s[src]. The tail steps write y[tail]: ``nested`` (op, src) adds
-    op's map of y[src], ``delayed`` sets -apply(s[tail]), ``const`` and
-    ``feed``(t) add, and ``track`` (gains, ref, reads) subtracts
-    gains * (v - ref), v being s[tail] or, with reads, its held reads of
-    hist. Each step adds in place, so a law keeps its own summation order.
-    Returns y when M is square, else its first len(s) entries.
+def _block_operator(blocks, shape):
+    """The matrix of ``shape`` that is c * B at each of ``blocks`` (i, j, c, B),
+    B square or, 1-D, a diagonal, cornered at row i and column j, and zero
+    elsewhere: dense when small or full, else a _RowSparse of its nonzeros."""
+    nnz = sum(np.count_nonzero(B) for *_, B in blocks)
+    if shape[0] < _SPARSE_MIN_DIM or nnz > _SPARSE_MAX_DENSITY * shape[0] * shape[1]:
+        M = np.zeros(shape)
+        for i, j, c, B in blocks:
+            M[i:i + len(B), j:j + len(B)] = c * (B if B.ndim == 2 else np.diag(B))
+        return M
+    parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+    for i, j, c, B in blocks:
+        idx = np.nonzero(B)
+        r, k = idx if B.ndim == 2 else idx * 2
+        parts.append((r + i, k + j, c * B[idx]))
+    return _RowSparse(*map(np.concatenate, zip(*parts)), shape[0])
+
+
+def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None,
+             const=None, track=None, feed=None):
+    """The vector field ``field(s, t, hist)`` of one block program, run in the
+    order the module docstring gives. M is the matrix of ``shape`` that
+    ``blocks`` make (``_block_operator``), in N-row blocks; block k is owned by
+    block_ops[k] or None, and each run of adjacent blocks owned by one gated or
+    saturated operator takes one ``finish``. ``adds`` holds (dst, src, own):
+    y[dst] += y[src] if own else s[src]. The tail steps write y[tail]:
+    ``nested`` (op, src) adds op's map of y[src], ``delayed`` sets
+    -apply(s[tail]), ``const`` and ``feed``(t) add, and ``track`` (gains, ref,
+    reads) subtracts gains * (v - ref), v being s[tail] or, with reads, its
+    held reads of hist. Each step adds in place, so a law keeps its own
+    summation order. Returns y when M is square, else its first len(s) entries.
     """
-    width = M.shape[1]
-    square = M.shape[0] == width
+    height, width = shape
+    square = height == width
     runs = []
     for k, op in enumerate(block_ops):
         if op is None or isinstance(op, LinearStatic) or not op.relative_feedback:
@@ -145,12 +171,12 @@ def _compile(M, n, block_ops, adds, tail, *, nested=None, delayed=None, const=No
         else:
             runs.append([op.finish, k, 1])
     runs = [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
-    M = _block_operator(M)
+    M = _block_operator(blocks, shape)
     stepped = any(step is not None for step in (nested, delayed, const, track, feed))
     product = product_finish = product_src = None
     if nested is not None:
         op, product_src = nested
-        product = _block_operator(op.L)
+        product = _block_operator([(0, 0, 1.0, op.L)], op.L.shape)
         product_finish = None if isinstance(op, LinearStatic) else op.finish
     gains, ref, reads = track if track is not None else (None, None, None)
 
@@ -198,27 +224,27 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     """
     stages = cascade.stages
     n = cascade.n
-    dim = cascade.order * n
+    shape = (cascade.order * n,) * 2
     blocks = [slice(k * n, (k + 1) * n) for k in range(cascade.order)]
     tail = blocks[-1]
-    A = np.zeros((dim, dim))
+    A = []
     shifts = []
     for k, op in enumerate(stages[:-1]):
-        A[blocks[k], blocks[k]] = -op.L
+        A.append((k * n, k * n, -1.0, op.L))
         if isinstance(op, LinearStatic):
-            A[blocks[k], blocks[k + 1]] = np.eye(n)
+            A.append((k * n, (k + 1) * n, 1.0, np.ones(n)))
         else:
             shifts.append((blocks[k], blocks[k + 1], False))
     outer = stages[-1]
     delayed = const = None
     if isinstance(outer, DelayedAbsoluteVelocity):
-        A[tail, tail] = -np.diag(outer.gains)
+        A.append((tail.start, tail.start, -1.0, outer.gains))
         const = outer.gains * outer.ref
     elif outer.relative_feedback:
-        A[tail, tail] = -outer.L
+        A.append((tail.start, tail.start, -1.0, outer.L))
     else:
         delayed = outer
-    return _compile(A, n, stages, shifts, tail, delayed=delayed, const=const, feed=u_ref)
+    return _compile(A, shape, n, stages, shifts, tail, delayed=delayed, const=const, feed=u_ref)
 
 
 def reconstruct_plant(cascade: Cascade, xi, t):
@@ -348,10 +374,8 @@ def plant_rhs(law: PlantLaw, w=None):
         terms = [(second, V), (first, V), (first, X)]
     else:
         terms = [(first, X)]
-    P = np.zeros(((1 + len(terms)) * n, 2 * n))
-    P[X, V] = np.eye(n)
-    for k, (op, cols) in enumerate(terms, start=1):
-        P[k * n:(k + 1) * n, cols] = -op.L
+    P = [(0, n, 1.0, np.ones(n))]
+    P += [(k * n, cols.start, -1.0, op.L) for k, (op, cols) in enumerate(terms, start=1)]
     sums = [(V, slice(2 * n, 3 * n), True)] if len(terms) > 1 else []
     nested = track = None
     if law.controller == "naive-serial":
@@ -359,5 +383,5 @@ def plant_rhs(law: PlantLaw, w=None):
     elif law.controller != "conventional":
         reads = None if law.delays is None else HeldReads(law.delays, n + np.arange(n))
         track = (second.gains, second.ref, reads)
-    return _compile(P, n, [None] + [op for op, _ in terms], sums, V, nested=nested,
-                    track=track, feed=w)
+    return _compile(P, ((1 + len(terms)) * n, 2 * n), n, [None] + [op for op, _ in terms],
+                    sums, V, nested=nested, track=track, feed=w)

@@ -16,8 +16,8 @@ from .exceptions import GraphError
 # Entries smaller than this are treated as absent edges.
 EDGE_EPS = 1e-15
 
-# The largest agent count a graph builder accepts: an order-4 cascade's dense
-# block matrix holds (4n)^2 floats, 128 MB at n = 1,000.
+# The largest agent count a graph builder accepts: an order-4 cascade too full
+# for the row-sparse product holds a dense (4n)^2 floats, 128 MB at n = 1,000.
 MAX_AGENTS = 1000
 
 
@@ -120,7 +120,7 @@ def spanning_tree_check(g: WeightedDigraph) -> ReachabilityReport:
     the roots are the members of the source component when it is unique,
     and there are none when there are several.
     """
-    # Imported here: `import consensuslab` loads no scipy.
+    # The package's only scipy import: `import consensuslab` and runs load none.
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 

@@ -295,19 +295,25 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     rec = 1
 
     half = 0.5 * dt
+    # In place, rounded as x + h k and ((k1 + 2 k2) + 2 k3) + k4 would be; each
+    # slope is read before the stage point z is overwritten, and none is written.
+    z, acc, term = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     # A blow-up overflows inside the RK stages before the step-end test
     # reports it; its overflow warnings would only repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             t = k * dt
             k1 = field(x, t, StepView(buf, t, x) if use_hist else None)
-            z = x + half * k1
+            np.add(x, np.multiply(k1, half, out=z), out=z)
             k2 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
-            z = x + half * k2
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(x, np.multiply(k2, half, out=z), out=z)
             k3 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
-            z = x + dt * k3
+            np.add(acc, np.multiply(k3, 2.0, out=term), out=acc)
+            np.add(x, np.multiply(k3, dt, out=z), out=z)
             k4 = field(z, t + dt, StepView(buf, t + dt, z) if use_hist else None)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            acc += k4
+            x += np.multiply(acc, dt / 6.0, out=acc)
 
             # False for NaN as well as for +-inf and finite blow-ups.
             if not np.abs(x).max() <= BLOWUP_LIMIT:

@@ -152,7 +152,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("controller", ["conventional-ideal", "conventional-delayed"])
     def test_baseline_rejected_without_building_a_field(self, controller, monkeypatch):
-        def no_field(A):
+        def no_field(*args):
             raise AssertionError("validation built a block operator")
 
         monkeypatch.setattr(dynamics, "_block_operator", no_field)

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import consensuslab
+from consensuslab import dynamics
 from consensuslab.dynamics import (
     BASELINES,
     Cascade,
@@ -323,3 +331,45 @@ class TestGpsController:
         stages = (LinearStatic(L5), DelayedAbsoluteVelocity(np.ones(5), 10.0))
         with pytest.raises(ShapeError, match="5 delays, got 3"):
             PlantLaw("conventional-delayed", stages, [ConstantDelay(0.5)] * 3)
+
+
+class TestLargeFields:
+    """Fields above the sparse threshold keep only the nonzeros of their
+    block matrix and multiply through numpy alone."""
+
+    def test_build_allocates_no_dense_block_matrix(self):
+        # Dense, the order-4 cascade's matrix is (4N)^2 floats (128 MB at
+        # N = 1000) and the naive-serial plant's 4N x 2N (64 MB).
+        n = 1000
+        op = LinearStatic(build_laplacian(path_graph(n)))
+        for system in (Cascade((op,) * 4), PlantLaw("naive-serial", (op, op))):
+            tracemalloc.start()
+            try:
+                system.rhs()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * n * n * 8, (system, peak)
+
+    def test_program_with_no_blocks(self):
+        # A lone delayed stage leaves the block matrix empty; the tail step
+        # alone writes the field.
+        n = 200
+        delayed = DelayedRelative(path_graph(n).weights, ConstantDelay(0.1))
+        field = cascade_rhs(Cascade((delayed,)))
+        z = np.linspace(-1.0, 1.0, n)
+        hist = FunctionView(lambda s: s * z)
+        assert np.array_equal(field(z, 1.0, hist), -delayed.evaluate(z, 1.0, hist))
+
+    def test_run_above_the_threshold_loads_no_scipy(self):
+        n = 400
+        assert 2 * n >= dynamics._SPARSE_MIN_DIM
+        src = str(Path(consensuslab.__file__).resolve().parents[1])
+        code = ("import dataclasses, sys\n"
+                "from consensuslab import presets, scenario\n"
+                f"sc = dataclasses.replace(presets.serial_lti(), graph_n={n}, t_end=0.01)\n"
+                "scenario.simulate_scenario(sc)\n"
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert proc.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 """The package's modules form layers: each imports only from lower layers,
 at module level or inside functions, so there are no import cycles; and
-scipy is imported only inside functions, so ``import consensuslab`` stays
-free of it. No module of the package or of its tests imports a name it
-never reads. In ``cli`` only ``main`` turns a failure into an exit code."""
+scipy is imported only inside ``graphs.spanning_tree_check``, so neither
+``import consensuslab`` nor a run loads it. No module of the package or of
+its tests imports a name it never reads. In ``cli`` only ``main`` turns a
+failure into an exit code."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,12 @@ def test_scipy_imported_only_inside_functions(module):
     at_import = [(name, line) for name, line, in_function in imports(parsed(module))
                  if name.split(".")[0] == "scipy" and not in_function]
     assert not at_import, f"{module} imports scipy at import time: {at_import}"
+
+
+def test_only_graphs_imports_scipy():
+    found = [module for module in sorted(LAYER) + ["__init__"]
+             if any(name.split(".")[0] == "scipy" for name, *_ in imports(parsed(module)))]
+    assert found == ["graphs"]
 
 
 def unused_imports(tree):

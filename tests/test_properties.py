@@ -245,17 +245,17 @@ def test_compiled_field_matches_definition(n, kinds, outer, with_u_ref, seed, t)
 
 
 def test_csr_field_matches_definition_above_threshold():
-    n = 150  # order 2: dim 300, above the CSR threshold
+    n = 150  # order 2: dim 300, above the sparse threshold
     L = build_laplacian(path_graph(n))
     rng = np.random.default_rng(3)
     stages = (LinearTimeVarying(L, rng.uniform(0.5, 3.0, n), rng.uniform(0.0, 6.0, n)),
               LinearStatic(2.0 * L))
     dim = 2 * n
-    A = np.zeros((dim, dim))
-    A[:n, :n], A[n:, n:], A[:n, n:] = -L, -2.0 * L, np.eye(n)
-    assert not isinstance(dynamics._block_operator(A), np.ndarray)
-    assert isinstance(dynamics._block_operator(A[:n, :n]), np.ndarray)
-    assert isinstance(dynamics._block_operator(rng.random((dim, dim))), np.ndarray)
+    A = [(0, 0, -1.0, L), (n, n, -2.0, L), (0, n, 1.0, np.ones(n))]
+    assert not isinstance(dynamics._block_operator(A, (dim, dim)), np.ndarray)
+    assert isinstance(dynamics._block_operator(A[:1], (n, n)), np.ndarray)
+    full = [(0, 0, 1.0, rng.random((dim, dim)))]
+    assert isinstance(dynamics._block_operator(full, (dim, dim)), np.ndarray)
     u = rng.uniform(-1.0, 1.0, n)
     for cascade in (Cascade(stages), Cascade(stages[1:] * 2)):
         field = cascade_rhs(cascade, lambda s: u)
@@ -263,7 +263,7 @@ def test_csr_field_matches_definition_above_threshold():
             xi = rng.uniform(-5.0, 5.0, dim)
             want = reference_field(cascade, lambda s: u, xi, t, None)
             assert np.abs(field(xi, t, None) - want).max() <= 1e-12 * np.abs(want).max()
-    # Every plant matrix has at least 2N = 300 rows and goes through CSR too.
+    # Every plant matrix has at least 2N = 300 rows and is row-sparse too.
     gated, saturated = stages[0], Saturated(L)
     velocity = DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), 1.5)
     laws = (PlantLaw("conventional", (gated, saturated)),
@@ -280,6 +280,45 @@ def test_csr_field_matches_definition_above_threshold():
             state = rng.uniform(-5.0, 5.0, dim)
             want = reference_plant(law, lambda s: u, state, t, hist)
             assert np.array_equal(field(state, t, hist), want), law.controller
+
+
+@given(n=st.integers(min_value=1, max_value=6),
+       grid=st.tuples(*[st.integers(min_value=1, max_value=4)] * 2),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_row_sparse_product_matches_dense(n, grid, seed, bad):
+    """The row-sparse product of a random block program (matrix blocks with
+    empty rows, diagonal blocks with zeros, block rows with no block, blocks
+    in any order, or no block at all) sums each row in column order from
+    0.0, agrees with the dense product, and a non-finite entry of s poisons
+    exactly the rows that store its column."""
+    rng = np.random.default_rng(seed)
+    shape = (grid[0] * n, grid[1] * n)
+    blocks = []
+    for i in range(0, shape[0], n):
+        for j in range(0, shape[1], n):
+            if rng.random() < 0.5:
+                B = (rng.uniform(-2.0, 2.0, n) * (rng.random(n) < 0.7) if rng.random() < 0.3
+                     else rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.4))
+                blocks.append((i, j, rng.choice([-1.0, 0.5, 1.0]), B))
+    blocks = [blocks[k] for k in rng.permutation(len(blocks))]
+    M = np.zeros(shape)
+    for i, j, c, B in blocks:
+        M[i:i + n, j:j + n] = c * (B if B.ndim == 2 else np.diag(B))
+    with mock.patch.multiple(dynamics, _SPARSE_MIN_DIM=0, _SPARSE_MAX_DENSITY=1.0):
+        product = dynamics._block_operator(blocks, shape)
+    assert not isinstance(product, np.ndarray)
+    s = rng.uniform(-5.0, 5.0, shape[1])
+    rowwise = np.zeros(shape[0])
+    for r in range(shape[0]):
+        for col in np.flatnonzero(M[r]):
+            rowwise[r] += M[r, col] * s[col]
+    got = product @ s
+    assert got.dtype == float and np.array_equal(got, rowwise)
+    assert np.all(np.abs(got - M @ s) <= 1e-12 * (np.abs(M) @ np.abs(s)))
+    col = rng.integers(shape[1])
+    s[col] = bad
+    assert np.array_equal(~np.isfinite(product @ s), M[:, col] != 0)
 
 
 @settings(max_examples=30, deadline=None)
