@@ -44,6 +44,7 @@ import numpy as np
 from .exceptions import ConfigError, DivergenceError, InsufficientHistoryError, OperatorError
 
 BLOWUP_LIMIT = 1e9
+_BLOWUP_SQUARED = BLOWUP_LIMIT**2  # 1e18, exact in binary64
 
 # Rows per block of ``Trajectory.plant_blocks``: plant reconstruction, the
 # report's metrics and the CSV writer each take a record this many rows at
@@ -68,7 +69,8 @@ class IntegratorConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.dt <= self.t_end < math.inf:
             raise ConfigError("t_end must be finite and at least one step")
-        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+        every = self.record_every
+        if not isinstance(every, (int, np.integer)) or isinstance(every, bool) or every < 1:
             raise ConfigError("record_every must be a positive integer")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
@@ -273,8 +275,10 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     switches the history: None disables it entirely (hist is passed as
     None); any finite ``tau_max >= 0`` enables it, 0 too for delayed fields
     whose delays happen to vanish. Raises DivergenceError
-    (carrying the partial trajectory) if the state leaves |x| <= 1e9 or
-    turns non-finite.
+    (carrying the partial trajectory) at the end of the first step whose
+    state leaves |x| <= 1e9 or turns non-finite. The test reads x . x first
+    and takes the exact max |x_i| only when the dot exceeds 1e18, which a
+    blown-up or non-finite state always makes it do.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or len(x) == 0 or not np.isfinite(x).all():
@@ -295,6 +299,10 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     rec = 1
 
     half = 0.5 * dt
+    # The coefficients h/2, 2, h and h/6 as 0-d float64 arrays: a ufunc takes
+    # one at 0.7x a Python float's call cost (0.91 against 1.29 us at D = 20)
+    # and rounds each product exactly as the float would.
+    c_half, c_two, c_dt, c_sixth = (np.array(c) for c in (half, 2.0, dt, dt / 6.0))
     # In place, rounded as x + h k and ((k1 + 2 k2) + 2 k3) + k4 would be; each
     # slope is read before the stage point z is overwritten, and none is written.
     z, acc, term = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -304,19 +312,24 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
         for k in range(nsteps):
             t = k * dt
             k1 = field(x, t, StepView(buf, t, x) if use_hist else None)
-            np.add(x, np.multiply(k1, half, out=z), out=z)
+            np.add(x, np.multiply(k1, c_half, out=z), out=z)
             k2 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
-            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-            np.add(x, np.multiply(k2, half, out=z), out=z)
+            np.add(k1, np.multiply(k2, c_two, out=acc), out=acc)
+            np.add(x, np.multiply(k2, c_half, out=z), out=z)
             k3 = field(z, t + half, StepView(buf, t + half, z) if use_hist else None)
-            np.add(acc, np.multiply(k3, 2.0, out=term), out=acc)
-            np.add(x, np.multiply(k3, dt, out=z), out=z)
+            np.add(acc, np.multiply(k3, c_two, out=term), out=acc)
+            np.add(x, np.multiply(k3, c_dt, out=z), out=z)
             k4 = field(z, t + dt, StepView(buf, t + dt, z) if use_hist else None)
             acc += k4
-            x += np.multiply(acc, dt / 6.0, out=acc)
+            x += np.multiply(acc, c_sixth, out=acc)
 
-            # False for NaN as well as for +-inf and finite blow-ups.
-            if not np.abs(x).max() <= BLOWUP_LIMIT:
+            # x . x (0.96 us at D = 20) screens for the exact max |x_i| (3.2 us),
+            # which runs only when the dot exceeds 1e18, so both raise at the
+            # same steps. The dot is NaN or inf whenever x is. Rounding is
+            # monotone on sums of nonnegative terms, with or without FMA, and
+            # the smallest double above 1e9 squares to 1e18 + 238, which rounds
+            # to 1e18 + 256: any |x_i| > 1e9 puts the dot above 1e18.
+            if not x.dot(x) <= _BLOWUP_SQUARED and not np.abs(x).max() <= BLOWUP_LIMIT:
                 partial = Trajectory(times[:rec].copy(), states[:rec].copy())
                 raise DivergenceError((k + 1) * dt, partial)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,22 @@ class TestEvaluate:
             LinearStatic(L2).evaluate(np.array([np.nan, 0.0]), 0.0)
         with pytest.raises(NumericError):
             Saturated(L2).evaluate(np.array([np.inf, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("z", [np.array([1e308, 1e308]), [1e308, 1e308],
+                                   np.array([[1e308, 1e308], [-1e308, -1e308]])])
+    def test_finite_input_whose_sum_overflows_is_accepted(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = LinearStatic(L2).evaluate(z, np.zeros(2) if np.ndim(z) == 2 else 0.0)
+        assert np.array_equal(out, np.zeros(np.shape(z)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_beside_an_overflowing_sum_raises(self, bad):
+        for z in (np.array([1e308, 1e308, bad]), [1e308, 1e308, bad]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError):
+                    LinearStatic(L3).evaluate(z, 0.0)
 
 
 class TestAeDerivative:

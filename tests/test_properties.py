@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from consensuslab import dynamics, sim
 from consensuslab.cli import main
@@ -313,12 +313,37 @@ def test_row_sparse_product_matches_dense(n, grid, seed, bad):
     for r in range(shape[0]):
         for col in np.flatnonzero(M[r]):
             rowwise[r] += M[r, col] * s[col]
-    got = product @ s
+    got = product.dot(s)
     assert got.dtype == float and np.array_equal(got, rowwise)
     assert np.all(np.abs(got - M @ s) <= 1e-12 * (np.abs(M) @ np.abs(s)))
     col = rng.integers(shape[1])
     s[col] = bad
-    assert np.array_equal(~np.isfinite(product @ s), M[:, col] != 0)
+    assert np.array_equal(~np.isfinite(product.dot(s)), M[:, col] != 0)
+
+
+@given(n=st.integers(min_value=1, max_value=66),
+       grid=st.tuples(*[st.integers(min_value=1, max_value=3)] * 2),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_dense_product_dot_matches_matmul(n, grid, seed, bad):
+    """Below the sparse threshold the block product is a dense matrix, and
+    the field's ``M.dot(s)`` equals ``M @ s`` bit for bit, on a whole state
+    and on a block of a longer vector, as naive-serial's nested product
+    reads it, non-finite entries included."""
+    rng = np.random.default_rng(seed)
+    shape = (grid[0] * n, grid[1] * n)
+    assume(shape[0] < dynamics._SPARSE_MIN_DIM)
+    blocks = [(i, j, rng.choice([-1.0, 0.5, 1.0]), rng.uniform(-2.0, 2.0, (n, n)))
+              for i in range(0, shape[0], n) for j in range(0, shape[1], n)
+              if rng.random() < 0.6]
+    M = dynamics._block_operator(blocks, shape)
+    assert isinstance(M, np.ndarray)
+    s = rng.uniform(-5.0, 5.0, 2 * shape[1])
+    if bad is not None:
+        s[rng.integers(len(s))] = bad
+    with np.errstate(invalid="ignore"):  # 0 * inf, as inside ``sim.integrate``
+        for v in (s[:shape[1]], s[shape[1]:]):
+            assert np.array_equal(M.dot(v), M @ v, equal_nan=True)
 
 
 @settings(max_examples=30, deadline=None)

@@ -70,6 +70,42 @@ class TestIntegrator:
         with pytest.raises(DivergenceError):
             integrate(lambda x, t, h: np.full_like(x, np.nan), np.array([1.0]), cfg)
 
+    @pytest.mark.parametrize("entry", [1e9, -1e9])
+    def test_state_at_the_blowup_limit_keeps_running(self, entry):
+        cfg = IntegratorConfig(dt=0.125, t_end=1.0)
+        traj = integrate(lambda x, t, h: np.zeros_like(x), np.array([0.5, entry, -3.0]), cfg)
+        assert len(traj) == 9 and np.all(traj.states[:, 1] == entry)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_state_just_past_the_blowup_limit_raises_at_its_step(self, sign):
+        cfg = IntegratorConfig(dt=0.125, t_end=1.0)
+        x0 = np.array([0.5, sign * np.nextafter(1e9, np.inf), -3.0])
+        with pytest.raises(DivergenceError) as err:
+            integrate(lambda x, t, h: np.zeros_like(x), x0, cfg)
+        assert err.value.time == 0.125 and len(err.value.trajectory) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_raises_at_its_step(self, bad):
+        def field(x, t, h):
+            out = np.zeros_like(x)
+            if t >= 0.5:  # the last stage of the step from 0.375 to 0.5
+                out[1] = bad
+            return out
+
+        cfg = IntegratorConfig(dt=0.125, t_end=1.0)
+        with pytest.raises(DivergenceError) as err:
+            integrate(field, np.array([0.5, 2.0, -3.0]), cfg)
+        assert err.value.time == 0.5
+        assert np.array_equal(err.value.trajectory.states[:, 1], [2.0] * 4)
+
+    def test_large_state_inside_the_limit_takes_the_exact_test(self):
+        # Its sum of squares, 3.24e20, passes 1e18, so every step also takes
+        # the exact max |x_i| test, which passes.
+        x0 = np.full(400, 9e8)
+        cfg = IntegratorConfig(dt=0.125, t_end=1.0)
+        traj = integrate(lambda x, t, h: np.zeros_like(x), x0, cfg)
+        assert np.all(traj.states == 9e8)
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=-0.1, t_end=1.0)
@@ -81,7 +117,7 @@ class TestIntegrator:
         with pytest.raises(ConfigError, match="nonempty"):
             integrate(lambda x, t, h: -x, np.array([]), cfg)
 
-    @pytest.mark.parametrize("every", [2.0, np.float64(5.0)])
+    @pytest.mark.parametrize("every", [2.0, np.float64(5.0), True, np.bool_(True)])
     def test_record_every_must_be_an_integer(self, every):
         with pytest.raises(ConfigError, match="record_every"):
             IntegratorConfig(dt=0.1, t_end=1.0, record_every=every)
