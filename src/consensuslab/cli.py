@@ -151,6 +151,7 @@ def write_report(traj, sc, path: Path, config_hash: str):
 
 def write_gnuplot(sc, path: Path) -> None:
     n = sc.graph_n
+    name = sc.name.replace("'", "''")  # gnuplot's one escape inside '...'
     plots = ", ".join(
         f"'trajectory.csv' using 1:{i + 2} with lines title 'x_{i + 1}'"
         for i in range(n)
@@ -158,7 +159,7 @@ def write_gnuplot(sc, path: Path) -> None:
     path.write_text(
         "set datafile separator ','\n"
         "set key outside\n"
-        f"set title '{sc.name} ({sc.controller})'\n"
+        f"set title '{name} ({sc.controller})'\n"
         "set xlabel 't [s]'\n"
         f"plot {plots}\n"
     )

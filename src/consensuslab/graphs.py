@@ -59,14 +59,15 @@ class ReachabilityReport:
 
 
 def build_laplacian(g: WeightedDigraph) -> np.ndarray:
-    """L = D - W with D the diagonal of row sums of W. Rows sum to zero."""
-    w = g.weights
-    return np.diag(w.sum(axis=1)) - w
+    """L = D - W, D the diagonal of W's row sums; rows sum to zero. Read-only, as W is."""
+    L = np.diag(g.weights.sum(axis=1)) - g.weights
+    L.setflags(write=False)
+    return L
 
 
 def _check_agent_count(n):
     """Reject an agent count outside the integers 1..MAX_AGENTS, allocating nothing."""
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_AGENTS:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 1 <= n <= MAX_AGENTS:
         raise GraphError(f"a graph needs an integer n in 1..{MAX_AGENTS}, got {n}")
 
 

@@ -24,14 +24,11 @@ take a block of states: ``evaluate(z, t)`` of an (m, N) array z with an
 (m,) array t of its rows' times is one product z L^T, one finite check
 and, for the gated kind, row r gated by D(t[r]).
 
-``DelayedRelative`` reads its neighbours' past states through a *history
-view*: an object whose ``components(ts, idx)`` returns, for each m,
-component idx[m] of the operator's state vector at the past time ts[m].
-Simulation code supplies interpolating views backed by the integrator's
-committed samples; ``sim.FunctionView`` adapts a plain function s -> state
-vector. Its delays are ``sim`` delay objects, whose bounds give its
-``tau_max``, and its reads go through a ``sim.HeldReads``, which holds
-arrival-based samples between arrivals and rejects a read without a view.
+``DelayedRelative`` reads its neighbours' past states from a ``sim`` history
+view, at the columns that its ``reads(offset)`` name, through a
+``sim.HeldReads``, which holds arrival-based samples between arrivals and
+rejects a read without a view. Its delays are ``sim`` delay objects, whose
+bounds give its ``tau_max``.
 ``DelayedAbsoluteVelocity`` takes a numeric reference, which reads the
 same at every delayed time, so it reads no history.
 """
@@ -234,25 +231,30 @@ class DelayedRelative(ConsensusOperator):
                 raise OperatorError(f"delays given for non-edges {extra}")
             delays = [delays[e] for e in self.edges]
         self.tau_max = delay_bound(delays)
+        self._delays, self._tails = delays, tails
         self._heads = heads.astype(np.int64)
         self._edge_weights = w[heads, tails]
         self._row_sums = w.sum(axis=1)
-        self._reads = HeldReads(delays, tails) if self.edges else None
+        self._reads = self.reads(0)
 
     @property
     def n(self):
         return self.weights.shape[0]
 
+    def reads(self, offset):
+        """HeldReads of each edge's z_j at viewed column offset + j, or None."""
+        return HeldReads(self._delays, offset + self._tails) if self.edges else None
+
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.apply(z, t, hist)
+        return self.apply(z, self._reads and self._reads(t, hist))
 
-    def apply(self, z, t, hist=None):
-        """``evaluate`` without the input check, for the cascade field."""
+    def apply(self, z, delayed):
+        """The unchecked map of z and the delayed z_j that ``reads`` returned."""
         out = self._row_sums * z
-        if self._reads is not None:
+        if delayed is not None:
             # Unbuffered, in edge order: out[i] -= w_ij * z_j(t - tau_ij(t)).
-            np.subtract.at(out, self._heads, self._edge_weights * self._reads(t, hist))
+            np.subtract.at(out, self._heads, self._edge_weights * delayed)
         return out
 
 

@@ -13,7 +13,7 @@ default 1), initial conditions (flat vectors, order*N entries for xi0 and N
 for the rest; xi0 excludes the plant keys and is read only by the
 compositional controller, order 1 has no xdot0), disturbances (a vector only
 under kind constant, a sup bound only under kind random), a Poisson mean of
-at least dt and that the config's numbers are finite. Every other rule
+at least dt, finite numbers and values the config echoes back. Every other rule
 belongs to the object that reads the input: the graph (the agent count), the
 operators (a spec's ref too), the ``sim`` delays, ``IntegratorConfig`` (the
 grid), ``metrics`` (the report settings), ``Cascade`` and ``PlantLaw`` (the
@@ -92,17 +92,26 @@ _STAGE_KEY_READERS = {
 
 
 def validate_scenario(sc: Scenario):
-    """(graph, system, initial state, d_ref) of a runnable scenario, built
-    after the scenario-level rules; raises ConfigError with the reason."""
+    """(L, system, initial state, d_ref) of a runnable scenario, built after
+    the scenario-level rules, L the graph's one Laplacian; raises ConfigError."""
     _check_scenario(sc)
-    graph, system = _build(sc)
+    L, system = _build(sc)
     with _config_errors():
-        return (graph, system, *_initial_conditions(sc, system))
+        return (L, system, *_initial_conditions(sc, system))
 
 
 def _check_scenario(sc: Scenario) -> None:
     """The scenario-level rules of ``validate_scenario``."""
     n = sc.graph_n
+    # The echo would not parse back to these: it writes a bool (which numeric rules
+    # take as 1 or 0) as True or False, and its parser splits lines and strips values.
+    for prefix, obj in (("", sc), *((f"stage {k}: ", st) for k, st in enumerate(sc.stages, 1))):
+        for key, value in vars(obj).items():
+            if isinstance(value, bool):
+                raise ConfigError(f"{prefix}{key} must not be a bool, got {value}")
+    for text in [sc.name] + [s for st in sc.stages for s in (st.ref, st.delay) if s is not None]:
+        if not isinstance(text, str) or text.strip() != text or len(text.splitlines()) > 1:
+            raise ConfigError(f"a name or spec must be one unpadded line, got {text!r}")
     if sc.graph_kind not in ("path", "edges"):
         raise ConfigError(f"unknown graph kind {sc.graph_kind!r}")
     if sc.graph_kind == "edges" and sc.graph_edges is None:
@@ -202,12 +211,6 @@ def _config_errors(prefix=""):
         raise ConfigError(f"{prefix}{err}") from err
 
 
-def build_graph(sc: Scenario) -> graphs.WeightedDigraph:
-    if sc.graph_kind == "path":
-        return graphs.path_graph(sc.graph_n)
-    return graphs.graph_from_edges(sc.graph_n, sc.graph_edges)
-
-
 def _build_delays(delay, sc: Scenario, edges=None):
     """The delays of a parsed delay spec: one constant or ramp delay for
     all, or Poisson streams per agent or, given ``edges``, per edge. The
@@ -226,26 +229,27 @@ def _build_delays(delay, sc: Scenario, edges=None):
     return {e: sim.sample_poisson_delays(value, (sc.seed, *e), sc.t_end) for e in edges}
 
 
-def build_operator(stage: StageSpec, graph, sc: Scenario, delay=None,
+def build_operator(stage: StageSpec, graph, L, sc: Scenario, delay=None,
                    ref=None) -> operators.ConsensusOperator:
-    """Stage operator; ``delay`` is the parsed spec (tag, value), ``ref`` a number."""
-    L = stage.scale * graphs.build_laplacian(graph)
-    if stage.kind == "linear_static":
-        return operators.LinearStatic(L)
-    if stage.kind == "linear_time_varying":
-        return operators.LinearTimeVarying(L, stage.omega, stage.phi)
-    if stage.kind == "saturated":
-        return operators.Saturated(L)
+    """Stage operator on ``graph``, whose Laplacian ``L`` a unit-scale stage
+    holds; ``delay`` is the parsed spec (tag, value), ``ref`` a number."""
     if stage.kind == "delayed_relative":
         weights = stage.scale * graph.weights
         edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(weights))]
         return operators.DelayedRelative(weights, _build_delays(delay, sc, edges))
-    return operators.DelayedAbsoluteVelocity(stage.gains, ref)
+    if stage.kind == "delayed_absolute_velocity":
+        return operators.DelayedAbsoluteVelocity(stage.gains, ref)
+    L = L if stage.scale == 1.0 else stage.scale * L
+    if stage.kind == "linear_static":
+        return operators.LinearStatic(L)
+    if stage.kind == "linear_time_varying":
+        return operators.LinearTimeVarying(L, stage.omega, stage.phi)
+    return operators.Saturated(L)
 
 
 def _build(sc: Scenario):
-    """(graph, system): the system is the Cascade on the compositional
-    route, else the baseline's PlantLaw.
+    """(L, system): the graph's Laplacian, read-only, and the Cascade on
+    the compositional route, else the baseline's PlantLaw.
 
     Identical StageSpecs share one operator, so that its gate memo and
     common subexpressions serve every such stage. Each delayed stage's delay
@@ -256,7 +260,9 @@ def _build(sc: Scenario):
     when stage k raised it.
     """
     with _config_errors():
-        graph = build_graph(sc)
+        graph = (graphs.path_graph(sc.graph_n) if sc.graph_kind == "path"
+                 else graphs.graph_from_edges(sc.graph_n, sc.graph_edges))
+    L = graphs.build_laplacian(graph)
     built = {}
     for k, stage in enumerate(sc.stages, start=1):
         if stage in built:
@@ -264,16 +270,16 @@ def _build(sc: Scenario):
         with _config_errors(f"stage {k}: "):
             delay = _parse_tagged(stage.delay, ("constant", "ramp", "poisson"))
             ref = _parse_tagged(stage.ref, ("constant",))
-            op = build_operator(stage, graph, sc, delay, ref and ref[1])
+            op = build_operator(stage, graph, L, sc, delay, ref and ref[1])
             absolute = stage.kind == "delayed_absolute_velocity"
             built[stage] = op, _build_delays(delay, sc) if absolute else None
     ops = tuple(built[stage][0] for stage in sc.stages)
     with _config_errors():
         if sc.controller == "compositional":
-            return graph, dynamics.Cascade(ops)
+            return L, dynamics.Cascade(ops)
         delayed = sc.controller == "conventional-delayed"
-        return graph, dynamics.PlantLaw(sc.controller, ops,
-                                        built[sc.stages[-1]][1] if delayed else None)
+        return L, dynamics.PlantLaw(sc.controller, ops,
+                                    built[sc.stages[-1]][1] if delayed else None)
 
 
 def _initial_conditions(sc: Scenario, system):
@@ -323,19 +329,19 @@ def simulate_scenario(sc: Scenario) -> sim.Trajectory:
     The system that ``validate_scenario`` builds (the compositional Cascade
     or a baseline's PlantLaw) runs its own field from its initial state, and
     its ``plant`` map, which returns the offset-free positions x - d_ref,
-    becomes the record's; meta["d_ref"] keeps the formation offsets.
+    becomes the record's; meta keeps the formation offsets and the Laplacian.
     Divergence raises DivergenceError whose ``trajectory`` carries the
     partial record, annotated the same way (the blow-up time sits in
     meta["divergence_time"]).
     """
-    graph, system, state0, d_ref = validate_scenario(sc)
+    L, system, state0, d_ref = validate_scenario(sc)
     field = system.rhs(_build_disturbance(sc))
     meta = {
         "order": sc.order,
         "n_agents": sc.graph_n,
         "route": system.route,
         "d_ref": tuple(float(v) for v in d_ref),
-        "laplacian": graphs.build_laplacian(graph),
+        "laplacian": L,
         "divergence_time": None,
     }
     cfg = sim.IntegratorConfig(sc.dt, sc.t_end, sc.record_every)

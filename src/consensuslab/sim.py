@@ -7,9 +7,10 @@ boundaries and queries interpolate linearly between them. Pre-history
 which only occur when a delay is shorter than one step, interpolate to the
 current RK stage point so that zero delays reproduce the undelayed path.
 
-Every history view handed to an operator or controller answers
-``components(ts, idx)``: entry m is component idx[m] of the state at time
-ts[m]. A view also reports ``t_last``, the end of its committed samples,
+Every history view handed to a field or an operator answers
+``components(ts, idx)``: entry m is column idx[m] of the whole viewed
+state at time ts[m], so each delayed read names the absolute columns it
+touches. A view also reports ``t_last``, the end of its committed samples,
 and ``source``, the history it reads. ``FunctionView`` adapts a plain
 function s -> state to that protocol; its committed end is +inf. The
 interpolation rule is written once, in ``HistoryBuffer.components``, and
@@ -119,7 +120,7 @@ class Trajectory:
 
 
 class HistoryBuffer:
-    """Committed state samples on the uniform grid k * dt, starting at t = 0.
+    """Committed whole states on the uniform grid k * dt, starting at t = 0.
 
     ``source`` is a small token that identifies these samples to readers
     that hold values read from them, without keeping the samples alive.
@@ -163,7 +164,7 @@ class HistoryBuffer:
 
 
 class StepView:
-    """History view handed to the vector field during one RK stage.
+    """View of a ``HistoryBuffer``, and its ``source``, for one RK stage.
 
     Reads at or before the committed end use the buffer; later reads
     interpolate between the committed end and the provisional stage point
@@ -199,23 +200,8 @@ class StepView:
         return out
 
 
-class SliceView:
-    """Restriction of a stacked-state history view to the block at ``start``."""
-
-    __slots__ = ("base", "start", "t_last", "source")
-
-    def __init__(self, base, start):
-        self.base = base
-        self.start = start
-        self.t_last = base.t_last
-        self.source = (base.source, start)
-
-    def components(self, ts, idx):
-        return self.base.components(ts, np.asarray(idx) + self.start)
-
-
 class FunctionView:
-    """History view over a plain function s -> state vector.
+    """History view, and ``source``, of a caller's function s -> state vector.
 
     The function is taken as fixed, so every read is committed.
     """
@@ -259,7 +245,7 @@ class HeldReads:
         if not self.lo <= t < self.hi:
             self.times, self.lo, self.hi = self.window(t)
             self.held = None
-        elif self.held is not None and view.source == self.source:
+        elif self.held is not None and view.source is self.source:
             return self.held
         vals = view.components(self.times, self.idx)
         if self.lo <= view.t_last:

@@ -18,12 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from consensuslab.cli import main, write_trajectory_csv
+from consensuslab.cli import main, write_gnuplot, write_trajectory_csv
 from consensuslab.config import emit_scenario, parse_scenario, scenario_hash
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import build_report, row_disagreement
 from consensuslab.presets import preset
-from consensuslab.scenario import StageSpec, simulate_scenario
+from consensuslab import scenario
+from consensuslab.scenario import StageSpec, simulate_scenario, validate_scenario
 from consensuslab.sim import ROW_BLOCK, Trajectory
 
 
@@ -399,6 +400,13 @@ class TestReportFile:
         assert run_cli("--preset", "counterexample_appD", "--out", str(tmp_path / "bare")) == 0
         assert not (tmp_path / "bare" / "plot.gp").exists()
 
+    def test_gnuplot_title_escapes_quotes(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one quote; an
+        # unescaped quote would end the string and let the name run code.
+        write_gnuplot(dataclasses.replace(preset("serial_lti"), name="a'b"), tmp_path / "p.gp")
+        lines = (tmp_path / "p.gp").read_text().splitlines()
+        assert "set title 'a''b (compositional)'" in lines
+
 
 class TestOutputMemory:
     """The output stage takes the record one row block at a time, so beyond
@@ -426,6 +434,44 @@ class TestOutputMemory:
         L = record.meta["laplacian"]
         peak = peak_allocated(lambda: build_report(record, regime_band=1.0, L=L))
         assert peak < record.states.nbytes / 2
+
+
+class TestScenarioLaplacian:
+    """A scenario builds its graph's Laplacian once, read-only, and every
+    unit-scale Laplacian stage and the record hold that one array. At
+    N = 1000 an N x N matrix is 7.6 MiB, so a validated scenario that kept
+    the graph's weights or a second Laplacian beside it would hold twice
+    that. A first validation at N = 2 pays the lazy imports."""
+
+    def test_validation_holds_one_matrix(self):
+        sc = dataclasses.replace(preset("serial_lti"), graph_n=1000)
+        validate_scenario(dataclasses.replace(sc, graph_n=2))
+        tracemalloc.start()
+        try:
+            built = validate_scenario(sc)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[0].nbytes == 8 * 1000**2
+        assert held < 10 * 2**20
+        assert peak < 24 * 2**20
+
+    def test_record_shares_the_stage_laplacian(self, monkeypatch):
+        built, laplacians = [], []
+        validate, build_laplacian = scenario.validate_scenario, scenario.graphs.build_laplacian
+        monkeypatch.setattr(scenario, "validate_scenario",
+                            lambda sc: built.append(validate(sc)) or built[-1])
+        monkeypatch.setattr(scenario.graphs, "build_laplacian",
+                            lambda g: laplacians.append(build_laplacian(g)) or laplacians[-1])
+        sc = preset("serial_lti")
+        outer = dataclasses.replace(sc.stages[1], scale=2.0)
+        traj = simulate_scenario(dataclasses.replace(sc, stages=(sc.stages[0], outer),
+                                                     t_end=sc.dt * sc.record_every))
+        L, system = built[0][:2]
+        assert len(laplacians) == 1 and laplacians[0] is L
+        assert traj.meta["laplacian"] is L and not L.flags.writeable
+        assert system.stages[0].L is L
+        assert np.array_equal(system.stages[1].L, 2.0 * L)
 
 
 @pytest.mark.parametrize("controller", ["compositional", "conventional"])

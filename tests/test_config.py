@@ -163,6 +163,47 @@ class TestValidation:
             validate_scenario(dataclasses.replace(sc, stages=(sc.stages[0], outer)))
 
 
+def with_stage(sc, k, **changes):
+    stages = list(sc.stages)
+    stages[k] = dataclasses.replace(stages[k], **changes)
+    return dataclasses.replace(sc, stages=tuple(stages))
+
+
+# Scenarios whose config echo would not parse back to them: a bool prints as
+# True or False, the parser splits lines and strips values, and a missing name
+# reads back as the default. graph_n=True and a numeric spec raised raw errors.
+UNECHOABLE = {
+    "seed": lambda: dataclasses.replace(preset("serial_lti"), seed=True),
+    "order": lambda: dataclasses.replace(preset("counterexample_appD"), order=True),
+    "graph_n": lambda: dataclasses.replace(preset("serial_lti"), graph_n=True),
+    "dt": lambda: dataclasses.replace(preset("serial_lti"), dt=True),
+    "t_end": lambda: dataclasses.replace(preset("serial_lti"), t_end=True),
+    "tolerance": lambda: dataclasses.replace(preset("serial_lti"), tolerance=True),
+    "tail_fraction": lambda: dataclasses.replace(preset("serial_lti"), tail_fraction=True),
+    "disturbance_sup": lambda: dataclasses.replace(
+        preset("serial_lti"), disturbance_kind="random", disturbance_sup=True),
+    "scale": lambda: with_stage(preset("serial_lti"), 1, scale=True),
+    "line_break": lambda: dataclasses.replace(preset("serial_lti"), name="a\nb"),
+    "padded": lambda: dataclasses.replace(preset("serial_lti"), name=" padded "),
+    "no_name": lambda: dataclasses.replace(preset("serial_lti"), name=None),
+    "padded_spec": lambda: with_stage(preset("counterexample_appD"), 0, delay="ramp:5.0 "),
+    "spec_not_text": lambda: with_stage(preset("gps_fig3"), 1, ref=10.0),
+}
+
+
+class TestEcho:
+    @pytest.mark.parametrize("case", sorted(UNECHOABLE))
+    def test_unechoable_scenario_rejected(self, case):
+        with pytest.raises(ConfigError):
+            validate_scenario(UNECHOABLE[case]())
+
+    @pytest.mark.parametrize("name", ["two words", "a'b", "x = [1]", ""])
+    def test_one_line_names_echo_back(self, name):
+        sc = dataclasses.replace(preset("serial_lti"), name=name)
+        validate_scenario(sc)
+        assert parse_scenario(emit_scenario(sc)) == sc
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_round_trip(self, name):

@@ -2,8 +2,10 @@
 at module level or inside functions, so there are no import cycles; and
 scipy is imported only inside ``graphs.spanning_tree_check``, so neither
 ``import consensuslab`` nor a run loads it. No module of the package or of
-its tests imports a name it never reads. In ``cli`` only ``main`` turns a
-failure into an exit code."""
+its tests imports a name it never reads, and every function, class and
+method the package defines is read somewhere in it, or is listed with the
+reason it stays. In ``cli`` only ``main`` turns a failure into an exit
+code."""
 
 import ast
 from pathlib import Path
@@ -118,6 +120,65 @@ def test_the_unused_import_guard_sees_bound_names():
 def test_every_imported_name_is_read(path):
     unused = unused_imports(ast.parse(path.read_text()))
     assert not unused, f"{path.stem} imports names it never reads: {unused}"
+
+
+# Definitions that no module of the package reads, each with its reason.
+UNREAD_KEPT = {
+    "cli._ArgumentParser.error": "argparse calls it",
+    "dynamics.compositional_controller": "the reference implementation the tests "
+                                         "compare the cascade field against",
+    "graphs.spanning_tree_check": "public API, for the spectral oracle",
+    "graphs.ReachabilityReport.has_spanning_tree": "public API, for the spectral oracle",
+    "metrics.disagreement_seminorm": "public API",
+    "sim.HistoryBuffer.state_at": "a perfbench tracer target",
+    "sim.FunctionView": "the history view for a caller's own function",
+}
+
+
+def definitions(tree):
+    """(qualified name, name) of every top-level function and class in
+    ``tree`` and of every non-dunder method of those classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{item.name}", item.name) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not (item.name.startswith("__") and item.name.endswith("__")))
+    return found
+
+
+def read_names(tree):
+    """Every name ``tree`` reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unread_definitions(trees):
+    """Qualified names, module first, of the definitions in ``trees`` (module
+    -> tree) that none of them reads."""
+    read = set().union(*map(read_names, trees.values()))
+    return sorted(f"{module}.{qualified}" for module, tree in trees.items()
+                  for qualified, name in definitions(tree) if name not in read)
+
+
+def test_the_unread_definition_guard_sees_functions_and_methods():
+    trees = {"a": ast.parse("def used():\n    pass\n\ndef unused():\n    pass\n\n"
+                            "class C:\n    def __init__(self):\n        pass\n\n"
+                            "    def m(self):\n        pass\n\n    def n(self):\n        pass\n"),
+             "b": ast.parse("from .a import used\n\nused()\nobj.m\nn = 1\n")}
+    assert unread_definitions(trees) == ["a.C", "a.C.n", "a.unused"]
+
+
+def test_every_definition_is_read_or_kept_for_a_reason():
+    unread = unread_definitions({module: parsed(module) for module in sorted(LAYER)})
+    assert unread == sorted(UNREAD_KEPT), "unread definitions differ from UNREAD_KEPT"
 
 
 EXIT_MESSAGES = ("configuration error:", "could not write outputs:")

@@ -42,7 +42,6 @@ from consensuslab.sim import (
     IntegratorConfig,
     PoissonSampledDelay,
     RampDelay,
-    SliceView,
     integrate,
     sample_poisson_delays,
 )
@@ -155,6 +154,50 @@ def test_config_round_trip(sc):
     assert parse_scenario(emit_scenario(sc)) == sc
 
 
+NUMBER_FIELDS = ("seed", "order", "graph_n", "dt", "t_end", "tolerance", "tail_fraction",
+                 "disturbance_sup")
+# Characters the config's line splitting and value stripping act on, a quote
+# and the config's own syntax.
+AWKWARD_TEXT = st.text(st.sampled_from("ab _-'#=[]:.0\t\n\r\x0b\x0c\x1c\x85\u2028"),
+                       max_size=6)
+
+
+@st.composite
+def perturbed_scenarios(draw):
+    """A valid scenario with one value that its config echo might not
+    reproduce: a bool where a number goes, a stage scale as a bool, or a
+    name or spec drawn from characters the parser splits, strips or reads."""
+    sc = draw(scenarios())
+    target = draw(st.sampled_from(NUMBER_FIELDS + ("scale", "name", "spec")))
+    k = draw(st.integers(min_value=0, max_value=sc.order - 1))
+    stages = list(sc.stages)
+    if target in NUMBER_FIELDS:
+        return dataclasses.replace(sc, **{target: draw(st.booleans())})
+    if target == "name":
+        return dataclasses.replace(sc, name=draw(AWKWARD_TEXT))
+    if target == "scale":
+        stages[k] = dataclasses.replace(stages[k], scale=draw(st.booleans()))
+    else:
+        key = "delay" if stages[-1].delay is not None else "ref"
+        spec = getattr(stages[-1], key) or "constant:1.0"
+        cut = draw(st.integers(min_value=0, max_value=len(spec)))
+        spec = draw(AWKWARD_TEXT) + spec[:cut] + draw(AWKWARD_TEXT) + spec[cut:]
+        stages[-1] = dataclasses.replace(stages[-1], **{key: spec})
+    return dataclasses.replace(sc, stages=tuple(stages))
+
+
+@settings(deadline=None)
+@given(sc=perturbed_scenarios())
+def test_validated_scenarios_echo_back(sc):
+    """Validation rejects, as a ConfigError, whatever the config echo would
+    not reproduce."""
+    try:
+        validate_scenario(sc)
+    except ConfigError:
+        return
+    assert parse_scenario(emit_scenario(sc)) == sc
+
+
 class ReachedIntegrator(Exception):
     pass
 
@@ -182,7 +225,7 @@ def reference_field(cascade, u_ref, xi, t, hist):
     blocks = []
     for k, op in enumerate(cascade.stages):
         sl = slice(k * n, (k + 1) * n)
-        view = None if op.relative_feedback else SliceView(hist, sl.start)
+        view = None if op.relative_feedback else FunctionView(lambda s: hist.fn(s)[sl])
         val = -op.evaluate(xi[sl], t, view)
         if k + 1 < cascade.order:
             val = val + xi[sl.stop:sl.stop + n]
