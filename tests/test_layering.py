@@ -1,18 +1,23 @@
 """The package's modules form layers: each imports only from lower layers,
-at module level or inside functions, so there are no import cycles; and
-scipy is imported only inside ``graphs.spanning_tree_check``, so neither
-``import consensuslab`` nor a run loads it. No module of the package or of
-its tests imports a name it never reads, and every function, class and
-method the package defines is read somewhere in it, or is listed with the
-reason it stays. In ``cli`` only ``main`` turns a failure into an exit
-code."""
+at module level or inside functions, so there are no import cycles; and the
+third-party modules they import are exactly the ``[project] dependencies``
+of ``pyproject.toml`` (numpy alone), so a run and a spanning-tree check
+work without scipy. No module of the package or of its tests imports a name
+it never reads, and every function, class and method the package defines is
+read somewhere in it, or is listed with the reason it stays. In ``cli``
+only ``main`` turns a failure into an exit code."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "consensuslab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "consensuslab"
 
 LAYERS = [
     ("exceptions",),
@@ -87,10 +92,31 @@ def test_scipy_imported_only_inside_functions(module):
     assert not at_import, f"{module} imports scipy at import time: {at_import}"
 
 
-def test_only_graphs_imports_scipy():
-    found = [module for module in sorted(LAYER) + ["__init__"]
-             if any(name.split(".")[0] == "scipy" for name, *_ in imports(parsed(module)))]
-    assert found == ["graphs"]
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = {re.match(r"[\w.-]+", dep)[0]
+                    for dep in tomllib.load(f)["project"]["dependencies"]}
+    own = set(LAYER) | {"consensuslab", "__future__"}
+    found = {name.split(".")[0] for module in sorted(LAYER) + ["__init__"]
+             for name, *_ in imports(parsed(module))} - own - set(sys.stdlib_module_names)
+    assert found == declared == {"numpy"}
+
+
+def test_runs_without_scipy():
+    # A conventional-delayed run reads held samples; the spanning-tree check
+    # at the largest agent count takes the most products.
+    code = ("import dataclasses, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from consensuslab import graphs, presets, scenario\n"
+            "sc = dataclasses.replace(presets.gps_fig3(), controller='conventional-delayed',"
+            " t_end=1.0)\n"
+            "scenario.simulate_scenario(sc)\n"
+            "print(graphs.spanning_tree_check(graphs.path_graph(graphs.MAX_AGENTS)).roots)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(0,)"
 
 
 def unused_imports(tree):
@@ -127,9 +153,8 @@ UNREAD_KEPT = {
     "cli._ArgumentParser.error": "argparse calls it",
     "dynamics.compositional_controller": "the reference implementation the tests "
                                          "compare the cascade field against",
-    "graphs.spanning_tree_check": "public API, for the spectral oracle",
-    "graphs.ReachabilityReport.has_spanning_tree": "public API, for the spectral oracle",
-    "metrics.disagreement_seminorm": "public API",
+    "graphs.spanning_tree_check": "the spectral oracle's input",
+    "graphs.ReachabilityReport.has_spanning_tree": "the spectral oracle's input",
     "sim.HistoryBuffer.state_at": "a perfbench tracer target",
     "sim.FunctionView": "the history view for a caller's own function",
 }

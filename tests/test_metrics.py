@@ -14,7 +14,6 @@ from consensuslab.exceptions import ConfigError, ConsensusLabError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.metrics import (
     build_report,
-    disagreement_seminorm,
     laplacian_seminorm,
     row_disagreement,
 )
@@ -37,17 +36,17 @@ def make_traj(times, x, xdot=None, meta=None):
 
 class TestSeminorms:
     def test_disagreement_vanishes_on_consensus(self):
-        assert disagreement_seminorm(np.full(7, 3.2)) == 0.0
+        assert row_disagreement(np.full(7, 3.2)) == 0.0
 
     def test_disagreement_of_empty_vector_rejected(self):
         with pytest.raises(ConsensusLabError):
-            disagreement_seminorm([])
+            row_disagreement([])
 
     def test_disagreement_symmetric_pair(self):
-        assert disagreement_seminorm([1.0, -1.0]) == 1.0
+        assert row_disagreement([1.0, -1.0]) == 1.0
 
     def test_disagreement_hand_value(self):
-        assert abs(disagreement_seminorm([2.0, 0.0, 1.0]) - 1.0) < 1e-15
+        assert abs(row_disagreement([2.0, 0.0, 1.0]) - 1.0) < 1e-15
 
     def test_laplacian_seminorm_on_consensus(self):
         assert laplacian_seminorm(L5, np.full(5, -4.0)) < 1e-12
@@ -89,7 +88,7 @@ class TestSeminorms:
         for _ in range(200):
             z = rng.normal(size=4)
             flat = z.max() - z.min() < 1e-12
-            assert (disagreement_seminorm(z) < 1e-12) == flat
+            assert (row_disagreement(z) < 1e-12) == flat
 
 
 class TestFlatTrajectory:
@@ -261,8 +260,7 @@ class TestReport:
 
 
 def test_package_import_loads_no_scipy():
-    # No module imports scipy.linalg; scipy.sparse, which spanning_tree_check
-    # needs, is imported inside that function.
+    # The package depends on numpy alone: no module imports scipy.
     src = str(Path(consensuslab.__file__).resolve().parents[1])
     code = ("import sys, consensuslab; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

@@ -20,7 +20,7 @@ from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
 from consensuslab.exceptions import ConfigError, ConsensusLabError
 from consensuslab.graphs import WeightedDigraph, build_laplacian, graph_from_edges, path_graph
-from consensuslab.metrics import disagreement_seminorm
+from consensuslab.metrics import row_disagreement
 from consensuslab.operators import (
     DelayedAbsoluteVelocity,
     DelayedRelative,
@@ -65,7 +65,7 @@ def maybe(strategy):
 @given(c=st.floats(allow_nan=False, allow_infinity=False),
        n=st.integers(min_value=1, max_value=64))
 def test_disagreement_exactly_zero_on_flat_vectors(c, n):
-    assert disagreement_seminorm(np.full(n, c)) == 0.0
+    assert row_disagreement(np.full(n, c)) == 0.0
 
 
 @st.composite
