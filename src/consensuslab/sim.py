@@ -2,21 +2,21 @@
 
 The integrator is classical 4-stage Runge-Kutta on a fixed grid. Delayed
 terms are handled method-of-steps style: committed samples live at step
-boundaries and queries interpolate linearly between them. Pre-history
-(t < 0) is the constant initial condition. Queries past the committed end,
-which only occur when a delay is shorter than one step, interpolate to the
-current RK stage point so that zero delays reproduce the undelayed path.
+boundaries, the latest ceil(tau_max/dt) + 2 of them, and queries
+interpolate linearly between them. Pre-history (t < 0) is the constant
+initial condition. Queries past the committed end, which only occur when a
+delay is shorter than one step, interpolate to the current RK stage point
+so that zero delays reproduce the undelayed path. A query older than the
+samples kept raises InsufficientHistoryError.
 
 Every history view handed to a field or an operator answers
 ``components(ts, idx)``: entry m is column idx[m] of the whole viewed
 state at time ts[m], so each delayed read names the absolute columns it
 touches. A view also reports ``t_last``, the end of its committed samples,
-and ``source``, the history it reads. ``FunctionView`` adapts a plain
-function s -> state to that protocol; its committed end is +inf. The
-interpolation rule is written once, in ``HistoryBuffer.components``, and
-the read past the committed end once, in ``StepView.components``; the
-whole-state reads ``HistoryBuffer.state_at`` and ``StepView(s)`` go
-through them.
+and ``source``, the history it reads. The interpolation rule is written
+once, in ``HistoryBuffer.components``, and the read past the committed end
+once, in ``StepView.components``; the whole-state reads
+``HistoryBuffer.state_at`` and ``StepView(s)`` go through them.
 
 Delayed reads go through one sample-and-hold reader, ``HeldReads``. An
 arrival-based delay reads the state at the agent's last arrival, so the
@@ -120,23 +120,27 @@ class Trajectory:
 
 
 class HistoryBuffer:
-    """Committed whole states on the uniform grid k * dt, starting at t = 0.
+    """The latest committed whole states on the uniform grid k * dt, from
+    t = 0: a ring of ``nsteps + 1`` rows that spans ``nsteps`` steps back
+    from the committed end. Sample k lives in row k % rows until sample
+    k + rows overwrites it.
 
     ``source`` is a small token that identifies these samples to readers
     that hold values read from them, without keeping the samples alive.
     """
 
-    __slots__ = ("dt", "values", "count", "source")
+    __slots__ = ("dt", "values", "rows", "count", "source")
 
     def __init__(self, dt, nsteps, x0):
         self.dt = dt
-        self.values = np.empty((nsteps + 1, len(x0)))
+        self.rows = nsteps + 1
+        self.values = np.empty((self.rows, len(x0)))
         self.values[0] = x0
         self.count = 1
         self.source = object()
 
     def commit(self, x):
-        self.values[self.count] = x
+        self.values[self.count % self.rows] = x
         self.count += 1
 
     @property
@@ -151,7 +155,9 @@ class HistoryBuffer:
     def components(self, ts, idx) -> np.ndarray:
         """Linear interpolation of single components at per-entry times,
         clamped to [0, t_last]. A time within rounding of grid index k
-        reads sample k exactly, however many samples are committed."""
+        reads sample k exactly, however many samples are committed. A read
+        that needs a sample the ring has overwritten raises
+        InsufficientHistoryError."""
         last = self.count - 1
         if last == 0:
             return self.values[0, idx]
@@ -160,7 +166,13 @@ class HistoryBuffer:
         pos = np.clip(np.where(np.abs(pos - near) <= 1e-12 * pos, near, pos), 0.0, last)
         k = np.minimum(pos.astype(np.int64), last - 1)
         frac = pos - k
-        return (1.0 - frac) * self.values[k, idx] + frac * self.values[k + 1, idx]
+        rows, oldest = self.rows, self.count - self.rows
+        if oldest > 0 and k.min() < oldest:
+            raise InsufficientHistoryError(
+                f"a history read at t = {np.ravel(ts)[k.argmin()]:.9g} is older than "
+                f"the oldest sample kept, t = {oldest * self.dt:.9g}; the history's "
+                f"tau_max is too small for the delays read")
+        return (1.0 - frac) * self.values[k % rows, idx] + frac * self.values[(k + 1) % rows, idx]
 
 
 class StepView:
@@ -195,25 +207,9 @@ class StepView:
         frac = np.minimum(
             (ts[prov] - self.t_last) / (self.t_stage - self.t_last), 1.0
         )
-        tail = self.buf.values[self.buf.count - 1, idx[prov]]
+        tail = self.buf.values[(self.buf.count - 1) % self.buf.rows, idx[prov]]
         out[prov] = (1.0 - frac) * tail + frac * self.z_stage[idx[prov]]
         return out
-
-
-class FunctionView:
-    """History view, and ``source``, of a caller's function s -> state vector.
-
-    The function is taken as fixed, so every read is committed.
-    """
-
-    __slots__ = ("fn", "source")
-    t_last = math.inf
-
-    def __init__(self, fn):
-        self.fn = self.source = fn
-
-    def components(self, ts, idx):
-        return np.array([self.fn(s)[i] for s, i in zip(ts, idx)])
 
 
 class HeldReads:
@@ -226,7 +222,8 @@ class HeldReads:
     at or before the view's committed end, the values read are kept and
     returned as they are, read-only, until t leaves the window or another
     history is read. They equal a fresh read: interpolation between
-    committed samples never changes. A call without a view raises
+    committed samples never changes, and a kept value stays valid after the
+    history overwrites the samples it came from. A call without a view raises
     InsufficientHistoryError.
     """
 
@@ -257,14 +254,17 @@ class HeldReads:
 def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     """Integrate ``xdot = field(x, t, hist)`` over [0, t_end] with RK4.
 
-    ``tau_max``, the bound a delayed system derives from its delays, only
-    switches the history: None disables it entirely (hist is passed as
-    None); any finite ``tau_max >= 0`` enables it, 0 too for delayed fields
-    whose delays happen to vanish. Raises DivergenceError
-    (carrying the partial trajectory) at the end of the first step whose
-    state leaves |x| <= 1e9 or turns non-finite. The test reads x . x first
-    and takes the exact max |x_i| only when the dot exceeds 1e18, which a
-    blown-up or non-finite state always makes it do.
+    ``tau_max`` is the bound a delayed system derives from its delays. None
+    disables the history entirely (hist is passed as None). A finite
+    ``tau_max >= 0``, 0 too for delayed fields whose delays happen to
+    vanish, keeps the latest min(nsteps, ceil(tau_max/dt) + 1) + 1 states:
+    every read at or after t - tau_max at stage time t, with a step to spare
+    for rounding. A read further back raises InsufficientHistoryError.
+
+    Raises DivergenceError (carrying the partial trajectory) at the end of
+    the first step whose state leaves |x| <= 1e9 or turns non-finite. The
+    test reads x . x first and takes the exact max |x_i| only when the dot
+    exceeds 1e18, which a blown-up or non-finite state always makes it do.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or len(x) == 0 or not np.isfinite(x).all():
@@ -275,7 +275,12 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     nsteps = cfg.nsteps
 
     use_hist = tau_max is not None
-    buf = HistoryBuffer(dt, nsteps, x) if use_hist else None
+    buf = None
+    if use_hist:
+        # tau_max / dt overflows to inf for a huge tau_max: compare before math.ceil.
+        back = tau_max / dt
+        span = nsteps if back >= nsteps else min(nsteps, math.ceil(back) + 1)
+        buf = HistoryBuffer(dt, span, x)
 
     every = cfg.record_every
     nrec = nsteps // every + 1

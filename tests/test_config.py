@@ -9,7 +9,9 @@ from consensuslab.config import _SCHEMA, emit_scenario, parse_scenario
 from consensuslab.exceptions import ConfigError
 from consensuslab.presets import PRESETS, preset
 from consensuslab.scenario import Scenario, StageSpec, validate_scenario
-from consensuslab.sim import FunctionView, poisson_delay_bank, sample_poisson_delays
+from consensuslab.sim import poisson_delay_bank, sample_poisson_delays
+
+from history_views import FunctionView
 
 MINIMAL = """
 [cascade]

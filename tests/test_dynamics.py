@@ -27,7 +27,9 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import ConstantDelay, FunctionView, RampDelay
+from consensuslab.sim import ConstantDelay, RampDelay
+
+from history_views import FunctionView
 
 L5 = build_laplacian(path_graph(5))
 L2 = build_laplacian(path_graph(2))

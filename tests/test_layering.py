@@ -156,7 +156,6 @@ UNREAD_KEPT = {
     "graphs.spanning_tree_check": "the spectral oracle's input",
     "graphs.ReachabilityReport.has_spanning_tree": "the spectral oracle's input",
     "sim.HistoryBuffer.state_at": "a perfbench tracer target",
-    "sim.FunctionView": "the history view for a caller's own function",
 }
 
 

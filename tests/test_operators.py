@@ -16,7 +16,9 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
-from consensuslab.sim import ConstantDelay, FunctionView, PoissonSampledDelay, RampDelay
+from consensuslab.sim import ConstantDelay, PoissonSampledDelay, RampDelay
+
+from history_views import FunctionView
 
 L2 = build_laplacian(path_graph(2))
 L3 = build_laplacian(path_graph(3))

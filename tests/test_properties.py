@@ -38,13 +38,14 @@ from consensuslab.scenario import (
 from consensuslab.sim import (
     ArrivalBank,
     ConstantDelay,
-    FunctionView,
     IntegratorConfig,
     PoissonSampledDelay,
     RampDelay,
     integrate,
     sample_poisson_delays,
 )
+
+from history_views import FunctionView
 
 INNER = ("linear_static", "linear_time_varying", "saturated")
 OUTER = INNER + ("delayed_relative", "delayed_absolute_velocity")
@@ -587,6 +588,50 @@ def test_held_reads_equal_fresh_reads(data, n, dt, nsteps, seed):
     z0 = rng.uniform(-2.0, 2.0, n)
     a = integrate(cascade_rhs(cascade, lambda t: u), z0, cfg, tau_max=t_end)
     b = integrate(fresh_cascade, z0, cfg, tau_max=t_end)
+    assert np.array_equal(a.states, b.states)
+
+
+@st.composite
+def bounded_delays(draw, count, dt, nsteps):
+    """``count`` delays for a ring-size property: constant delays on or off
+    the step grid, or ``delay_draws``' Poisson streams and ramps."""
+    if draw(st.booleans()):
+        return draw(delay_draws(count, dt, nsteps))
+    tau = st.integers(0, nsteps).map(lambda k: k * dt) | st.floats(
+        min_value=0.0, max_value=nsteps * dt / 2)
+    return [ConstantDelay(c) for c in draw(st.lists(tau, min_size=count, max_size=count))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4),
+       dt=st.floats(min_value=0.005, max_value=0.05), nsteps=st.integers(20, 120),
+       inner=st.lists(st.sampled_from(("linear_static", "saturated")), max_size=1),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_history_bounded_by_tau_max_runs_as_the_whole_grid(data, n, dt, nsteps, inner, seed):
+    """A history that keeps only the samples back to a system's own
+    ``tau_max`` gives the states of one that keeps the whole grid, on a
+    conventional-delayed plant and on a delayed_relative cascade."""
+    rng = np.random.default_rng(seed)
+    t_end = nsteps * dt
+    cfg = IntegratorConfig(dt, t_end)
+    w = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    np.fill_diagonal(w, 0.0)
+    L = np.diag(w.sum(axis=1)) - w
+
+    stages = (LinearStatic(L), DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), 10.0))
+    law = PlantLaw("conventional-delayed", stages, data.draw(bounded_delays(n, dt, nsteps)))
+    x0 = rng.uniform(-2.0, 2.0, 2 * n)
+    a = integrate(plant_rhs(law), x0, cfg, tau_max=law.tau_max)
+    b = integrate(plant_rhs(law), x0, cfg, tau_max=t_end)
+    assert np.array_equal(a.states, b.states)
+
+    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(w))]
+    delays = dict(zip(edges, data.draw(bounded_delays(len(edges), dt, nsteps))))
+    cascade = Cascade((*(random_operator(kind, n, rng) for kind in inner),
+                       DelayedRelative(w, delays)))
+    z0 = rng.uniform(-2.0, 2.0, cascade.order * n)
+    a = integrate(cascade_rhs(cascade), z0, cfg, tau_max=cascade.tau_max)
+    b = integrate(cascade_rhs(cascade), z0, cfg, tau_max=t_end)
     assert np.array_equal(a.states, b.states)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from consensuslab.dynamics import Cascade, cascade_rhs
-from consensuslab.exceptions import ConfigError, DivergenceError
+from consensuslab.exceptions import ConfigError, DivergenceError, InsufficientHistoryError
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.operators import DelayedRelative, LinearStatic
 from consensuslab.presets import preset
@@ -12,7 +12,6 @@ from consensuslab.scenario import simulate_scenario
 from consensuslab.sim import (
     ArrivalBank,
     ConstantDelay,
-    FunctionView,
     HeldReads,
     HistoryBuffer,
     IntegratorConfig,
@@ -23,6 +22,8 @@ from consensuslab.sim import (
     poisson_delay_bank,
     sample_poisson_delays,
 )
+
+from history_views import FunctionView
 
 
 def exp_error(dt):
@@ -204,6 +205,50 @@ class TestHistory:
             for j in (k - 1, k):
                 got = buf.components(np.full(3, j * dt), idx)
                 assert np.array_equal(got, values[j]), (j, got - values[j])
+
+
+    def test_ring_keeps_the_latest_samples(self):
+        # Four rows, ten commits: samples 7 to 10 are kept, 0 to 6 overwritten.
+        values = np.arange(11.0)[:, None] * np.array([1.0, -3.0])
+        buf = HistoryBuffer(dt=0.5, nsteps=3, x0=values[0])
+        for v in values[1:]:
+            buf.commit(v)
+        assert buf.values.shape == (4, 2) and buf.t_last == 5.0
+        for j in range(7, 11):
+            assert np.array_equal(buf.state_at(j * 0.5), values[j]), j
+        assert np.array_equal(buf.components([3.75, 4.25], [0, 1]), [7.5, -25.5])
+        view = StepView(buf, t_stage=5.25, z_stage=np.array([12.0, -36.0]))
+        assert np.array_equal(view.components([5.125, 3.5], [0, 1]), [11.0, -21.0])
+        for s in (3.25, 3.0, -1.0):
+            with pytest.raises(InsufficientHistoryError, match=rf"t = {s:g} is older .* t = 3\.5;"):
+                buf.components([4.0, s], [0, 1])
+
+    def test_too_small_tau_max_raises(self):
+        # The outer stage reads 0.5 s back; a ring sized for 0.1 s loses
+        # those samples once it wraps.
+        g = path_graph(4)
+        cascade = Cascade((DelayedRelative(g.weights, ConstantDelay(0.5)),))
+        cfg = IntegratorConfig(dt=0.01, t_end=2.0)
+        x0 = np.array([1.0, -1.0, 0.5, 2.0])
+        with pytest.raises(InsufficientHistoryError, match="older than the oldest sample kept"):
+            integrate(cascade_rhs(cascade), x0, cfg, tau_max=0.1)
+        assert cascade.tau_max == 0.5
+        integrate(cascade_rhs(cascade), x0, cfg, tau_max=cascade.tau_max)
+
+    def test_huge_tau_max_keeps_the_whole_grid(self):
+        rows = set()
+
+        def field(x, t, hist):
+            rows.add(len(hist.buf.values))
+            return hist(t - 0.3) - x
+
+        cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=100)
+        x0 = np.array([1.0, 2.0])
+        whole = integrate(field, x0, cfg, tau_max=1e308)
+        assert rows == {1001}
+        rows.clear()
+        assert np.array_equal(integrate(field, x0, cfg, tau_max=0.3).states, whole.states)
+        assert rows == {302}
 
 
 class TestDelayProcesses:
