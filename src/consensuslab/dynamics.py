@@ -23,7 +23,11 @@ small or full, else its nonzeros alone (``_block_operator``): no field builds
 a dense matrix above the sparse threshold. Both kinds of M name their product
 ``dot``: a dense ``M.dot(s)`` runs the gemv of ``M @ s``, bit for bit, at
 half its call cost (0.60 against 1.20 us at dim 20, 1.32 against 3.05 at
-80). The field calls nothing else of an operator, inside
+80). A program whose every step is affine in the state, with a dense M,
+also carries its whole field as ``field.affine = (A, c)``, s' = A s + c,
+folded from its own data; ``sim.integrate`` steps such a field by RK4's
+own step polynomial in one product per step. Every other field carries
+None. The field calls nothing else of an operator, inside
 ``sim.integrate``, which rejects a non-finite or blown-up state after every
 step; the other callers of an operator use its checked ``evaluate``. Each
 system owns its state's layout: ``Cascade`` and ``PlantLaw`` give their
@@ -161,6 +165,17 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
     subtracts op.apply(s[tail], reads of hist), reads being HeldReads of
     columns of s or None, and ``const`` and ``feed``(t) add. Each step adds
     in place, in the law's order. Returns y[:len(s)].
+
+    The field's ``affine`` is (A, c) with field(s, t, hist) = A s + c, A of
+    width x width, when M is dense, no ``finish`` run exists, any nested
+    product is linear static, any delayed step is velocity tracking without
+    reads (-diag(gains) s[tail] + gains ref) and no ``feed`` is given; else
+    None (``_affine_fold``). The rule adds no cost knob: the sparse threshold
+    already decided that a dense M's D^2 floats fit, and a row-sparse M
+    (linear_scale's N = 400) is never folded, so no dense D x D matrix is
+    built above the threshold. The fold costs O(D^2) and, with a nested
+    product, one N x N by N x width product; ``sim.integrate`` builds the
+    step from it only when the run has at least D steps.
     """
     height, width = shape
     square = height == width
@@ -173,8 +188,9 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
         else:
             runs.append([op.finish, k, 1])
     runs = [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
+    M = _block_operator(blocks, shape)
     # ndarray.dot, not @: the same gemv at half the call cost (module docstring).
-    dot = _block_operator(blocks, shape).dot
+    dot = M.dot
     stepped = any(step is not None for step in (nested, delayed, const, feed))
     product = product_finish = product_src = None
     if nested is not None:
@@ -207,7 +223,35 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
                 out += feed(t)
         return y if square else y[:width]
 
+    field.affine = None
+    if (isinstance(M, np.ndarray) and not runs and product_finish is None and feed is None
+            and (delayed_op is None
+                 or reads is None and isinstance(delayed_op, DelayedAbsoluteVelocity))):
+        field.affine = _affine_fold(M, width, n, adds, tail, nested, delayed_op, const)
     return field
+
+
+def _affine_fold(M, width, n, adds, tail, nested, delayed_op, const):
+    """(A, c) with field(s, t, hist) = A s + c, A of width x width: the
+    program's steps run on the rows of its dense M, in its order. Only for a
+    program whose every step is affine in s (``_compile``). The constant
+    enters with the last steps, so the adds and the nested product see none.
+    """
+    A, c = M.copy(), np.zeros(len(M))
+    for dst, src, own in adds:
+        if own:
+            A[dst] += A[src]
+        else:
+            A[dst, src] += np.eye(n)
+    if nested is not None:
+        op, src = nested
+        A[tail] += op.L @ A[src]
+    if delayed_op is not None:  # velocity tracking on s[tail]: -gains (s - ref)
+        A[tail, tail] -= np.diag(delayed_op.gains)
+        c[tail] += delayed_op.gains * delayed_op.ref
+    if const is not None:
+        c[tail] += const
+    return A[:width], c[:width]
 
 
 def cascade_rhs(cascade: Cascade, u_ref=None):

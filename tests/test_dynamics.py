@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from consensuslab.dynamics import (
     reconstruct_plant,
 )
 from consensuslab.exceptions import InsufficientHistoryError, OperatorError, ShapeError
-from consensuslab.graphs import build_laplacian, path_graph
+from consensuslab.graphs import build_laplacian, graph_from_edges, path_graph
 from consensuslab.operators import (
     DelayedAbsoluteVelocity,
     DelayedRelative,
@@ -27,6 +28,8 @@ from consensuslab.operators import (
     LinearTimeVarying,
     Saturated,
 )
+from consensuslab.presets import preset
+from consensuslab.scenario import validate_scenario
 from consensuslab.sim import ConstantDelay, RampDelay
 
 from history_views import FunctionView
@@ -127,6 +130,73 @@ class TestNumericReferenceFold:
             want = np.concatenate((-L5 @ xi[:5] + xi[5:],
                                    -delayed.evaluate(xi[5:], t) + t))
             assert np.allclose(field(xi, t, None), want, rtol=1e-15, atol=1e-14)
+
+
+# A weighted digraph whose Laplacian does not commute with L5's, so that the
+# fold of a nested product shows the order of its factors.
+L5_OTHER = build_laplacian(graph_from_edges(5, [(1, 3, 0.5), (2, 1, 2.0), (4, 2, 1.0),
+                                                (5, 4, 1.5), (3, 5, 0.25)]))
+TRACKING = DelayedAbsoluteVelocity(np.array([1.0, 0.5, 2.0, 3.0, 0.25]), -1.5)
+GATED = LinearTimeVarying(L5, omega=np.full(5, 1.3), phi=np.zeros(5))
+
+AFFINE_SYSTEMS = {
+    "cascade-1": lambda: lti_cascade(1),
+    "cascade-3": lambda: Cascade((LinearStatic(L5), LinearStatic(L5_OTHER), LinearStatic(L5))),
+    "tracking-cascade": lambda: Cascade((LinearStatic(L5), TRACKING)),
+    "conventional": lambda: PlantLaw("conventional", (LinearStatic(L5), LinearStatic(L5_OTHER))),
+    "naive-serial": lambda: PlantLaw("naive-serial", (LinearStatic(L5), LinearStatic(L5_OTHER))),
+    "conventional-ideal": lambda: PlantLaw("conventional-ideal", (LinearStatic(L5_OTHER), TRACKING)),
+}
+
+
+class TestAffineFold:
+    """A program whose every step is affine in the state carries its field
+    as ``affine = (A, c)``; every other program carries None."""
+
+    @pytest.mark.parametrize("name", AFFINE_SYSTEMS)
+    def test_fold_is_the_field(self, name):
+        field = AFFINE_SYSTEMS[name]().rhs()
+        A, c = field.affine
+        rng = np.random.default_rng(9)
+        for t in (0.0, 0.7, 12.0):
+            s = rng.uniform(-5.0, 5.0, len(c))
+            out = field(s, t, None)
+            assert A.shape == (len(s), len(s))
+            assert np.abs(A @ s + c - out).max() <= 1e-13 * max(1.0, np.abs(out).max())
+
+    def test_constant_of_a_linear_program_is_zero(self):
+        for name in ("cascade-3", "conventional", "naive-serial"):
+            assert not AFFINE_SYSTEMS[name]().rhs().affine[1].any(), name
+
+    @pytest.mark.parametrize("system", [
+        lambda: Cascade((GATED, LinearStatic(L5))),
+        lambda: Cascade((LinearStatic(L5), Saturated(L5))),
+        lambda: PlantLaw("naive-serial", (LinearStatic(L5), GATED)),
+        lambda: PlantLaw("conventional-delayed", (LinearStatic(L5), TRACKING), ConstantDelay(0.5)),
+        lambda: Cascade((LinearStatic(L5),
+                         DelayedRelative(path_graph(5).weights, ConstantDelay(0.1)))),
+    ], ids=["gated", "saturated", "nested-gated", "conventional-delayed", "delayed-relative"])
+    def test_programs_that_are_not_affine(self, system):
+        assert system().rhs().affine is None
+
+    def test_nested_gated_product_alone_is_not_affine(self):
+        # No gated block in M, so no finish run: the nested product decides.
+        n = 5
+        field = dynamics._compile([(0, 0, -1.0, L5)], (2 * n, n), n, [None, None], [],
+                                  slice(0, n), nested=(GATED, slice(n, 2 * n)))
+        assert field.affine is None
+
+    @pytest.mark.parametrize("system", AFFINE_SYSTEMS.values(), ids=list(AFFINE_SYSTEMS))
+    def test_a_feed_is_not_affine(self, system):
+        assert system().rhs(lambda t: np.full(5, 0.5)).affine is None
+
+    def test_row_sparse_program_is_not_affine(self):
+        # serial_lti at N = 400 keeps its row-sparse product: no dense step
+        # matrix is folded or built above the sparse threshold.
+        for controller in ("compositional", "conventional", "naive-serial"):
+            sc = dataclasses.replace(preset("serial_lti"), graph_n=400, controller=controller)
+            field = validate_scenario(sc)[1].rhs()
+            assert field.affine is None, controller
 
 
 class TestCascadeValidation:

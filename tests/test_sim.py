@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from consensuslab.dynamics import Cascade, cascade_rhs
-from consensuslab.exceptions import ConfigError, DivergenceError, InsufficientHistoryError
+from consensuslab.exceptions import (
+    ConfigError,
+    DivergenceError,
+    InsufficientHistoryError,
+    ShapeError,
+)
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.operators import DelayedRelative, LinearStatic
 from consensuslab.presets import preset
-from consensuslab.scenario import simulate_scenario
+from consensuslab.scenario import simulate_scenario, validate_scenario
 from consensuslab.sim import (
     ArrivalBank,
     ConstantDelay,
@@ -137,6 +142,92 @@ class TestIntegrator:
             IntegratorConfig(dt=0.003, t_end=1.0)
         # 0.3 / 0.1 is 2.9999999999999996 in floating point: a whole number
         assert IntegratorConfig(dt=0.1, t_end=0.3).nsteps == 3
+
+
+def counted(field, calls):
+    """``field`` behind a wrapper that logs each call and carries its fold."""
+    def wrapper(s, t, hist):
+        calls.append(t)
+        return field(s, t, hist)
+
+    wrapper.affine = field.affine
+    return wrapper
+
+
+def opaque(field):
+    """``field`` behind a wrapper without a fold: ``integrate`` runs its stages."""
+    return lambda s, t, h: field(s, t, h)
+
+
+def scenario_run(name, controller, t_end):
+    """(field, initial state, config) of a preset under a controller."""
+    sc = dataclasses.replace(preset(name), controller=controller, t_end=t_end)
+    _, system, state0, _ = validate_scenario(sc)
+    return system.rhs(), state0, IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
+
+
+def linear_cascade_run():
+    L = build_laplacian(path_graph(5))
+    x0 = np.random.default_rng(11).uniform(-1.0, 1.0, 15)
+    return cascade_rhs(Cascade((LinearStatic(L),) * 3)), x0, IntegratorConfig(0.01, 3.0, 5)
+
+
+AFFINE_RUNS = {
+    "linear-cascade": linear_cascade_run,
+    "gps-compositional": lambda: scenario_run("gps_fig3", "compositional", 4.0),
+    "lti-conventional": lambda: scenario_run("serial_lti", "conventional", 2.0),
+    "lti-naive-serial": lambda: scenario_run("serial_lti", "naive-serial", 2.0),
+    "gps-conventional-ideal": lambda: scenario_run("gps_fig3", "conventional-ideal", 4.0),
+}
+
+
+class TestAffineStep:
+    """An affine field steps as s <- s + Q s + g, RK4's own step, with no
+    field call, and lands within rounding of the four-stage path."""
+
+    @pytest.mark.parametrize("name", AFFINE_RUNS)
+    def test_steps_as_the_stage_path(self, name):
+        field, x0, cfg = AFFINE_RUNS[name]()
+        assert field.affine is not None
+        calls = []
+        fast = integrate(counted(field, calls), x0, cfg)
+        stages = integrate(opaque(field), x0, cfg)
+        assert calls == []
+        assert np.array_equal(fast.times, stages.times)
+        scale = max(1.0, np.abs(stages.states).max())
+        assert np.abs(fast.states - stages.states).max() <= 1e-12 * scale
+
+    def test_fewer_steps_than_states_keep_the_stages(self):
+        field, x0, _ = linear_cascade_run()
+        dim = len(x0)
+        calls = []
+        integrate(counted(field, calls), x0, IntegratorConfig(0.01, 0.01 * (dim - 1)))
+        assert len(calls) == 4 * (dim - 1)
+        calls.clear()
+        integrate(counted(field, calls), x0, IntegratorConfig(0.01, 0.01 * dim))
+        assert calls == []
+
+    def test_state_of_another_length_reaches_the_field(self):
+        field, x0, cfg = linear_cascade_run()
+        with pytest.raises(ShapeError):
+            integrate(field, x0[:-1], cfg)
+
+    def test_divergence_at_the_same_step(self):
+        # -L still has zero row sums; its cascade blows up near t = 14.
+        L = build_laplacian(path_graph(5))
+        field = cascade_rhs(Cascade((LinearStatic(-L),) * 2))
+        x0 = np.linspace(-1.0, 1.0, 10)
+        cfg = IntegratorConfig(0.01, 100.0, 10)
+        errors = []
+        for f in (field, opaque(field)):
+            with pytest.raises(DivergenceError) as err:
+                integrate(f, x0, cfg)
+            errors.append(err.value)
+        fast, stages = errors
+        assert fast.time == stages.time < 100.0
+        assert np.array_equal(fast.trajectory.times, stages.trajectory.times)
+        a, b = fast.trajectory.states, stages.trajectory.states
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestHistory:
