@@ -27,13 +27,17 @@ half its call cost (0.60 against 1.20 us at dim 20, 1.32 against 3.05 at
 also carries its whole field as ``field.affine = (A, c)``, s' = A s + c,
 folded from its own data; ``sim.integrate`` steps such a field by RK4's
 own step polynomial in one product per step. Every other field carries
-None. The field calls nothing else of an operator, inside
-``sim.integrate``, which rejects a non-finite or blown-up state after every
-step; the other callers of an operator use its checked ``evaluate``. Each
-system owns its state's layout: ``Cascade`` and ``PlantLaw`` give their
-``route``, field (``rhs``), ``initial_state`` from plant initial conditions
-and ``plant`` map, which ``Trajectory.plant_blocks`` applies to one block of
-recorded rows at a time, where a record is read.
+None. A gated program also carries ``field.prefetch(times)``, which
+``sim.integrate`` calls with the exact stage times of each block of steps
+to come; the field then reads each gated run's gates by t from a table,
+in place of its ``finish``. Every other field carries None. The field
+calls nothing else of an operator, inside ``sim.integrate``, which
+rejects a non-finite or blown-up state after every step; the other
+callers of an operator use its checked ``evaluate``. Each system owns its
+state's layout: ``Cascade`` and ``PlantLaw`` give their ``route``, field
+(``rhs``), ``initial_state`` from plant initial conditions and ``plant``
+map, which ``Trajectory.plant_blocks`` applies to one block of recorded
+rows at a time, where a record is read.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import OperatorError, ShapeError
-from .operators import ConsensusOperator, DelayedAbsoluteVelocity, LinearStatic
+from .operators import ConsensusOperator, DelayedAbsoluteVelocity, LinearStatic, LinearTimeVarying
 from .sim import HeldReads, delay_bound
 
 MAX_ORDER = 4
@@ -176,6 +180,17 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
     built above the threshold. The fold costs O(D^2) and, with a nested
     product, one N x N by N x width product; ``sim.integrate`` builds the
     step from it only when the run has at least D steps.
+
+    The field's ``prefetch`` is None unless some finish run or the nested
+    product is gated (``LinearTimeVarying``). Then ``prefetch(times)``, a
+    (T,) array of stage times, refills the table of each such run, and of
+    such a product, with {t: row}: the T rows of ``op.gates(times)``, each
+    tiled to the run's m N entries (N for the product) and read-only. A table holds one block of stage times at a
+    time (``sim.PREFETCH_STEPS``); the tables are filled inside
+    ``sim.integrate``, so compiling does no gate work. A field call at a
+    time in the table multiplies by its row, y[sl] *= row, which rounds as
+    ``finish``'s (m, N) broadcast does; any other time runs ``finish``.
+    Saturated runs always run ``finish``.
     """
     height, width = shape
     square = height == width
@@ -186,25 +201,39 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
         if runs and block_ops[k - 1] is op:
             runs[-1][2] += 1
         else:
-            runs.append([op.finish, k, 1])
-    runs = [(finish, slice(k * n, (k + m) * n), m) for finish, k, m in runs]
+            runs.append([op, k, 1])
+    gated = []  # (op, m, table) of each gated run, and of a gated nested product
+
+    def table(op, m):
+        if not isinstance(op, LinearTimeVarying):
+            return None
+        gated.append((op, m, {}))
+        return gated[-1][2]
+
+    runs = [(op.finish, slice(k * n, (k + m) * n), m, table(op, m)) for op, k, m in runs]
     M = _block_operator(blocks, shape)
     # ndarray.dot, not @: the same gemv at half the call cost (module docstring).
     dot = M.dot
     stepped = any(step is not None for step in (nested, delayed, const, feed))
-    product = product_finish = product_src = None
+    product = product_finish = product_src = product_gates = None
     if nested is not None:
         op, product_src = nested
         product = _block_operator([(0, 0, 1.0, op.L)], op.L.shape)
         product_finish = None if isinstance(op, LinearStatic) else op.finish
+        product_gates = table(op, 1)
     delayed_op, reads = delayed if delayed is not None else (None, None)
 
     def field(s, t, hist):
         if len(s) != width:
             raise ShapeError(f"state length {len(s)} != {width}")
         y = dot(s)
-        for finish, sl, m in runs:
-            finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
+        for finish, sl, m, gates in runs:
+            row = None if gates is None else gates.get(t)
+            if row is None:
+                finish(y[sl] if m == 1 else y[sl].reshape(m, n), t)
+            else:
+                block = y[sl]
+                block *= row
         for dst, src, own in adds:
             block = y[dst]
             block += y[src] if own else s[src]
@@ -212,7 +241,10 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
             out = y[tail]
             if product is not None:
                 z = product.dot(y[product_src])
-                if product_finish is not None:
+                row = None if product_gates is None else product_gates.get(t)
+                if row is not None:
+                    z *= row
+                elif product_finish is not None:
                     product_finish(z, t)
                 out += z
             if delayed_op is not None:
@@ -223,6 +255,17 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
                 out += feed(t)
         return y if square else y[:width]
 
+    def prefetch(times):
+        keys = times.tolist()
+        for op, m, gates in gated:
+            gates.clear()
+            rows = op.gates(times)
+            if m > 1:
+                rows = np.tile(rows, m)
+            rows.flags.writeable = False
+            gates.update(zip(keys, rows))
+
+    field.prefetch = prefetch if gated else None
     field.affine = None
     if (isinstance(M, np.ndarray) and not runs and product_finish is None and feed is None
             and (delayed_op is None

@@ -22,7 +22,8 @@ the block program runs inside the integrator, where a NaN in an RK stage
 must end as a divergence. The inner kinds also
 take a block of states: ``evaluate(z, t)`` of an (m, N) array z with an
 (m,) array t of its rows' times is one product z L^T, one finite check
-and, for the gated kind, row r gated by D(t[r]).
+and, for the gated kind, row r gated by D(t[r]); ``ae_derivative`` takes
+(m, N) blocks z and zdot the same way. A 0-d array t is a scalar time.
 
 ``DelayedRelative`` reads its neighbours' past states from a ``sim`` history
 view, at the columns that its ``reads(offset)`` name, through a
@@ -122,7 +123,7 @@ class LinearStatic(_LaplacianOperator):
         return _laplacian_product(self.L, z)
 
     def ae_derivative(self, z, zdot, t):
-        return self.L @ zdot
+        return _laplacian_product(self.L, zdot)
 
 
 class LinearTimeVarying(_LaplacianOperator):
@@ -146,12 +147,16 @@ class LinearTimeVarying(_LaplacianOperator):
         self._gate_memo = (None, None)
 
     def gates(self, t) -> np.ndarray:
-        """Gate vector D(t), read-only. The last time point is memoized: an
-        RK4 step asks for each of its three time points once per stage. An
-        (m,) array of times gives the (m, N) block whose row r is D(t[r]),
-        outside the memo."""
+        """Gate vector D(t), read-only, for a scalar time t (a 0-d array
+        too). The last time point is memoized: an RK4 step asks for each of
+        its three time points once per stage. An (m,) array of times gives
+        the (m, N) block whose row r is D(t[r]) bit for bit, outside the
+        memo; the compiled block program's ``prefetch`` reads its gate
+        tables from this form, so D(t) is computed here alone."""
         if isinstance(t, np.ndarray):
-            return np.maximum(np.sin(self.omega * t[:, None] + self.phi), 0.0)
+            if t.ndim:
+                return np.maximum(np.sin(self.omega * t[:, None] + self.phi), 0.0)
+            t = float(t)
         t_memo, g = self._gate_memo
         if t != t_memo:
             g = np.maximum(np.sin(self.omega * t + self.phi), 0.0)
@@ -160,8 +165,12 @@ class LinearTimeVarying(_LaplacianOperator):
         return g
 
     def gate_rates(self, t) -> np.ndarray:
-        s = np.sin(self.omega * t + self.phi)
-        return np.where(s > 0, self.omega * np.cos(self.omega * t + self.phi), 0.0)
+        """D'(t) where the gates are open, 0 where closed; an (m,) array of
+        times gives the (m, N) block of its rows, as ``gates`` does."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            t = t[:, None]
+        arg = self.omega * t + self.phi
+        return np.where(np.sin(arg) > 0, self.omega * np.cos(arg), 0.0)
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)
@@ -172,7 +181,8 @@ class LinearTimeVarying(_LaplacianOperator):
         return y
 
     def ae_derivative(self, z, zdot, t):
-        return self.gate_rates(t) * (self.L @ z) + self.gates(t) * (self.L @ zdot)
+        return (self.gate_rates(t) * _laplacian_product(self.L, z)
+                + self.gates(t) * _laplacian_product(self.L, zdot))
 
 
 class Saturated(_LaplacianOperator):
@@ -197,8 +207,8 @@ class Saturated(_LaplacianOperator):
         return y
 
     def ae_derivative(self, z, zdot, t):
-        inside = np.abs(self.L @ z) < 1.0
-        return (self.L @ zdot) * inside
+        inside = np.abs(_laplacian_product(self.L, z)) < 1.0
+        return _laplacian_product(self.L, zdot) * inside
 
 
 class DelayedRelative(ConsensusOperator):

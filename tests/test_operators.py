@@ -68,6 +68,44 @@ class TestEvaluate:
         assert np.array_equal(later, np.maximum(np.sin(op.omega * 1.1 + op.phi), 0.0))
         assert np.array_equal(op.gates(0.7), first)
 
+    def test_zero_d_time_is_a_scalar_time(self):
+        op = LinearTimeVarying(L3, omega=[1.0, 2.0, -3.0], phi=[0.1, 0.2, 0.3])
+        z, zdot = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, -1.0])
+        at = np.array(0.5)
+        assert np.array_equal(op.gates(at), op.gates(0.5))
+        assert np.array_equal(op.evaluate(z, at), op.evaluate(z, 0.5))
+        assert np.array_equal(op.gate_rates(at), op.gate_rates(0.5))
+        assert np.array_equal(op.ae_derivative(z, zdot, at), op.ae_derivative(z, zdot, 0.5))
+        at[...] = 2.0  # the memo keeps the time it read, not the array
+        assert np.array_equal(op.gates(0.5), np.maximum(np.sin(op.omega * 0.5 + op.phi), 0.0))
+
+    def test_gate_blocks_are_their_rows(self):
+        """An (m,) array of times gives (m, N) gates and gate rates whose
+        row r is the scalar call at t[r], bit for bit."""
+        rng = np.random.default_rng(8)
+        op = LinearTimeVarying(L3, omega=rng.uniform(-3.0, 3.0, 3),
+                               phi=rng.uniform(0.0, 6.0, 3))
+        ts = rng.uniform(0.0, 40.0, 257)
+        for block, scalar in ((op.gates(ts), op.gates), (op.gate_rates(ts), op.gate_rates)):
+            assert block.shape == (257, 3)
+            assert all(np.array_equal(block[r], scalar(t)) for r, t in enumerate(ts))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinearStatic(L3),
+        lambda: LinearTimeVarying(L3, omega=[0.7, 1.3, 1.9], phi=[0.3, 2.0, 4.0]),
+        lambda: Saturated(L3),
+    ])
+    def test_ae_derivative_of_a_block_is_its_rows(self, make):
+        op = make()
+        rng = np.random.default_rng(9)
+        z, zdot = rng.uniform(-2.0, 2.0, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))
+        ts = rng.uniform(0.0, 10.0, 5)
+        block = op.ae_derivative(z, zdot, ts)
+        rows = np.array([op.ae_derivative(z[r], zdot[r], ts[r]) for r in range(5)])
+        assert block.shape == (5, 3)
+        # z L^T may sum a row in another order than L z.
+        assert np.abs(block - rows).max() <= 1e-14 * max(1.0, np.abs(rows).max())
+
     def test_delayed_relative_zero_delay_matches_static(self):
         w = path_graph(4).weights
         op = DelayedRelative(w, ConstantDelay(0.0))

@@ -18,7 +18,7 @@ from consensuslab import dynamics, sim
 from consensuslab.cli import main
 from consensuslab.config import emit_scenario, parse_scenario
 from consensuslab.dynamics import Cascade, PlantLaw, cascade_rhs, plant_rhs
-from consensuslab.exceptions import ConfigError, ConsensusLabError
+from consensuslab.exceptions import ConfigError, ConsensusLabError, DivergenceError
 from consensuslab.graphs import WeightedDigraph, build_laplacian, graph_from_edges, path_graph
 from consensuslab.metrics import row_disagreement
 from consensuslab.operators import (
@@ -633,6 +633,65 @@ def test_history_bounded_by_tau_max_runs_as_the_whole_grid(data, n, dt, nsteps, 
     a = integrate(cascade_rhs(cascade), z0, cfg, tau_max=cascade.tau_max)
     b = integrate(cascade_rhs(cascade), z0, cfg, tau_max=t_end)
     assert np.array_equal(a.states, b.states)
+
+
+def gated_systems(inner, rng, t_end):
+    """(label, system, feed) of each gated layout: a gated cascade, one with
+    a constant feed and one that diverges, a gated inner stage under a
+    saturated and under a delayed_relative outer stage, and every plant law
+    on a gated stage 1."""
+    n, L = inner.n, inner.L
+    w = np.diag(np.diag(L)) - L
+    outer = random_operator("linear_time_varying", n, rng, L)
+    velocity = DelayedAbsoluteVelocity(rng.uniform(0.5, 2.0, n), rng.uniform(-5.0, 5.0))
+    feed = rng.uniform(-1.0, 1.0, n)
+    yield "cascade", Cascade((inner, outer)), None
+    # -L has zero row sums still; scaled to the horizon, it blows up inside the run.
+    unstable = LinearTimeVarying(-20.0 / t_end * L, inner.omega, inner.phi)
+    yield "diverging", Cascade((unstable, unstable)), None
+    yield "cascade-feed", Cascade((inner, inner)), lambda t: feed
+    yield "saturated-outer", Cascade((inner, Saturated(L))), None
+    yield "delayed-outer", Cascade((inner, DelayedRelative(w, ConstantDelay(0.05)))), None
+    for controller in ("conventional", "naive-serial"):
+        yield controller, PlantLaw(controller, (inner, outer)), None
+    yield "conventional-ideal", PlantLaw("conventional-ideal", (inner, velocity)), None
+    yield "conventional-delayed", PlantLaw("conventional-delayed", (inner, velocity),
+                                           ConstantDelay(0.05)), None
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4),
+       omega=st.lists(st.floats(min_value=0.2, max_value=8.0), min_size=4, max_size=4),
+       phi=st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=4, max_size=4),
+       dt=st.floats(min_value=1e-3, max_value=0.05),
+       nsteps=st.integers(min_value=257, max_value=320),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_prefetched_gates_run_as_the_opaque_field(n, omega, phi, dt, nsteps, seed):
+    """A gated program that ``integrate`` prefetches runs bit for bit as the
+    same program behind a wrapper that carries no ``prefetch``, which
+    computes every gate at its stage time: the same states, or the same
+    divergence time and partial record."""
+    rng = np.random.default_rng(seed)
+    L = build_laplacian(path_graph(n)) * rng.uniform(0.5, 4.0)
+    inner = LinearTimeVarying(L, omega[:n], phi[:n])
+    cfg = IntegratorConfig(dt, nsteps * dt)
+    for label, system, feed in gated_systems(inner, rng, cfg.t_end):
+        x0 = rng.uniform(-2.0, 2.0, system.order * n if system.route == "cascade" else 2 * n)
+        fields = [system.rhs(feed) for _ in range(2)]
+        opaque = fields[1]
+        results = []
+        for field in (fields[0], lambda s, t, h: opaque(s, t, h)):
+            try:
+                results.append(integrate(field, x0, cfg, system.tau_max))
+            except DivergenceError as err:
+                results.append((err.time, err.trajectory))
+        assert fields[0].prefetch is not None, label
+        fast, stages = results
+        assert type(fast) is type(stages), label
+        if isinstance(fast, tuple):
+            assert fast[0] == stages[0], label
+            fast, stages = fast[1], stages[1]
+        assert np.array_equal(fast.states, stages.states), label
 
 
 @given(arrivals=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=8).map(sorted))

@@ -11,10 +11,11 @@ from consensuslab.exceptions import (
     ShapeError,
 )
 from consensuslab.graphs import build_laplacian, path_graph
-from consensuslab.operators import DelayedRelative, LinearStatic
+from consensuslab.operators import DelayedRelative, LinearStatic, LinearTimeVarying, Saturated
 from consensuslab.presets import preset
 from consensuslab.scenario import simulate_scenario, validate_scenario
 from consensuslab.sim import (
+    PREFETCH_STEPS,
     ArrivalBank,
     ConstantDelay,
     HeldReads,
@@ -228,6 +229,93 @@ class TestAffineStep:
         assert np.array_equal(fast.trajectory.times, stages.trajectory.times)
         a, b = fast.trajectory.states, stages.trajectory.states
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def gated_cascade_field(second, u_ref=None):
+    """The field of a 10-agent cascade whose inner stage is gated."""
+    rng = np.random.default_rng(5)
+    L = build_laplacian(path_graph(5)) * 2.0
+    inner = LinearTimeVarying(np.kron(np.eye(2), L), rng.uniform(0.5, 3.0, 10),
+                              rng.uniform(0.0, 6.0, 10))
+    return cascade_rhs(Cascade((inner, second(inner))), u_ref)
+
+
+GATED_RUNS = {
+    "fig1-compositional": lambda: scenario_run("timevarying_fig1", "compositional", 1.5),
+    "fig1-conventional": lambda: scenario_run("timevarying_fig1", "conventional", 1.5),
+    "fig1-naive-serial": lambda: scenario_run("timevarying_fig1", "naive-serial", 1.5),
+    "saturated-outer": lambda: (
+        gated_cascade_field(lambda op: Saturated(op.L)), np.linspace(-3.0, 3.0, 20),
+        IntegratorConfig(0.0125, 0.0125 * 301, 7)),
+    "constant-feed": lambda: (
+        gated_cascade_field(lambda op: op, lambda t: np.full(10, 0.25)),
+        np.linspace(-1.0, 2.0, 20), IntegratorConfig(0.02, 0.02 * 513)),
+}
+
+
+class TestGateTables:
+    """A gated program reads its gates from tables that ``integrate`` fills
+    a block of steps at a time, bit for bit as its ``finish`` computes them."""
+
+    @pytest.mark.parametrize("name", GATED_RUNS)
+    def test_prefetched_run_is_the_stage_path(self, name):
+        field, x0, cfg = GATED_RUNS[name]()
+        assert field.prefetch is not None and cfg.nsteps % PREFETCH_STEPS != 0
+        fast = integrate(field, x0, cfg)
+        stages = integrate(opaque(GATED_RUNS[name]()[0]), x0, cfg)
+        assert np.array_equal(fast.states, stages.states)
+
+    @pytest.mark.parametrize("controller, gated", [
+        ("compositional", 1), ("conventional", 1), ("naive-serial", 2)])
+    def test_one_gate_block_per_prefetch(self, monkeypatch, controller, gated):
+        """One ``gates`` call per block of steps for each gated run or nested
+        product, and no call per stage time."""
+        field, x0, cfg = scenario_run("timevarying_fig1", controller, 1.5)
+        calls = []
+        real = LinearTimeVarying.gates
+
+        def gates(op, t):
+            calls.append(np.ndim(t))
+            return real(op, t)
+
+        monkeypatch.setattr(LinearTimeVarying, "gates", gates)
+        integrate(field, x0, cfg)
+        blocks = -(-cfg.nsteps // PREFETCH_STEPS)
+        assert blocks == 2 and calls == [1] * (gated * blocks)
+
+    def test_direct_calls_match_a_fresh_field(self):
+        field, x0, cfg = scenario_run("timevarying_fig1", "naive-serial", 0.05)
+        integrate(field, x0, cfg)  # fills the tables at the stage times
+        fresh = scenario_run("timevarying_fig1", "naive-serial", 0.05)[0]
+        for t in (0.0125, 0.0130, 3.0):
+            assert np.array_equal(field(x0, t, None), fresh(x0, t, None))
+
+    @pytest.mark.parametrize("name, controllers", [
+        ("serial_lti", ("compositional", "conventional", "naive-serial")),
+        ("saturated_fig2", ("compositional", "conventional", "naive-serial")),
+        ("gps_fig3", ("compositional", "conventional-ideal", "conventional-delayed")),
+        ("counterexample_appD", ("compositional",)),
+    ])
+    def test_ungated_programs_carry_no_prefetch(self, name, controllers):
+        for controller in controllers:
+            assert scenario_run(name, controller, 1.0)[0].prefetch is None
+
+    def test_divergence_at_the_same_step(self):
+        # -L still has zero row sums; the gated cascade blows up mid-block.
+        fields = [gated_cascade_field(lambda op: LinearTimeVarying(-op.L, op.omega, op.phi))
+                  for _ in range(2)]
+        x0 = np.linspace(-1.0, 1.0, 20)
+        cfg = IntegratorConfig(0.01, 100.0, 10)
+        errors = []
+        for f in (fields[0], opaque(fields[1])):
+            with pytest.raises(DivergenceError) as err:
+                integrate(f, x0, cfg)
+            errors.append(err.value)
+        fast, stages = errors
+        assert fast.time == stages.time < 100.0
+        assert round(fast.time / cfg.dt) % PREFETCH_STEPS != 0
+        assert np.array_equal(fast.trajectory.times, stages.trajectory.times)
+        assert np.array_equal(fast.trajectory.states, stages.trajectory.states)
 
 
 class TestHistory:
