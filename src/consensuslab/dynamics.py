@@ -17,8 +17,8 @@ gated and saturated operators' ``finish`` once over each run of adjacent
 blocks that share one operator; ordered in-place adds y[dst] += s[src] or
 y[src] (the cascade's shifts xi_{k+1}, the plant's term sums into u); then
 the steps that write the tail block, the outer stage or u: naive-serial's
-nested op_2(op_1(x)), a delayed outer stage's unchecked ``apply`` (on the
-plant, velocity tracking), an affine constant and the input. M is dense when
+nested op_2(op_1(x)), a delayed outer stage's unchecked ``apply`` (velocity
+tracking's among them, on both routes) and the input. M is dense when
 small or full, else its nonzeros alone (``_block_operator``): no field builds
 a dense matrix above the sparse threshold. Both kinds of M name their product
 ``dot``: a dense ``M.dot(s)`` runs the gemv of ``M @ s``, bit for bit, at
@@ -157,8 +157,7 @@ def _block_operator(blocks, shape):
     return _RowSparse(*map(np.concatenate, zip(*parts)), shape[0])
 
 
-def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None,
-             const=None, feed=None):
+def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None, feed=None):
     """The vector field ``field(s, t, hist)`` of one block program, run in the
     order the module docstring gives. M is the matrix of ``shape`` that
     ``blocks`` make (``_block_operator``), in N-row blocks; block k is owned by
@@ -167,7 +166,7 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
     y[dst] += y[src] if own else s[src]. The tail steps write y[tail]:
     ``nested`` (op, src) adds op's map of y[src], ``delayed`` (op, reads)
     subtracts op.apply(s[tail], reads of hist), reads being HeldReads of
-    columns of s or None, and ``const`` and ``feed``(t) add. Each step adds
+    columns of s or None, and ``feed``(t) adds. Each step adds
     in place, in the law's order. Returns y[:len(s)].
 
     The field's ``affine`` is (A, c) with field(s, t, hist) = A s + c, A of
@@ -183,14 +182,14 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
 
     The field's ``prefetch`` is None unless some finish run or the nested
     product is gated (``LinearTimeVarying``). Then ``prefetch(times)``, a
-    (T,) array of stage times, refills the table of each such run, and of
-    such a product, with {t: row}: the T rows of ``op.gates(times)``, each
-    tiled to the run's m N entries (N for the product) and read-only. A table holds one block of stage times at a
-    time (``sim.PREFETCH_STEPS``); the tables are filled inside
-    ``sim.integrate``, so compiling does no gate work. A field call at a
-    time in the table multiplies by its row, y[sl] *= row, which rounds as
-    ``finish``'s (m, N) broadcast does; any other time runs ``finish``.
-    Saturated runs always run ``finish``.
+    (T,) array of stage times, takes one block ``op.gates(times)`` per gated
+    operator and refills the table of each of its runs and products with
+    {t: row}: the block's T rows, tiled to m N entries (N for a product),
+    read-only. A table holds one block of stage times (``sim.PREFETCH_STEPS``),
+    filled inside ``sim.integrate``, so compiling does no gate work. A field
+    call at a time in the table multiplies by its row, y[sl] *= row, which
+    rounds as ``finish``'s (m, N) broadcast does; any other time, and every
+    saturated run, runs ``finish``.
     """
     height, width = shape
     square = height == width
@@ -202,19 +201,19 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
             runs[-1][2] += 1
         else:
             runs.append([op, k, 1])
-    gated = []  # (op, m, table) of each gated run, and of a gated nested product
+    gated = {}  # op: [(m, table)] of each of its runs, and of its nested product
 
     def table(op, m):
         if not isinstance(op, LinearTimeVarying):
             return None
-        gated.append((op, m, {}))
-        return gated[-1][2]
+        gated.setdefault(op, []).append((m, {}))
+        return gated[op][-1][1]
 
     runs = [(op.finish, slice(k * n, (k + m) * n), m, table(op, m)) for op, k, m in runs]
     M = _block_operator(blocks, shape)
     # ndarray.dot, not @: the same gemv at half the call cost (module docstring).
     dot = M.dot
-    stepped = any(step is not None for step in (nested, delayed, const, feed))
+    stepped = any(step is not None for step in (nested, delayed, feed))
     product = product_finish = product_src = product_gates = None
     if nested is not None:
         op, product_src = nested
@@ -249,32 +248,30 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
                 out += z
             if delayed_op is not None:
                 out -= delayed_op.apply(s[tail], reads and reads(t, hist))
-            if const is not None:
-                out += const
             if feed is not None:
                 out += feed(t)
         return y if square else y[:width]
 
     def prefetch(times):
         keys = times.tolist()
-        for op, m, gates in gated:
-            gates.clear()
-            rows = op.gates(times)
-            if m > 1:
-                rows = np.tile(rows, m)
-            rows.flags.writeable = False
-            gates.update(zip(keys, rows))
+        for op, tables in gated.items():
+            block = op.gates(times)
+            for m, gates in tables:
+                gates.clear()  # before tiling: the old and new rows never coexist
+                rows = np.tile(block, m) if m > 1 else block
+                rows.flags.writeable = False
+                gates.update(zip(keys, rows))
 
     field.prefetch = prefetch if gated else None
     field.affine = None
     if (isinstance(M, np.ndarray) and not runs and product_finish is None and feed is None
             and (delayed_op is None
                  or reads is None and isinstance(delayed_op, DelayedAbsoluteVelocity))):
-        field.affine = _affine_fold(M, width, n, adds, tail, nested, delayed_op, const)
+        field.affine = _affine_fold(M, width, n, adds, tail, nested, delayed_op)
     return field
 
 
-def _affine_fold(M, width, n, adds, tail, nested, delayed_op, const):
+def _affine_fold(M, width, n, adds, tail, nested, delayed_op):
     """(A, c) with field(s, t, hist) = A s + c, A of width x width: the
     program's steps run on the rows of its dense M, in its order. Only for a
     program whose every step is affine in s (``_compile``). The constant
@@ -292,8 +289,6 @@ def _affine_fold(M, width, n, adds, tail, nested, delayed_op, const):
     if delayed_op is not None:  # velocity tracking on s[tail]: -gains (s - ref)
         A[tail, tail] -= np.diag(delayed_op.gains)
         c[tail] += delayed_op.gains * delayed_op.ref
-    if const is not None:
-        c[tail] += const
     return A[:width], c[:width]
 
 
@@ -305,10 +300,9 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
     outer stage. The block program's matrix A holds -L_k on the diagonal
     block of every relative stage and the identity shift xi_{k+1} of every
     linear-static one; a gated or saturated stage adds its shift after its
-    ``finish``. A ``DelayedAbsoluteVelocity`` outer stage with a numeric
-    reference v is affine, -op(z) = -diag(gains) z + gains v: it is folded
-    into A plus a constant and reads no history. A delayed relative outer
-    stage leaves the tail rows of A zero, so its ``apply`` a gives 0 - a.
+    ``finish``. A delayed outer stage is the program's delayed step, as on
+    the plant route: it leaves the tail rows of A zero, so its ``apply`` a
+    gives 0 - a. Velocity tracking's ``reads`` are None: it reads no history.
     """
     stages = cascade.stages
     n = cascade.n
@@ -324,17 +318,12 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
         else:
             shifts.append((blocks[k], blocks[k + 1], False))
     outer = stages[-1]
-    delayed = const = None
-    if isinstance(outer, DelayedAbsoluteVelocity):
-        # Not the plant's delayed step: bit-identical for unit gains, but per gps_fig3 field
-        # call 2.30-2.39 us against 1.34-2.09 us (timeit, 2-vCPU Xeon): 60 ms a gps_delayed pass.
-        A.append((tail.start, tail.start, -1.0, outer.gains))
-        const = outer.gains * outer.ref
-    elif outer.relative_feedback:
+    delayed = None
+    if outer.relative_feedback:
         A.append((tail.start, tail.start, -1.0, outer.L))
     else:
         delayed = (outer, outer.reads(tail.start))
-    return _compile(A, shape, n, stages, shifts, tail, delayed=delayed, const=const, feed=u_ref)
+    return _compile(A, shape, n, stages, shifts, tail, delayed=delayed, feed=u_ref)
 
 
 def reconstruct_plant(cascade: Cascade, xi, t):

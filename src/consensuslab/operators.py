@@ -31,7 +31,7 @@ view, at the columns that its ``reads(offset)`` name, through a
 rejects a read without a view. Its delays are ``sim`` delay objects, whose
 bounds give its ``tau_max``.
 ``DelayedAbsoluteVelocity`` takes a numeric reference, which reads the
-same at every delayed time, so it reads no history.
+same at every delayed time, so it reads no history: its ``reads`` give None.
 """
 
 from __future__ import annotations
@@ -144,32 +144,18 @@ class LinearTimeVarying(_LaplacianOperator):
             raise OperatorError("omega and phi must have one entry per agent")
         if np.any(self.omega == 0) or not np.isfinite([self.omega, self.phi]).all():
             raise OperatorError("gate frequencies must be nonzero, omega and phi finite")
-        self._gate_memo = (None, None)
 
     def gates(self, t) -> np.ndarray:
-        """Gate vector D(t), read-only, for a scalar time t (a 0-d array
-        too). The last time point is memoized: an RK4 step asks for each of
-        its three time points once per stage. An (m,) array of times gives
-        the (m, N) block whose row r is D(t[r]) bit for bit, outside the
-        memo; the compiled block program's ``prefetch`` reads its gate
-        tables from this form, so D(t) is computed here alone."""
-        if isinstance(t, np.ndarray):
-            if t.ndim:
-                return np.maximum(np.sin(self.omega * t[:, None] + self.phi), 0.0)
-            t = float(t)
-        t_memo, g = self._gate_memo
-        if t != t_memo:
-            g = np.maximum(np.sin(self.omega * t + self.phi), 0.0)
-            g.flags.writeable = False
-            self._gate_memo = (t, g)
-        return g
+        """Gate vector D(t) of a scalar time t (a 0-d array too); an (m,)
+        array of times gives the (m, N) block whose row r is D(t[r]), bit
+        for bit, as one expression serves both. The compiled block
+        program's ``prefetch`` reads its gate tables from the block form."""
+        return np.maximum(np.sin(self.omega * np.asarray(t, float)[..., None] + self.phi), 0.0)
 
     def gate_rates(self, t) -> np.ndarray:
         """D'(t) where the gates are open, 0 where closed; an (m,) array of
         times gives the (m, N) block of its rows, as ``gates`` does."""
-        if isinstance(t, np.ndarray) and t.ndim:
-            t = t[:, None]
-        arg = self.omega * t + self.phi
+        arg = self.omega * np.asarray(t, float)[..., None] + self.phi
         return np.where(np.sin(arg) > 0, self.omega * np.cos(arg), 0.0)
 
     def evaluate(self, z, t, hist=None):
@@ -274,10 +260,10 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
     Component i is d_i * (z_i(t) - v(t - tau_i(t))). Absolute feedback: not
     translation invariant, outer stage only. The reference v is a number,
     so every delayed read returns v and the operator is d * (z - v): it
-    needs no delays and no history, and the compiled cascade field folds it
-    into its block product. The stage's delay spec acts only where an
-    agent's own velocity is read late: in the conventional-delayed baseline
-    (``dynamics.PlantLaw``).
+    needs no delays and no history, and both compiled routes run it as
+    their delayed step without reads. The stage's delay spec acts only
+    where an agent's own velocity is read late: in the conventional-delayed
+    baseline (``dynamics.PlantLaw``).
     """
 
     kind = "delayed_absolute_velocity"
@@ -298,6 +284,10 @@ class DelayedAbsoluteVelocity(ConsensusOperator):
     @property
     def n(self):
         return self.gains.shape[0]
+
+    def reads(self, offset):
+        """None: a numeric reference reads the same at every delayed time."""
+        return None
 
     def evaluate(self, z, t, hist=None):
         _check_finite(z)

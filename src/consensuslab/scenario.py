@@ -123,7 +123,7 @@ def _check_scenario(sc: Scenario) -> None:
         raise ConfigError("graph kind 'edges' needs an edges list")
     if sc.graph_kind == "path" and sc.graph_edges is not None:
         raise ConfigError("graph kind 'path' does not read an edges list")
-    if not isinstance(sc.seed, int) or sc.seed < 0:
+    if not isinstance(sc.seed, (int, np.integer)) or sc.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {sc.seed}")
     if sc.controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {sc.controller!r}")
@@ -256,10 +256,10 @@ def _build(sc: Scenario):
     """(L, system): the graph's Laplacian, read-only, and the Cascade on
     the compositional route, else the baseline's PlantLaw.
 
-    Identical StageSpecs share one operator, so that its gate memo and
-    common subexpressions serve every such stage. Each delayed stage's delay
-    spec is built once, whatever the controller: per edge inside
-    ``build_operator`` for delayed_relative, per agent here for
+    Identical StageSpecs share one operator, so that one gate table per
+    operator and common subexpressions serve every such stage. Each delayed
+    stage's delay spec is built once, whatever the controller: per edge
+    inside ``build_operator`` for delayed_relative, per agent here for
     delayed_absolute_velocity, whose delays only conventional-delayed reads.
     What an object rejects is re-raised as ConfigError, prefixed "stage k:"
     when stage k raised it.

@@ -239,6 +239,15 @@ class TestEcho:
         assert emit_scenario(sc).count("dt = 0.001") == 1
         assert parse_scenario(emit_scenario(sc)) == sc
 
+    def test_numpy_integer_seed_echoes_back(self):
+        sc = dataclasses.replace(preset("serial_lti"), seed=np.int64(3))
+        validate_scenario(sc)
+        assert emit_scenario(sc).count("seed = 3") == 1
+        assert parse_scenario(emit_scenario(sc)) == sc
+        for seed in (True, np.True_, np.int64(-1)):
+            with pytest.raises(ConfigError):
+                validate_scenario(dataclasses.replace(sc, seed=seed))
+
     @pytest.mark.parametrize("name", ["two words", "a'b", "x = [1]", ""])
     def test_one_line_names_echo_back(self, name):
         sc = dataclasses.replace(preset("serial_lti"), name=name)

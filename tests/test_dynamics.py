@@ -131,6 +131,16 @@ class TestNumericReferenceFold:
                                    -delayed.evaluate(xi[5:], t) + t))
             assert np.allclose(field(xi, t, None), want, rtol=1e-15, atol=1e-14)
 
+    def test_tail_is_the_operator_under_a_gated_inner_stage(self):
+        # Velocity tracking is the cascade's delayed step, so a program that
+        # does not fold still writes its tail as 0 - op(z), bit for bit.
+        field = cascade_rhs(Cascade((GATED, TRACKING)))
+        assert field.affine is None
+        rng = np.random.default_rng(10)
+        for _ in range(2000):
+            xi, t = rng.uniform(-5.0, 5.0, 10), rng.uniform(0.0, 20.0)
+            assert np.array_equal(field(xi, t, None)[5:], -TRACKING.evaluate(xi[5:], t))
+
 
 # A weighted digraph whose Laplacian does not commute with L5's, so that the
 # fold of a nested product shows the order of its factors.
@@ -163,6 +173,11 @@ class TestAffineFold:
             out = field(s, t, None)
             assert A.shape == (len(s), len(s))
             assert np.abs(A @ s + c - out).max() <= 1e-13 * max(1.0, np.abs(out).max())
+
+    def test_tracking_cascade_folds_to_its_gains(self):
+        A, c = AFFINE_SYSTEMS["tracking-cascade"]().rhs().affine
+        assert np.array_equal(A[5:, 5:], -np.diag(TRACKING.gains))
+        assert np.array_equal(c[5:], TRACKING.gains * TRACKING.ref)
 
     def test_constant_of_a_linear_program_is_zero(self):
         for name in ("cascade-3", "conventional", "naive-serial"):

@@ -9,8 +9,10 @@
 # --seconds SECONDS --trace 0` PAIRS times, REV first in even pairs and the
 # working tree first in odd ones. For every end-to-end metric that
 # BENCHMARK.json declares, prints each side's median and quartiles, the pairs
-# the working tree won (ties count for neither side) and every run's value;
-# the last line holds the same as JSON. SEED defaults to 1. Exits 0, 1 when
+# the working tree won (ties count for neither side) and every run's value,
+# and marks OVER BOUND a metric whose working-tree median is worse than the
+# REV median by more than the metric's relative bound; the last line holds
+# the same as JSON, the mark as "over_bound". SEED defaults to 1. Exits 0, 1 when
 # some run reports an incorrect output, or 2 when a step fails. The temporary
 # directory is removed on exit; nothing is written to the working tree.
 set -u -o pipefail
@@ -99,13 +101,15 @@ for metric in json.loads(Path(spec).read_text())["end_to_end"]:
         "rev_q1_q3": quartiles(old), "tree_q1_q3": quartiles(new),
         "tree_wins": wins, "rev_runs": old, "tree_runs": new,
     }
-    summary["metrics"][name] = entry
     change = entry["tree_median"] / entry["rev_median"] - 1.0
+    entry["over_bound"] = (change if lower else -change) > metric["bound"]
+    summary["metrics"][name] = entry
     print(f"{name:12s} rev median {entry['rev_median']:.6g} "
           f"(q1-q3 {entry['rev_q1_q3'][0]:.6g}-{entry['rev_q1_q3'][1]:.6g})  "
           f"tree median {entry['tree_median']:.6g} "
           f"(q1-q3 {entry['tree_q1_q3'][0]:.6g}-{entry['tree_q1_q3'][1]:.6g})  "
-          f"{change:+.1%}  tree wins {wins}/{pairs} {metric['unit']}")
+          f"{change:+.1%}  tree wins {wins}/{pairs} {metric['unit']}"
+          f"{'  OVER BOUND' if entry['over_bound'] else ''}")
 print(json.dumps(summary))
 sys.exit(0 if summary["all_correct"] else 1)
 EOF
