@@ -23,11 +23,17 @@ small or full, else its nonzeros alone (``_block_operator``): no field builds
 a dense matrix above the sparse threshold. Both kinds of M name their product
 ``dot``: a dense ``M.dot(s)`` runs the gemv of ``M @ s``, bit for bit, at
 half its call cost (0.60 against 1.20 us at dim 20, 1.32 against 3.05 at
-80). A program whose every step is affine in the state, with a dense M,
-also carries its whole field as ``field.affine = (A, c)``, s' = A s + c,
-folded from its own data; ``sim.integrate`` steps such a field by RK4's
-own step polynomial in one product per step. Every other field carries
-None. A gated program also carries ``field.prefetch(times)``, which
+80). A field with a dense M may carry ``field.affine(s, h)``, which
+answers (A, c, j) where its program is affine, s' = A s + c, folded from
+its own data, over the next j steps of size h from s, and None elsewhere;
+``sim.integrate`` takes those j steps by RK4's own step polynomial, one
+product per step. A program whose every step is affine (a constant input
+included) answers one fold for the whole run. A saturated cascade (every
+stage saturated from the innermost saturated one out, linear static below
+it) answers the fold of its current clamp pattern for as many steps as a
+bound on the band edges proves that the pattern holds
+(``_saturation_bound``). Every other field carries None. A gated program
+also carries ``field.prefetch(times)``, which
 ``sim.integrate`` calls with the exact stage times of each block of steps
 to come; the field then reads each gated run's gates by t from a table,
 in place of its ``finish``. Every other field carries None. The field
@@ -42,12 +48,19 @@ rows at a time, where a record is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import OperatorError, ShapeError
-from .operators import ConsensusOperator, DelayedAbsoluteVelocity, LinearStatic, LinearTimeVarying
+from .operators import (
+    ConsensusOperator,
+    DelayedAbsoluteVelocity,
+    LinearStatic,
+    LinearTimeVarying,
+    Saturated,
+)
 from .sim import HeldReads, delay_bound
 
 MAX_ORDER = 4
@@ -157,7 +170,8 @@ def _block_operator(blocks, shape):
     return _RowSparse(*map(np.concatenate, zip(*parts)), shape[0])
 
 
-def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None, feed=None):
+def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=None, feed=None,
+             bound=None):
     """The vector field ``field(s, t, hist)`` of one block program, run in the
     order the module docstring gives. M is the matrix of ``shape`` that
     ``blocks`` make (``_block_operator``), in N-row blocks; block k is owned by
@@ -166,19 +180,27 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
     y[dst] += y[src] if own else s[src]. The tail steps write y[tail]:
     ``nested`` (op, src) adds op's map of y[src], ``delayed`` (op, reads)
     subtracts op.apply(s[tail], reads of hist), reads being HeldReads of
-    columns of s or None, and ``feed``(t) adds. Each step adds
-    in place, in the law's order. Returns y[:len(s)].
+    columns of s or None, and ``feed`` adds: a constant vector, or a
+    callable t -> vector called at each t. Each step adds in place, in the
+    law's order. Returns y[:len(s)].
 
-    The field's ``affine`` is (A, c) with field(s, t, hist) = A s + c, A of
-    width x width, when M is dense, no ``finish`` run exists, any nested
-    product is linear static, any delayed step is velocity tracking without
-    reads (-diag(gains) s[tail] + gains ref) and no ``feed`` is given; else
-    None (``_affine_fold``). The rule adds no cost knob: the sparse threshold
-    already decided that a dense M's D^2 floats fit, and a row-sparse M
-    (linear_scale's N = 400) is never folded, so no dense D x D matrix is
-    built above the threshold. The fold costs O(D^2) and, with a nested
-    product, one N x N by N x width product; ``sim.integrate`` builds the
-    step from it only when the run has at least D steps.
+    The field's ``affine`` is None, or the callable ``affine(s, h)`` that
+    answers (A, c, j) or None: field(s', t, hist) = A s' + c, A of width x
+    width, at every RK4 stage point of the next j steps of size h from s.
+    It is a callable only when M is dense, any nested product is linear
+    static, any delayed step is velocity tracking without reads
+    (-diag(gains) s[tail] + gains ref) and ``feed`` is None or constant;
+    then
+    - a program without ``finish`` runs answers its one fold (``_affine_fold``)
+      with j = inf, at every s of its width;
+    - a program whose runs are all saturated, given ``bound(s, y, h)``, the
+      steps over which every saturated row keeps its side of the band,
+      answers the fold of its current clamp pattern (``_pattern_step``).
+    The rule adds no cost knob: the sparse threshold already decided that a
+    dense M's D^2 floats fit, and a row-sparse M (linear_scale's N = 400) is
+    never folded, so no dense D x D matrix is built above the threshold. A
+    fold costs O(D^2) and, with a nested product, one N x N by N x width
+    product.
 
     The field's ``prefetch`` is None unless some finish run or the nested
     product is gated (``LinearTimeVarying``). Then ``prefetch(times)``, a
@@ -221,6 +243,7 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
         product_finish = None if isinstance(op, LinearStatic) else op.finish
         product_gates = table(op, 1)
     delayed_op, reads = delayed if delayed is not None else (None, None)
+    variable = callable(feed)
 
     def field(s, t, hist):
         if len(s) != width:
@@ -249,7 +272,7 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
             if delayed_op is not None:
                 out -= delayed_op.apply(s[tail], reads and reads(t, hist))
             if feed is not None:
-                out += feed(t)
+                out += feed(t) if variable else feed
         return y if square else y[:width]
 
     def prefetch(times):
@@ -264,20 +287,30 @@ def _compile(blocks, shape, n, block_ops, adds, tail, *, nested=None, delayed=No
 
     field.prefetch = prefetch if gated else None
     field.affine = None
-    if (isinstance(M, np.ndarray) and not runs and product_finish is None and feed is None
+    if (isinstance(M, np.ndarray) and product_finish is None and not variable
             and (delayed_op is None
                  or reads is None and isinstance(delayed_op, DelayedAbsoluteVelocity))):
-        field.affine = _affine_fold(M, width, n, adds, tail, nested, delayed_op)
+
+        def fold(A, c):
+            return _affine_fold(A, c, width, n, adds, tail, nested, delayed_op, feed)
+
+        if not runs:
+            answer = (*fold(M.copy(), np.zeros(height)), math.inf)
+            field.affine = lambda s, h: answer if len(s) == width else None
+        elif bound is not None:
+            field.affine = _pattern_step(M, runs, bound, fold)
     return field
 
 
-def _affine_fold(M, width, n, adds, tail, nested, delayed_op):
+def _affine_fold(A, c, width, n, adds, tail, nested, delayed_op, w):
     """(A, c) with field(s, t, hist) = A s + c, A of width x width: the
-    program's steps run on the rows of its dense M, in its order. Only for a
-    program whose every step is affine in s (``_compile``). The constant
-    enters with the last steps, so the adds and the nested product see none.
+    program's steps run on the affine rows A s + c of its block product after
+    ``finish``, in its order, editing them in place. Only for a program whose
+    every step is affine in s (``_compile``). The own adds and the nested
+    product read A alone: c is nonzero before them only on a saturated
+    cascade's clamped rows, and a cascade has neither. The tail's constants,
+    velocity tracking's and the constant feed w, enter last, as in the field.
     """
-    A, c = M.copy(), np.zeros(len(M))
     for dst, src, own in adds:
         if own:
             A[dst] += A[src]
@@ -289,13 +322,115 @@ def _affine_fold(M, width, n, adds, tail, nested, delayed_op):
     if delayed_op is not None:  # velocity tracking on s[tail]: -gains (s - ref)
         A[tail, tail] -= np.diag(delayed_op.gains)
         c[tail] += delayed_op.gains * delayed_op.ref
+    if w is not None:
+        c[tail] += w
     return A[:width], c[:width]
+
+
+def _pattern_step(M, runs, bound, fold):
+    """The ``affine`` answer of a program whose finish runs are all saturated.
+
+    At state s, y = M s holds each saturated row's argument, and the clamp
+    pattern P of s marks each row inside the band (|y| < 1) or clamped at
+    sign(y). Where P holds, the field is affine: a clamped row is zero in A
+    and sign(y) in c, an inside row is M's, and the program's adds run on
+    those rows (``fold``). ``bound(s, y, h)`` gives j, the steps of size h
+    over which P provably holds at every RK4 stage point; the answer is
+    (A_P, c_P, j), or None when j is 0. Only the current pattern is kept, so
+    that an unchanged pattern answers with the same A object.
+    """
+    rows = np.concatenate([np.arange(sl.start, sl.stop) for _, sl, _, _ in runs])
+    width = M.shape[1]
+    current = None  # (pattern, A, c)
+
+    def affine(s, h):
+        nonlocal current
+        if len(s) != width:
+            return None
+        y = M.dot(s)
+        j = bound(s, y, h)
+        if not j:
+            return None
+        y = y[rows]
+        pattern = np.where(np.abs(y) < 1.0, 0.0, np.sign(y))
+        if current is None or not np.array_equal(pattern, current[0]):
+            A, c = M.copy(), np.zeros(len(M))
+            A[rows[pattern != 0]] = 0.0
+            c[rows] = pattern
+            current = (pattern, *fold(A, c))
+        return current[1], current[2], j
+
+    return affine
+
+
+def _saturation_bound(stages, n, w):
+    """``bound(s, y, h)`` of a saturated cascade, or None where it does not
+    close: the steps j of size h over which no saturated row's argument
+    reaches the band edge |y| = 1 at any RK4 stage point, y = M s.
+
+    With y_k = L_k xi_k and m_k = min_i |1 - |y_k,i||, every stage point of
+    the next j steps lies within j h max ||L_k f_k||_inf of s in y_k, f_k
+    being block k of the field. Where stages k..n are saturated,
+    L_k f_l = -L_k sat(.) + L_k xi_{l+1} gives
+    ||L_k f_l|| <= ||L_k|| + ||L_k xi_{l+1}(s)|| + j h max ||L_k f_{l+1}||,
+    which closes at the outer stage with ||L_k w||. So block k holds its
+    pattern while D_k(jh) = sum_i b_{k+i} (jh)^(i+1) <= m_k, with
+    b_l = ||L_k|| + ||L_k xi_{l+1}(s)|| and b_n = ||L_k|| + ||L_k w||;
+    j is the largest such integer for every saturated block. This holds
+    when every stage from the innermost saturated one outward is saturated,
+    those below it linear static, and w None or one constant vector. A row
+    within rounding of the band edge changes the field by that rounding
+    only, as sat is continuous, so the bound takes no slack.
+    """
+    saturated = [isinstance(op, Saturated) for op in stages]
+    if not any(saturated) or callable(w):
+        return None
+    first = saturated.index(True)
+    if not all(saturated[first:]) or not all(isinstance(op, LinearStatic)
+                                             for op in stages[:first]):
+        return None
+    w = np.zeros(n) if w is None else w
+    readers = []  # (k, L_k, ||L_k||, ||L_k w||) of each saturated stage
+    for k in range(first, len(stages)):
+        L = stages[k].L
+        readers.append((k, L, np.abs(L).sum(axis=1).max(), np.abs(L @ w).max()))
+
+    def bound(s, y, h):
+        xi = s.reshape(len(stages), n)
+        j = math.inf
+        for k, L, norm, feed in readers:
+            m = np.abs(1.0 - np.abs(y[k * n:(k + 1) * n])).min()
+            if not m > 0:
+                return 0
+            if not norm:
+                continue
+            b = [norm + v for v in np.abs(xi[k + 1:] @ L.T).max(axis=1).tolist()]
+            b.append(norm + feed)
+
+            def reach(steps):
+                u, acc = steps * h, 0.0
+                for coeff in reversed(b):
+                    acc = acc * u + coeff
+                return acc * u
+
+            lo, hi = 0, min(j, math.floor(m / (b[0] * h)))
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if reach(mid) <= m:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            j = lo
+        return j
+
+    return bound
 
 
 def cascade_rhs(cascade: Cascade, u_ref=None):
     """Vector field ``field(xi, t, hist)`` of the stacked cascade state.
 
-    ``u_ref`` is None or a callable t -> N-vector feeding the outer stage.
+    ``u_ref`` is None, a constant N-vector or a callable t -> N-vector,
+    feeding the outer stage.
     ``hist`` is a history view of the stacked state, read only by a delayed
     outer stage. The block program's matrix A holds -L_k on the diagonal
     block of every relative stage and the identity shift xi_{k+1} of every
@@ -323,7 +458,8 @@ def cascade_rhs(cascade: Cascade, u_ref=None):
         A.append((tail.start, tail.start, -1.0, outer.L))
     else:
         delayed = (outer, outer.reads(tail.start))
-    return _compile(A, shape, n, stages, shifts, tail, delayed=delayed, feed=u_ref)
+    return _compile(A, shape, n, stages, shifts, tail, delayed=delayed, feed=u_ref,
+                    bound=_saturation_bound(stages, n, u_ref))
 
 
 def reconstruct_plant(cascade: Cascade, xi, t):
@@ -436,7 +572,8 @@ class PlantLaw:
 def plant_rhs(law: PlantLaw, w=None):
     """Vector field ``field(s, t, hist)`` of the plant state s = [x; xdot].
 
-    ``w`` is None or a callable t -> N-vector disturbance added to u.
+    ``w`` is None, a constant N-vector or a callable t -> N-vector,
+    a disturbance added to u.
     ``hist`` is a history view of s, read only by conventional-delayed. The
     block program's first block is xdot, copied by an identity block, and
     its second, u, sums the terms after it in the order the law is written:

@@ -324,7 +324,7 @@ def _build_disturbance(sc: Scenario):
     else:
         rng = np.random.default_rng(np.random.SeedSequence((sc.seed, 202)))
         vec = rng.uniform(-sc.disturbance_sup, sc.disturbance_sup, size=sc.graph_n)
-    return lambda t: vec
+    return vec
 
 
 def simulate_scenario(sc: Scenario) -> sim.Trajectory:

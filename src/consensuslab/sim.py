@@ -9,13 +9,18 @@ delay is shorter than one step, interpolate to the current RK stage point
 so that zero delays reproduce the undelayed path. A query older than the
 samples kept raises InsufficientHistoryError.
 
-A field that is affine, s' = A s + c, and says so by carrying
-``affine = (A, c)`` (``dynamics`` attaches it to every block program it can
-fold) is stepped by RK4's own step polynomial, with no field call: one RK4
-step of such a field is exactly s <- s + (Q s + g), with Q = R(hA) - I and
-g = h P(hA) c, where R(z) = 1 + z P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is
-RK4's stability function. It is the same method, so truncation error,
-stability and verdicts are RK4's; only the rounding differs.
+A field may say where it is affine by carrying ``affine(s, h)``, which
+answers (A, c, j) when s' = A s + c holds at every RK4 stage point of the
+next j steps of size h from s, and None when it cannot say (``dynamics``
+attaches one to every block program that it can fold: an affine program
+answers one (A, c) for the whole run, a saturated cascade the (A, c) of
+its clamp pattern for as many steps as a bound proves that the pattern
+holds). Those j steps are taken by RK4's own step polynomial, with no field
+call: one RK4 step of an affine field is exactly s <- s + (Q s + g), with
+Q = R(hA) - I and g = h P(hA) c, where R(z) = 1 + z P(z) = 1 + z + z^2/2 +
+z^3/6 + z^4/24 is RK4's stability function. Where the field is affine at
+every stage point it is the same method, so truncation error, stability
+and verdicts are RK4's; only the rounding differs.
 
 A field whose terms are known functions of t alone, before integration,
 says so by carrying a non-None ``prefetch`` (``dynamics`` attaches one to
@@ -282,18 +287,26 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     every read at or after t - tau_max at stage time t, with a step to spare
     for rounding. A read further back raises InsufficientHistoryError.
 
-    A field with a non-None ``affine = (A, c)`` is stepped as
-    x <- x + (Q x + g), Q and g built here by Horner's rule (``_rk4_step``),
-    in three D x D products, and the field is not called. The increment
-    form keeps the stage path's rounding: x + (Q x + g) rounds once against
-    x, where R(hA) x would round 1 + q on R's diagonal at every step (max
-    |delta| from the stage path 1e-10 against 1e-13 on serial_lti, and the
-    naive-serial residual 9.3e-11 against 5.4e-12); adding g before x keeps
-    gps_fig3's drift at 1e-12 against 4e-10. The cost rule: A is there only
-    when the program's M is dense, which the sparse threshold allows only
-    where D^2 floats fit, and the step is taken only when nsteps >= D, so
-    that the 6 D^3-flop build pays for itself; any other run, and a state
-    whose length is not A's, takes the four stages.
+    Each step is one of two: the affine step or the four stages. A field
+    with a non-None ``affine`` is asked ``affine(x, dt)`` before a step
+    whenever the affine steps of its last answer have run out. An answer
+    (A, c, j) admits the next j steps, which are taken as
+    x <- x + (Q x + g) without a field call; None, or j = 0, takes the four
+    stages for this step and asks again before the next. Q and g are built
+    here by Horner's rule (``_rk4_step``), in three D x D products, only
+    when an answer carries another A object than the last one built, so an
+    unchanged A costs nothing more. The increment form keeps the stage
+    path's rounding: x + (Q x + g) rounds once against x, where R(hA) x
+    would round 1 + q on R's diagonal at every step (max |delta| from the
+    stage path 1e-10 against 1e-13 on serial_lti, and the naive-serial
+    residual 9.3e-11 against 5.4e-12); adding g before x keeps gps_fig3's
+    drift at 1e-12 against 4e-10. The cost rule: ``dynamics`` answers only
+    where the program's M is dense, which the sparse threshold allows only
+    where D^2 floats fit, and an A is built only while at least D steps of
+    the run remain, so that the 6 D^3-flop build can pay for itself.
+    A saturated cascade keeps one clamp pattern over most of its run (24
+    builds in saturated_fig2's 40,000 steps), so an answer that admits few
+    steps usually carries the A already built.
 
     A field with a non-None ``prefetch`` on the stage path is handed, before
     step k of every block of ``PREFETCH_STEPS`` steps (and of the shorter
@@ -333,9 +346,8 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     rec = 1
 
     affine = getattr(field, "affine", None)
-    Q = g = None
-    if affine is not None and len(affine[1]) == len(x) <= nsteps:
-        Q, g = _rk4_step(*affine, dt)
+    A = Q = g = None
+    until = 0  # the affine steps admitted run up to step `until`
     prefetch = getattr(field, "prefetch", None)
 
     half = 0.5 * dt
@@ -350,7 +362,15 @@ def integrate(field, x0, cfg: IntegratorConfig, tau_max=None) -> Trajectory:
     # reports it; its overflow warnings would only repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            if Q is not None:
+            if k >= until and affine is not None:
+                answer = affine(x, dt)
+                if answer is not None:
+                    new, c, j = answer
+                    if new is not A and nsteps - k >= len(x):
+                        A, (Q, g) = new, _rk4_step(new, c, dt)
+                    if new is A:
+                        until = k + j
+            if k < until:
                 inc = Q.dot(x)
                 if g is not None:
                     inc += g

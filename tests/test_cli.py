@@ -510,6 +510,8 @@ class TestPresetVerdicts:
         ("saturated_fig2", "50",
          {"compositional": "true", "conventional": "false", "naive-serial": "true"}),
         ("timevarying_fig1", "190", {"compositional": "true", "naive-serial": "false"}),
+        ("saturated_fig2", "80",  # the full horizon
+         {"compositional": "true", "conventional": "false", "naive-serial": "true"}),
     ])
     def test_baseline_verdicts(self, name, t_end, verdicts, tmp_path):
         assert run_cli("--preset", name, "--t-end", t_end, "--out", str(tmp_path),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -159,33 +160,68 @@ AFFINE_SYSTEMS = {
 }
 
 
+def width(system):
+    """The state length of a system's field."""
+    return 2 * system.n if system.route == "plant" else system.order * system.n
+
+
+def fold(system, w=None, h=0.01):
+    """The field of ``system`` fed by ``w`` and its ``affine`` answer at the
+    zero state."""
+    field = system.rhs(w)
+    return field, field.affine(np.zeros(width(system)), h)
+
+
 class TestAffineFold:
-    """A program whose every step is affine in the state carries its field
-    as ``affine = (A, c)``; every other program carries None."""
+    """A program whose every step is affine in the state answers
+    ``affine(s, h)`` with its one fold (A, c) for the whole run, j = inf;
+    a program that never folds carries None."""
 
     @pytest.mark.parametrize("name", AFFINE_SYSTEMS)
     def test_fold_is_the_field(self, name):
         field = AFFINE_SYSTEMS[name]().rhs()
-        A, c = field.affine
         rng = np.random.default_rng(9)
-        for t in (0.0, 0.7, 12.0):
-            s = rng.uniform(-5.0, 5.0, len(c))
+        for t, h in ((0.0, 0.01), (0.7, 0.5), (12.0, 1e-4)):
+            s = rng.uniform(-5.0, 5.0, width(AFFINE_SYSTEMS[name]()))
+            A, c, j = field.affine(s, h)
             out = field(s, t, None)
-            assert A.shape == (len(s), len(s))
+            assert A.shape == (len(s), len(s)) and j == math.inf
             assert np.abs(A @ s + c - out).max() <= 1e-13 * max(1.0, np.abs(out).max())
 
+    @pytest.mark.parametrize("name", AFFINE_SYSTEMS)
+    def test_one_answer_for_every_state_of_its_width(self, name):
+        system = AFFINE_SYSTEMS[name]()
+        field, first = fold(system)
+        again = field.affine(np.full(width(system), 3.0), 0.2)
+        assert all(a is b for a, b in zip(first, again))
+        assert field.affine(np.zeros(width(system) - 1), 0.01) is None
+
     def test_tracking_cascade_folds_to_its_gains(self):
-        A, c = AFFINE_SYSTEMS["tracking-cascade"]().rhs().affine
+        _, (A, c, _) = fold(AFFINE_SYSTEMS["tracking-cascade"]())
         assert np.array_equal(A[5:, 5:], -np.diag(TRACKING.gains))
         assert np.array_equal(c[5:], TRACKING.gains * TRACKING.ref)
 
     def test_constant_of_a_linear_program_is_zero(self):
         for name in ("cascade-3", "conventional", "naive-serial"):
-            assert not AFFINE_SYSTEMS[name]().rhs().affine[1].any(), name
+            assert not fold(AFFINE_SYSTEMS[name]())[1][1].any(), name
+
+    @pytest.mark.parametrize("name", AFFINE_SYSTEMS)
+    def test_a_constant_feed_enters_c(self, name):
+        """A constant input folds: the same A, and c plus w on the rows it feeds."""
+        w = np.linspace(-0.5, 1.0, 5)
+        _, (A0, c0, _) = fold(AFFINE_SYSTEMS[name]())
+        field, (A, c, j) = fold(AFFINE_SYSTEMS[name](), w)
+        fed = slice(len(c) - 5, len(c))
+        assert np.array_equal(A, A0) and j == math.inf
+        assert np.array_equal(c[fed], c0[fed] + w)
+        assert np.array_equal(c[:fed.start], c0[:fed.start])
+        s = np.random.default_rng(4).uniform(-5.0, 5.0, len(c))
+        out = field(s, 0.3, None)
+        assert np.abs(A @ s + c - out).max() <= 1e-13 * max(1.0, np.abs(out).max())
 
     @pytest.mark.parametrize("system", [
         lambda: Cascade((GATED, LinearStatic(L5))),
-        lambda: Cascade((LinearStatic(L5), Saturated(L5))),
+        lambda: Cascade((Saturated(L5), LinearStatic(L5))),
         lambda: PlantLaw("naive-serial", (LinearStatic(L5), GATED)),
         lambda: PlantLaw("conventional-delayed", (LinearStatic(L5), TRACKING), ConstantDelay(0.5)),
         lambda: Cascade((LinearStatic(L5),
@@ -212,6 +248,90 @@ class TestAffineFold:
             sc = dataclasses.replace(preset("serial_lti"), graph_n=400, controller=controller)
             field = validate_scenario(sc)[1].rhs()
             assert field.affine is None, controller
+
+
+SATURATED_SYSTEMS = {
+    "order-1": lambda: Cascade((Saturated(L5),)),
+    "order-2": lambda: Cascade((Saturated(L5), Saturated(2.0 * L5_OTHER))),
+    "static-below": lambda: Cascade((LinearStatic(L5), Saturated(L5_OTHER))),
+    "order-3": lambda: Cascade((LinearStatic(L5_OTHER), Saturated(L5), Saturated(0.5 * L5))),
+}
+
+
+class TestPatternStep:
+    """A saturated cascade answers ``affine(s, h)`` with the fold of its
+    clamp pattern at s and the steps that a bound admits, or None."""
+
+    @pytest.mark.parametrize("w", [None, np.linspace(-0.4, 0.3, 5)], ids=["unfed", "fed"])
+    @pytest.mark.parametrize("name", SATURATED_SYSTEMS)
+    def test_pattern_fold_is_the_field(self, name, w):
+        system = SATURATED_SYSTEMS[name]()
+        field = system.rhs(w)
+        rng = np.random.default_rng(12)
+        answered = 0
+        for _ in range(40):
+            s = rng.uniform(-1.5, 1.5, width(system))
+            answer = field.affine(s, 1e-3)
+            if answer is None:
+                continue
+            A, c, j = answer
+            out = field(s, 0.0, None)
+            assert j >= 1
+            assert np.abs(A @ s + c - out).max() <= 1e-13 * max(1.0, np.abs(out).max())
+            answered += 1
+        assert answered >= 10
+
+    def test_clamped_rows_fold_to_their_sign(self):
+        s = np.array([0.0, 3.0, -0.2, 0.1, 0.4])
+        y = -L5 @ s  # [0, -3, 3.2, -0.3, -0.3]: agents 2 and 3 clamped
+        A, c, _ = Cascade((Saturated(L5),)).rhs().affine(s, 1e-3)
+        clamped = np.abs(y) >= 1.0
+        assert clamped.tolist() == [False, True, True, False, False]
+        assert not A[clamped].any() and np.array_equal(c[clamped], np.sign(y[clamped]))
+        assert np.array_equal(A[~clamped], -L5[~clamped]) and not c[~clamped].any()
+
+    def test_unchanged_pattern_answers_the_same_matrix(self):
+        system = SATURATED_SYSTEMS["order-2"]()
+        field = system.rhs()
+        s = np.random.default_rng(2).uniform(-1.5, 1.5, 10)
+        first = field.affine(s, 1e-3)
+        # A common shift of xi_1 leaves every argument L xi as it is.
+        shifted = field.affine(s + np.r_[np.full(5, 0.25), np.zeros(5)], 1e-3)
+        assert shifted[0] is first[0] and shifted[1] is first[1]
+        other = field.affine(-s, 1e-3)  # every clamped row flips its sign
+        assert other[0] is not first[0] and not np.array_equal(other[1], first[1])
+
+    def test_a_row_on_the_band_edge_answers_none(self):
+        field = Cascade((Saturated(L2),)).rhs()
+        assert np.array_equal(-L2 @ [0.0, 1.0], [0.0, -1.0])
+        assert field.affine(np.array([0.0, 1.0]), 1e-3) is None
+        assert field.affine(np.array([0.0, 0.9]), 1e-3) is not None
+
+    def test_state_of_another_length_answers_none(self):
+        assert SATURATED_SYSTEMS["order-1"]().rhs().affine(np.zeros(4), 1e-3) is None
+
+    @pytest.mark.parametrize("system", [
+        lambda: PlantLaw("conventional", (Saturated(L5), Saturated(L5))),
+        lambda: PlantLaw("naive-serial", (Saturated(L5), Saturated(L5))),
+        lambda: Cascade((GATED, Saturated(L5))),
+        lambda: Cascade((Saturated(L5), GATED)),
+        lambda: Cascade((Saturated(L5), TRACKING)),
+        lambda: Cascade((Saturated(L5),
+                         DelayedRelative(path_graph(5).weights, ConstantDelay(0.1)))),
+        lambda: Cascade((Saturated(L5), LinearStatic(L5))),
+    ], ids=["conventional", "naive-serial", "gated-inner", "gated-outer", "tracking",
+            "delayed-relative", "static-outer"])
+    def test_programs_that_answer_none(self, system):
+        assert system().rhs().affine is None
+
+    def test_a_varying_feed_answers_none(self):
+        assert Cascade((Saturated(L5),)).rhs(lambda t: np.full(5, t)).affine is None
+        assert Cascade((Saturated(L5),)).rhs(np.full(5, 0.5)).affine is not None
+
+    def test_row_sparse_saturated_cascade_answers_none(self):
+        sc = dataclasses.replace(preset("saturated_fig2"), graph_n=150,
+                                 d_ref=tuple(-10.0 * i for i in range(150)))
+        assert validate_scenario(sc)[1].rhs().affine is None
 
 
 class TestCascadeValidation:

@@ -694,6 +694,133 @@ def test_prefetched_gates_run_as_the_opaque_field(n, omega, phi, dt, nsteps, see
         assert np.array_equal(fast.states, stages.states), label
 
 
+def rk4_path(field, s, h, steps):
+    """The four-stage RK4 path of an autonomous field from s, written out:
+    the state after each step and each step's four stage points."""
+    x, states, points = s.copy(), [], []
+    for _ in range(steps):
+        k1 = field(x, 0.0, None)
+        z2 = x + 0.5 * h * k1
+        k2 = field(z2, 0.0, None)
+        z3 = x + 0.5 * h * k2
+        k3 = field(z3, 0.0, None)
+        z4 = x + h * k3
+        k4 = field(z4, 0.0, None)
+        points.append((x.copy(), z2, z3, z4))
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return states, points
+
+
+def band_sides(cascade, z):
+    """The saturated rows' arguments L_k xi_k of a cascade state z."""
+    n = cascade.n
+    return np.concatenate([op.L @ z[k * n:(k + 1) * n] for k, op in enumerate(cascade.stages)
+                           if isinstance(op, Saturated)])
+
+
+def keeps_pattern(cascade, s, z, tol=1e-12):
+    """Every saturated row of z on the side of the band edge that it holds
+    at s: inside (|y| < 1) or clamped at sign(y), to within ``tol``."""
+    y0, y = band_sides(cascade, s), band_sides(cascade, z)
+    inside = np.abs(y0) < 1.0
+    return bool(np.all(np.where(inside, np.abs(y) <= 1.0 + tol, np.sign(y0) * y >= 1.0 - tol)))
+
+
+def random_laplacian(n, rng):
+    w = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(w, 0.0)
+    return (np.diag(w.sum(axis=1)) - w) * rng.uniform(0.2, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(min_value=1, max_value=3), below=st.integers(min_value=0, max_value=2),
+       n=st.integers(min_value=1, max_value=5), fed=st.booleans(),
+       edge=st.floats(min_value=0.5, max_value=3.0), step=st.floats(min_value=0.01, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(order=2, below=0, n=5, fed=True, edge=1.2, step=0.05, seed=1)
+def test_admitted_pattern_steps_are_the_stage_steps(order, below, n, fed, edge, step, seed):
+    """On a random saturated cascade (linear static stages below the
+    saturated ones), every step that the admitted budget runs keeps the
+    clamp pattern at all four stage points and equals the four-stage step
+    to 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    below = min(below, order - 1)
+    Ls = [random_laplacian(n, rng) for _ in range(order)]
+    cascade = Cascade(tuple(LinearStatic(L) if k < below else Saturated(L)
+                            for k, L in enumerate(Ls)))
+    s = rng.uniform(-1.0, 1.0, order * n)
+    for k in range(below, order):  # the arguments L_k xi_k reach |y| = edge
+        block = s[k * n:(k + 1) * n]
+        reach = np.abs(Ls[k] @ block).max()
+        if reach > 0:
+            block *= edge / reach
+    w = rng.uniform(-1.0, 1.0, n) if fed else None
+    field = cascade_rhs(cascade, w)
+    norm = max(np.abs(L).sum(axis=1).max() for L in Ls)
+    h = step / norm if norm > 0 else step
+    answer = field.affine(s, h)
+    if answer is None:
+        return
+    A, c, j = answer
+    states, points = rk4_path(field, s, h, min(j, 64))
+    for stage_points in points:
+        assert all(keeps_pattern(cascade, s, z) for z in stage_points)
+    Q, g = sim._rk4_step(A, c, h)
+    x = s.copy()
+    for want in states:
+        inc = Q.dot(x)
+        if g is not None:
+            inc += g
+        x += inc
+        assert np.abs(x - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def two_agent_pair():
+    """An undirected pair fed apart by w = (-2, 2): while clamped at +1,
+    its argument y_1 = x_1 - x_2 falls at 6 = ||L|| + ||L w||, the bound's
+    own rate; inside the band near -1 it falls at about 2."""
+    cascade = Cascade((Saturated(PAIR),))
+    return cascade, cascade_rhs(cascade, np.array([-2.0, 2.0]))
+
+
+def two_agent_second_order():
+    """The pair at order 2 with xi_2 = (-5, 5): y_1 clamped at 1.5 falls at
+    12 = ||L|| + ||L xi_2||, the bound's first-order rate."""
+    cascade = Cascade((Saturated(PAIR), Saturated(PAIR)))
+    return cascade, cascade_rhs(cascade)
+
+
+@pytest.mark.parametrize("gap, crossing", [(0.005, 1), (0.015, 3)], ids=["k2", "k4"])
+def test_a_stage_point_across_the_band_is_refused(gap, crossing):
+    """A state whose first step's k2 (or, only, k4) stage point crosses the
+    band edge gets no affine step."""
+    cascade, field = two_agent_pair()
+    s = np.array([0.0, 1.0 - gap])  # y_1 = gap - 1
+    _, [points] = rk4_path(field, s, 0.01, 1)
+    kept = [keeps_pattern(cascade, s, z, tol=0.0) for z in points]
+    assert kept.index(False) == crossing
+    assert field.affine(s, 0.01) is None
+
+
+@pytest.mark.parametrize("system, s, steps", [
+    (two_agent_pair, [1.5, 0.0], 8),
+    (two_agent_second_order, [1.5, 0.0, -5.0, 5.0], 4),
+], ids=["order-1", "order-2"])
+def test_the_budget_ends_at_the_first_crossing(system, s, steps):
+    """Where y_1 falls into the band at the bound's own rate, the budget
+    runs every step before the first whose stage points cross, and no more."""
+    cascade, field = system()
+    s = np.array(s)
+    _, points = rk4_path(field, s, 0.01, 20)
+    first = next(m for m, zs in enumerate(points)
+                 if not all(keeps_pattern(cascade, s, z, tol=0.0) for z in zs))
+    assert field.affine(s, 0.01)[2] == first == steps
+
+
 @given(arrivals=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=8).map(sorted))
 def test_one_arrival_lookup(arrivals):
     """A Poisson delay and an ArrivalBank over it read the same last arrival:

@@ -13,7 +13,8 @@ from consensuslab.exceptions import (
 from consensuslab.graphs import build_laplacian, path_graph
 from consensuslab.operators import DelayedRelative, LinearStatic, LinearTimeVarying, Saturated
 from consensuslab.presets import preset
-from consensuslab.scenario import simulate_scenario, validate_scenario
+from consensuslab import sim
+from consensuslab.scenario import _build_disturbance, simulate_scenario, validate_scenario
 from consensuslab.sim import (
     PREFETCH_STEPS,
     ArrivalBank,
@@ -164,7 +165,8 @@ def scenario_run(name, controller, t_end):
     """(field, initial state, config) of a preset under a controller."""
     sc = dataclasses.replace(preset(name), controller=controller, t_end=t_end)
     _, system, state0, _ = validate_scenario(sc)
-    return system.rhs(), state0, IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
+    field = system.rhs(_build_disturbance(sc))
+    return field, state0, IntegratorConfig(sc.dt, sc.t_end, sc.record_every)
 
 
 def linear_cascade_run():
@@ -229,6 +231,65 @@ class TestAffineStep:
         assert np.array_equal(fast.trajectory.times, stages.trajectory.times)
         a, b = fast.trajectory.states, stages.trajectory.states
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestAffineProtocol:
+    """``integrate`` asks ``affine`` whenever the admitted affine steps have
+    run out, takes the four stages on None or j = 0, and builds the step
+    only for a new A object."""
+
+    def test_asks_builds_and_steps_as_answered(self, monkeypatch):
+        A, c = np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([0.25, 0.0])
+        other = A.copy()
+        script = [(A, c, 3), None, (A, c, 0), (other, c, 2), (other, c, 1)]
+        asks, calls, builds = [], [], []
+
+        def field(s, t, hist):
+            calls.append(t)
+            return A @ s + c
+
+        def affine(s, h):
+            asks.append(s.copy())
+            return script.pop(0) if script else None
+
+        def rk4_step(*args):
+            builds.append(args[0])
+            return real(*args)
+
+        real = sim._rk4_step
+        monkeypatch.setattr(sim, "_rk4_step", rk4_step)
+        field.affine = affine
+        cfg = IntegratorConfig(0.125, 1.25)
+        traj = integrate(field, np.array([1.0, -1.0]), cfg)
+        # Steps 0-2 and 5-7 affine; 3, 4, 8 and 9 take the stages.
+        assert len(asks) == 7 and len(builds) == 2
+        assert builds[0] is A and builds[1] is other
+        assert len(calls) == 16 and calls[::4] == [3 * 0.125, 4 * 0.125, 8 * 0.125, 9 * 0.125]
+        stages = integrate(opaque(field), np.array([1.0, -1.0]), cfg)
+        assert np.abs(traj.states - stages.states).max() <= 1e-15
+
+
+PATTERN_RUNS = {
+    "fig2-compositional": lambda: scenario_run("saturated_fig2", "compositional", 10.0),
+    "regime": lambda: scenario_run("saturated_regime", "compositional", 20.0),
+}
+
+
+class TestPatternStep:
+    """A saturated cascade steps by its clamp pattern's affine step where
+    the bound admits it, by the stages elsewhere, and lands within rounding
+    of the four-stage path."""
+
+    @pytest.mark.parametrize("name", PATTERN_RUNS)
+    def test_steps_as_the_stage_path(self, name):
+        field, x0, cfg = PATTERN_RUNS[name]()
+        assert field.affine is not None
+        calls = []
+        fast = integrate(counted(field, calls), x0, cfg)
+        stages = integrate(opaque(field), x0, cfg)
+        assert 0 < len(calls) < 0.1 * 4 * cfg.nsteps
+        scale = max(1.0, np.abs(stages.states).max())
+        assert np.abs(fast.states - stages.states).max() <= 1e-13 * scale
 
 
 def gated_cascade_field(second, u_ref=None):
